@@ -60,19 +60,6 @@ class ScalarField:
             raise ValueError("non-finite scalar field")
 
 
-@dataclass
-class VectorField:
-    """Interleaved (x, y) nodal coefficients of a vector unknown."""
-
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite vector field")
-
-
 def _vals(f) -> np.ndarray:
     return np.asarray(getattr(f, "values", f), dtype=float)
 
@@ -378,7 +365,10 @@ def assemble_frictional_heat(mesh: Mesh, dofs: DofMap, fric: FrictionModel, v_de
 # ---------------------------------------------------------------------------
 # mechanics
 
-_elastic_cache: dict[tuple[int, int], tuple[AssembledOperator, AssembledOperator]] = {}
+# (id(mesh), id(mat)) -> weak references to both, then the two operators; a
+# hit needs both references alive and pointing at the arguments, so an id
+# that a freed mesh or material left behind never matches
+_elastic_cache: dict[tuple[int, int], tuple[weakref.ref, weakref.ref, AssembledOperator, AssembledOperator]] = {}
 
 
 def _tensor_stiffness_full(mesh: Mesh, tensor: np.ndarray) -> sp.csr_matrix:
@@ -390,12 +380,14 @@ def _tensor_stiffness_full(mesh: Mesh, tensor: np.ndarray) -> sp.csr_matrix:
 def assemble_elastic_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> tuple[AssembledOperator, AssembledOperator]:
     """Viscosity and elasticity gradient forms; cached per (mesh, material)."""
     key = (id(mesh), id(mat))
-    if key not in _elastic_cache:
+    entry = _elastic_cache.get(key)
+    if entry is None or entry[0]() is not mesh or entry[1]() is not mat:
         a_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.a_tensor)))
         b_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.b_tensor)))
-        _elastic_cache[key] = (a_op, b_op)
-        weakref.finalize(mesh, _elastic_cache.pop, key, None)
-    return _elastic_cache[key]
+        entry = _elastic_cache[key] = (weakref.ref(mesh), weakref.ref(mat), a_op, b_op)
+        for owner in (mesh, mat):
+            weakref.finalize(owner, _elastic_cache.pop, key, None)
+    return entry[2], entry[3]
 
 
 def contact_vector_mass_full(mesh: Mesh) -> sp.csr_matrix:

@@ -17,12 +17,11 @@ contact boundary mass of the P1 interpolant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .assembly import (
     assemble_elastic_operators,
@@ -83,6 +82,8 @@ class RegularizedFriction:
         r = np.asarray(r, dtype=float)
         if self.fric.mu_antiderivative is not None:
             return np.asarray(self.fric.mu_antiderivative(r), dtype=float)
+        import scipy.integrate  # only this fallback needs it; importing it slows every start
+
         flat = np.ravel(r)
         out = np.array([scipy.integrate.quad(lambda s: float(self.fric.mu(s)), 0.0, float(x))[0]
                         for x in flat])
@@ -109,24 +110,6 @@ def contact_traction_full(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
     out[2 * idx] = xi[:, 0]
     out[2 * idx + 1] = xi[:, 1]
     return out
-
-
-def _traction_jacobian_full(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
-                            v_full: np.ndarray, t: float) -> sp.csr_matrix:
-    """(2N, 2N) block-diagonal derivative of the nodal traction field."""
-    n2 = v_full.size
-    if dofs.contact_nodes.size == 0:
-        return sp.csr_matrix((n2, n2))
-    vt = nodal_tangential(dofs, v_full)
-    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes], t), dtype=float)
-    jac_t = rfric.traction_jacobian(vt, F)
-    nu = dofs.contact_normal
-    proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
-    blocks = np.einsum("mij,mjk->mik", jac_t, proj)
-    idx = dofs.contact_nodes
-    rows = np.repeat(np.stack([2 * idx, 2 * idx + 1], axis=1), 2, axis=1).ravel()
-    cols = np.tile(np.stack([2 * idx, 2 * idx + 1], axis=1), (1, 2)).ravel()
-    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(n2, n2))
 
 
 def friction_functional(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
@@ -217,13 +200,56 @@ def check_subgradient_pairing(mesh: Mesh, dofs: DofMap, rfric: RegularizedFricti
 
 
 @dataclass
+class _CondensedStep:
+    """The momentum step matrix B = rho/dt M + A + dt B_el, factored once.
+
+    Friction adds R D(v) E^T to B: R holds the contact pairing columns of
+    the p free contact dofs, E^T picks those dofs out of a free vector and
+    D is the block-diagonal traction Jacobian. Its 2x2 block at free
+    contact node k acts on the tangential part only, D_k = a_k tau_k^T with
+    a_k = D_k tau_k, so D = A T^T with T the block column of the tangents.
+    With Z = B^-1 R and S = E^T Z, the Sherman-Morrison-Woodbury identity
+
+        (B + R A T^T E^T)^-1 x = y - Z A (I + T^T S A)^-1 T^T E^T y,  y = B^-1 x,
+
+    turns each Newton correction into one solve on the factor and a dense
+    system with one unknown per free contact node.
+    """
+
+    key: tuple[float, float]  # (rho, dt)
+    base: sp.csr_matrix
+    lu: object  # scipy.sparse.linalg.SuperLU of base
+    sel: np.ndarray  # free contact nodes, as indices into dofs.contact_nodes
+    pos: np.ndarray  # their (x, y) dofs as positions in the free vector
+    tau: np.ndarray  # their unit tangents, (q, 2)
+    z: np.ndarray  # Z = B^-1 R, (n_free, 2q)
+    ts: np.ndarray  # T^T S, (q, q, 2): row k, node l, component
+
+    def solve(self, rhs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """(B + R D E^T)^-1 rhs, D = block_diag(blocks) from :func:`_contact_blocks`."""
+        y = self.lu.solve(rhs)
+        q = self.tau.shape[0]
+        if q == 0:
+            return y
+        a = np.einsum("kij,kj->ki", blocks, self.tau)
+        lhs = np.eye(q) + np.einsum("klj,lj->kl", self.ts, a)
+        w = np.linalg.solve(lhs, np.einsum("kj,kj->k", self.tau, y[self.pos].reshape(q, 2)))
+        return y - self.z @ (a * w[:, None]).ravel()
+
+
+@dataclass
 class MomentumOperators:
-    """Constant matrices of the momentum equation on free vector dofs."""
+    """Constant matrices of the momentum equation on free vector dofs.
+
+    ``condensed`` caches the factored step matrix for the (rho, dt) of the
+    last :func:`solve_momentum_step` call on this instance.
+    """
 
     mass: sp.csr_matrix
     visc: sp.csr_matrix
     elast: sp.csr_matrix
     contact_rows: sp.csr_matrix  # free rows of the full contact pairing
+    condensed: _CondensedStep | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_momentum_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> MomentumOperators:
@@ -232,6 +258,70 @@ def build_momentum_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> Mo
     vfree = dofs.vector_free_dofs()
     contact_rows = contact_vector_mass_full(mesh)[vfree, :].tocsr()
     return MomentumOperators(mass.matrix, visc.matrix, elast.matrix, contact_rows)
+
+
+def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free contact nodes and their interleaved (x, y) dofs.
+
+    Returns the nodes as indices into ``dofs.contact_nodes``, then their dofs
+    as positions in the free vector and as full dof ids. A contact node on
+    the D part never moves, so the traction Jacobian acts on these dofs only.
+    """
+    free = dofs.node_to_free[dofs.contact_nodes]
+    sel = np.flatnonzero(free >= 0)
+    pos = np.stack([2 * free[sel], 2 * free[sel] + 1], axis=1).ravel()
+    node = dofs.contact_nodes[sel]
+    full = np.stack([2 * node, 2 * node + 1], axis=1).ravel()
+    return sel, pos, full
+
+
+def _contact_blocks(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
+                    v_full: np.ndarray, t: float, sel: np.ndarray) -> np.ndarray:
+    """(q, 2, 2) derivative of the nodal traction at the contact nodes sel."""
+    vt = nodal_tangential(dofs, v_full)[sel]
+    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes[sel]], t), dtype=float)
+    nu = dofs.contact_normal[sel]
+    proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
+    return np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
+
+
+def _base_matrix(ops: MomentumOperators, rho: float, dt: float) -> sp.csr_matrix:
+    return (rho / dt * ops.mass + ops.visc + dt * ops.elast).tocsr()
+
+
+def _condensed_step(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float) -> _CondensedStep:
+    """The factored step matrix for (rho, dt), built on first use and kept on ops."""
+    key = (rho, dt)
+    cond = ops.condensed
+    if cond is None or cond.key != key:
+        base = _base_matrix(ops, rho, dt)
+        lu = splu(base.tocsc())
+        sel, pos, full = _free_contact_dofs(dofs)
+        z = lu.solve(ops.contact_rows[:, full].toarray())
+        tau = dofs.contact_tangent[sel]
+        q = tau.shape[0]
+        ts = np.einsum("kj,kjl->kl", tau, z[pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
+        cond = ops.condensed = _CondensedStep(key, base, lu, sel, pos, tau, z, ts)
+    return cond
+
+
+def _residual_map(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
+                  ops: MomentumOperators, bd: BoundaryData, dt: float, t_new: float,
+                  u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
+                  base: sp.csr_matrix):
+    """Residual map v_free -> (res, xi_full, v_full) of the implicit step, and |load|."""
+    vfree = dofs.vector_free_dofs()
+    load = assemble_mech_load(mesh, dofs, bd, rfric.fric, t_new)
+    coup = assemble_thermal_coupling(mesh, dofs, mat, theta_del)
+    rhs_const = load - coup + mat.mass_mech() / dt * (ops.mass @ v_old) - ops.elast @ u_old
+
+    def residual(v_free):
+        v_full = np.zeros(2 * mesh.n_nodes)
+        v_full[vfree] = v_free
+        xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
+        return base @ v_free + ops.contact_rows @ xi - rhs_const, xi, v_full
+
+    return residual, float(np.linalg.norm(load))
 
 
 def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
@@ -246,23 +336,14 @@ def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Reg
 
     The velocity update is damped Newton: the traction law is smooth, its
     nodal Jacobian is exact, and steps are halved (at most 20 times) until
-    the residual norm decreases.
+    the residual norm decreases. The Jacobian is the constant step matrix,
+    factored once per (rho, dt) and kept on ops, plus a friction term on the
+    contact dofs, which each correction condenses to a dense system there.
     """
-    vfree = dofs.vector_free_dofs()
-    rho_dt = mat.mass_mech() / dt
-    load = assemble_mech_load(mesh, dofs, bd, rfric.fric, t_new)
-    coup = assemble_thermal_coupling(mesh, dofs, mat, theta_del)
-    rhs_const = load - coup + rho_dt * (ops.mass @ v_old) - ops.elast @ u_old
-    base = (rho_dt * ops.mass + ops.visc + dt * ops.elast).tocsr()
-    n_full = 2 * mesh.n_nodes
-    target = rtol * (1.0 + float(np.linalg.norm(load)))
-
-    def residual(v_free):
-        v_full = np.zeros(n_full)
-        v_full[vfree] = v_free
-        xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
-        res = base @ v_free + ops.contact_rows @ xi - rhs_const
-        return res, xi, v_full
+    cond = _condensed_step(ops, dofs, mat.mass_mech(), dt)
+    residual, load_norm = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
+                                        u_old, v_old, theta_del, cond.base)
+    target = rtol * (1.0 + load_norm)
 
     v = v_old.copy()
     res, xi, v_full = residual(v)
@@ -273,9 +354,7 @@ def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Reg
             raise SolverError(
                 f"momentum step at t={t_new:.6g} stalled after {max_iter} iterations; "
                 f"residual {res_norm:.3e} > {target:.3e}")
-        dmat = _traction_jacobian_full(mesh, dofs, rfric, v_full, t_new)
-        jac = base + (ops.contact_rows @ dmat)[:, vfree]
-        delta = spsolve(jac.tocsr(), -res)
+        delta = cond.solve(-res, _contact_blocks(mesh, dofs, rfric, v_full, t_new, cond.sel))
         alpha = 1.0
         for _ in range(20):
             trial = v + alpha * delta
@@ -301,16 +380,14 @@ def momentum_residual(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regul
                       u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
                       v_free: np.ndarray):
     """Residual and exact Jacobian of the implicit step at a trial velocity."""
-    vfree = dofs.vector_free_dofs()
-    rho_dt = mat.mass_mech() / dt
-    load = assemble_mech_load(mesh, dofs, bd, rfric.fric, t_new)
-    coup = assemble_thermal_coupling(mesh, dofs, mat, theta_del)
-    rhs_const = load - coup + rho_dt * (ops.mass @ v_old) - ops.elast @ u_old
-    base = (rho_dt * ops.mass + ops.visc + dt * ops.elast).tocsr()
-    v_full = np.zeros(2 * mesh.n_nodes)
-    v_full[vfree] = v_free
-    xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
-    res = base @ v_free + ops.contact_rows @ xi - rhs_const
-    dmat = _traction_jacobian_full(mesh, dofs, rfric, v_full, t_new)
-    jac = base + (ops.contact_rows @ dmat)[:, vfree]
-    return res, jac.tocsr()
+    base = _base_matrix(ops, mat.mass_mech(), dt)
+    residual, _ = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
+                                u_old, v_old, theta_del, base)
+    res, _, v_full = residual(v_free)
+    sel, pos, full = _free_contact_dofs(dofs)
+    blocks = _contact_blocks(mesh, dofs, rfric, v_full, t_new, sel)
+    pairs = np.arange(pos.size).reshape(-1, 2)
+    rows = np.repeat(pairs, 2, axis=1).ravel()
+    cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
+    d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
+    return res, (base + ops.contact_rows[:, full] @ d_et).tocsr()

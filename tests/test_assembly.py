@@ -26,6 +26,7 @@ from thermocontact.assembly import (
     contact_lumped_weights,
     contact_vector_mass_full,
     phi_b_nodal,
+    _tensor_stiffness_full,
     scalar_stiffness_unit_full,
     u_norm4,
     vector_stiffness_componentwise_full,
@@ -357,6 +358,17 @@ class TestElasticOperators:
         first = assemble_elastic_operators(mesh, dofs, mat)
         second = assemble_elastic_operators(mesh, dofs, mat)
         assert first[0] is second[0] and first[1] is second[1]
+
+    def test_cache_never_serves_a_freed_material(self, square4):
+        # each material is freed before the next is made, so CPython reuses
+        # ids; a cache keyed on ids alone handed some of them stale operators
+        mesh, dofs = square4
+        for i in range(200):
+            mat, _, _ = default_ptc_model({"mu_b": 0.5 + i})
+            a_op, b_op = assemble_elastic_operators(mesh, dofs, mat)
+            for op, tensor in ((a_op, mat.a_tensor), (b_op, mat.b_tensor)):
+                ref = dofs.restrict_vector(_tensor_stiffness_full(mesh, tensor))
+                assert abs(op.matrix - ref).max() == 0.0
 
 
 class TestThermalMechanicalCoupling:

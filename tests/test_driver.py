@@ -1,6 +1,9 @@
 """Config parsing, CLI exit codes, output files, reproducibility."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +150,47 @@ class TestExitCodes:
         cfg = cfg_file(tmp_path, "model.beta = 1000000.0\n")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--assert"])
         assert code == 4
+
+
+class TestConfigValueErrors:
+    @pytest.mark.parametrize("extra,match", [
+        ("solver.cascade_levels = 0.05 abc\n", "solver.cascade_levels"),
+        ("model.f0 = 0.5 abc\n", "model.f0"),
+        ("model.f2 = x 0.0\n", "model.f2"),
+        ("model.phi_b = x3\n", "model.phi_b"),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, extra, match):
+        assert main(["check", "--config", cfg_file(tmp_path, extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
+        assert err.count("\n") == 1
+
+
+def contact_free_default_cfg(tmp_path):
+    text = (REPO_ROOT / "examples" / "default.cfg").read_text()
+    assert "mesh.bottom = C" in text
+    return cfg_file(tmp_path, base=text.replace("mesh.bottom = C", "mesh.bottom = N"))
+
+
+class TestContactFree:
+    def test_check_passes(self, tmp_path, capsys):
+        assert main(["check", "--config", contact_free_default_cfg(tmp_path)]) == 0
+        assert "all assumptions pass" in capsys.readouterr().out
+
+    def test_run_completes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", contact_free_default_cfg(tmp_path),
+                     "--out", str(out), "--assert"]) == 0
+        assert (out / "trajectory.csv").exists() and (out / "cascade.csv").exists()
+
+
+def test_driver_import_leaves_out_scipy_integrate():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")])
+    code = "import sys, thermocontact.driver; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestCheckCommand:

@@ -8,6 +8,8 @@ import scipy.sparse.linalg
 
 from conftest import const_bd, const_friction
 from thermocontact.friction import (
+    _condensed_step,
+    _contact_blocks,
     MomentumOperators,
     RegularizedFriction,
     SolverError,
@@ -22,6 +24,7 @@ from thermocontact.friction import (
 )
 from thermocontact.assembly import contact_lumped_weights
 from thermocontact.materials import default_ptc_model
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +279,79 @@ class TestMomentumStep:
             solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02,
                                 np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes),
                                 max_iter=0)
+
+
+class TestCondensedSolve:
+    """Each Newton correction solves B + R D E^T through the factor of B."""
+
+    def setup_case(self, mesh, dofs):
+        mat, fric, _ = default_ptc_model()
+        rf = RegularizedFriction(fric, eps=1e-8)
+        ops = build_momentum_operators(mesh, dofs, mat)
+        return mat, rf, const_bd(f0=(0.5, 0.0)), ops
+
+    @pytest.mark.parametrize("slip", ["stick", "slip", "mixed"])
+    def test_correction_matches_direct_solve(self, square4, slip):
+        mesh, dofs = square4
+        mat, rf, bd, ops = self.setup_case(mesh, dofs)
+        nf = dofs.vector_free_dofs().size
+        rng = np.random.default_rng(30)
+        u0 = rng.normal(size=nf) * 0.01
+        v0 = rng.normal(size=nf) * 0.01
+        theta = rng.normal(size=mesh.n_nodes) * 0.1
+        v = rng.normal(size=nf) * 0.1
+        # tangential (x) velocity of the free contact nodes on the bottom side
+        free = dofs.node_to_free[dofs.contact_nodes]
+        free = free[free >= 0]
+        scale = {"stick": np.full(free.size, 1e-3 * rf.eps),
+                 "slip": np.full(free.size, 1.0),
+                 "mixed": np.where(np.arange(free.size) % 2, 1e-3 * rf.eps, 1.0)}[slip]
+        v[2 * free] = scale * rng.choice([-1.0, 1.0], size=free.size)
+        dt = 0.02
+        res, jac = momentum_residual(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta, v)
+        ref = scipy.sparse.linalg.spsolve(jac.tocsc(), -res)
+
+        cond = _condensed_step(ops, dofs, mat.mass_mech(), dt)
+        v_full = np.zeros(2 * mesh.n_nodes)
+        v_full[dofs.vector_free_dofs()] = v
+        got = cond.solve(-res, _contact_blocks(mesh, dofs, rf, v_full, dt, cond.sel))
+        assert cond.pos.size == 2 * free.size > 0
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_factor_follows_dt(self, square4):
+        mesh, dofs = square4
+        mat, rf, bd, ops = self.setup_case(mesh, dofs)
+        nf = dofs.vector_free_dofs().size
+        rng = np.random.default_rng(31)
+        u0 = rng.normal(size=nf) * 0.01
+        v0 = rng.normal(size=nf) * 0.1
+        theta = rng.normal(size=mesh.n_nodes) * 0.1
+        for dt in (0.02, 0.005, 0.02):
+            shared = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
+            fresh_ops = build_momentum_operators(mesh, dofs, mat)
+            fresh = solve_momentum_step(mesh, dofs, mat, rf, fresh_ops, bd, dt, dt, u0, v0, theta)
+            assert ops.condensed.key == (mat.mass_mech(), dt)
+            np.testing.assert_allclose(shared[0], fresh[0], rtol=0.0, atol=1e-14)
+            assert shared[3]["iterations"] == fresh[3]["iterations"]
+
+    def test_contact_free_matches_direct_solve(self):
+        mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"})
+        dofs = build_dof_maps(mesh)
+        mat, rf, bd, ops = self.setup_case(mesh, dofs)
+        nf = dofs.vector_free_dofs().size
+        rng = np.random.default_rng(32)
+        u0 = rng.normal(size=nf) * 0.01
+        v0 = rng.normal(size=nf) * 0.01
+        theta = rng.normal(size=mesh.n_nodes) * 0.1
+        dt = 0.02
+        v, _, xi, info = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
+        _, jac = momentum_residual(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta, v)
+        from thermocontact.assembly import assemble_mech_load, assemble_thermal_coupling
+
+        load = assemble_mech_load(mesh, dofs, bd, rf.fric, dt)
+        coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
+        rhs = load - coup + (mat.mass_mech() / dt) * (ops.mass @ v0) - ops.elast @ u0
+        ref = scipy.sparse.linalg.spsolve(jac.tocsc(), rhs)
+        assert ops.condensed.pos.size == 0 and np.abs(xi).max() == 0.0
+        np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-10)
+        assert info["iterations"] == 1
