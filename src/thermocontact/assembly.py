@@ -21,7 +21,6 @@ constant all see the same function.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,16 @@ import scipy.sparse as sp
 
 from .materials import BoundaryData, FrictionModel, MaterialModel
 from .mesh import (
-    EDGE_MASS,
     DofMap,
+    EdgeQuadrature,
     Mesh,
     _scalar_stiffness_full,
+    boundary_mass_full,
+    edge_quadrature,
+    scatter,
+    scatter_load,
     triangle_geometry,
+    xy_dofs,
 )
 
 # values of the three local basis functions at the three midpoint
@@ -43,8 +47,6 @@ MIDPOINT_BASIS = np.array([
     [0.0, 0.5, 0.5],
     [0.5, 0.0, 0.5],
 ])
-
-GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
 @dataclass
@@ -83,24 +85,10 @@ def _geometry(mesh: Mesh):
     return mesh.triangles, areas, grads
 
 
-def _scatter(mesh: Mesh, elem: np.ndarray) -> sp.csr_matrix:
-    """Sum (T, 3, 3) element matrices into the full (N, N) sparse matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.csr_matrix((elem.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-
-
-def _scatter_vector(mesh: Mesh, elem: np.ndarray) -> sp.csr_matrix:
-    """Sum (T, 6, 6) element blocks into the full (2N, 2N) sparse matrix."""
-    tri = mesh.triangles
-    dofs = np.empty((tri.shape[0], 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * tri
-    dofs[:, 1::2] = 2 * tri + 1
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    n2 = 2 * mesh.n_nodes
-    return sp.csr_matrix((elem.ravel(), (rows, cols)), shape=(n2, n2))
+def _on_points(fn, points: np.ndarray, *args) -> np.ndarray:
+    """One call of a model callable on all points (..., 2); values shaped (...) + value shape."""
+    vals = np.asarray(fn(points.reshape(-1, 2), *args), dtype=float)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
 def phi_b_nodal(mesh: Mesh, bd: BoundaryData) -> np.ndarray:
@@ -120,7 +108,7 @@ def theta_at_quadrature(mesh: Mesh, theta: np.ndarray) -> np.ndarray:
 def scalar_mass_full(mesh: Mesh) -> sp.csr_matrix:
     _, areas, _ = _geometry(mesh)
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return _scatter(mesh, areas[:, None, None] * local[None])
+    return scatter(mesh.triangles, areas[:, None, None] * local[None], mesh.n_nodes)
 
 
 def vector_mass_full(mesh: Mesh) -> sp.csr_matrix:
@@ -152,17 +140,12 @@ def _weighted_stiffness_full(mesh: Mesh, kq: np.ndarray) -> sp.csr_matrix:
     """
     _, areas, grads = _geometry(mesh)
     elem = np.einsum("t,tqji,tia,tjb->tab", areas / 3.0, kq, grads, grads)
-    return _scatter(mesh, elem)
+    return scatter(mesh.triangles, elem, mesh.n_nodes)
 
 
 def thermal_stiffness_full(mesh: Mesh, mat: MaterialModel, theta_eval) -> sp.csr_matrix:
-    theta = _vals(theta_eval)
-    tq = theta_at_quadrature(mesh, theta)
-    kq = np.empty((tq.shape[0], 3, 2, 2))
-    for t in range(tq.shape[0]):
-        for q in range(3):
-            kq[t, q] = np.asarray(mat.k(tq[t, q]), dtype=float)
-    return _weighted_stiffness_full(mesh, kq)
+    tq = theta_at_quadrature(mesh, _vals(theta_eval))
+    return _weighted_stiffness_full(mesh, np.asarray(mat.k(tq), dtype=float))
 
 
 def assemble_thermal_stiffness(mesh: Mesh, dofs: DofMap, mat: MaterialModel, theta_eval) -> AssembledOperator:
@@ -181,33 +164,21 @@ def _sigma_stiffness_full(mesh: Mesh, mat: MaterialModel, theta) -> sp.csr_matri
 # boundary matrices
 
 
+def _exchange_weights(quad: EdgeQuadrature, coeff_n: float, coeff_c, fric: FrictionModel | None,
+                      t: float) -> np.ndarray:
+    """(E, 2) exchange coefficient at the Gauss points: coeff_n on N edges, coeff_c(F(x, t)) on C edges."""
+    contact = quad.tags == "C"
+    points = quad.points[contact]
+    F = np.zeros(points.shape[:-1]) if fric is None else _on_points(fric.F_field, points, t)
+    coef = np.full(quad.weights.shape, float(coeff_n))
+    coef[contact] = coeff_c(F)
+    return coef
+
+
 def _robin_mass_full(mesh: Mesh, coeff_n: float, coeff_c, fric: FrictionModel | None, t: float) -> sp.csr_matrix:
     """Boundary mass with constant weight on N edges and coeff_c(F(x, t)) on C edges."""
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    lengths = mesh.edge_lengths()
-    for e in range(mesh.boundary_edges.shape[0]):
-        tag = mesh.edge_tags[e]
-        if tag == "D":
-            continue
-        i, j = mesh.boundary_edges[e]
-        if tag == "N":
-            loc = coeff_n * lengths[e] * EDGE_MASS
-        else:
-            a, b = mesh.nodes[i], mesh.nodes[j]
-            loc = np.zeros((2, 2))
-            for g in GAUSS2:
-                x = a + g * (b - a)
-                fv = float(np.asarray(fric.F_field(x[None, :], t)).ravel()[0]) if fric is not None else 0.0
-                w = float(np.asarray(coeff_c(fv)))
-                basis = np.array([1.0 - g, g])
-                loc += w * 0.5 * lengths[e] * np.outer(basis, basis)
-        for aa, ga in enumerate((i, j)):
-            for bb, gb in enumerate((i, j)):
-                rows.append(ga)
-                cols.append(gb)
-                vals.append(loc[aa, bb])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    quad = edge_quadrature(mesh, ("N", "C"))
+    return boundary_mass_full(mesh, quad, _exchange_weights(quad, coeff_n, coeff_c, fric, t))
 
 
 def assemble_thermal_robin(mesh: Mesh, dofs: DofMap, bd: BoundaryData,
@@ -249,9 +220,7 @@ def assemble_joule_load_direct(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd:
     c = np.einsum("ti,ti->t", g, g)
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta)), dtype=float)
     elem = (areas / 3.0)[:, None] * c[:, None] * (sq @ MIDPOINT_BASIS)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, tri.ravel(), elem.ravel())
-    return out[dofs.scalar_free_nodes]
+    return scatter_load(tri, elem, mesh.n_nodes)[dofs.scalar_free_nodes]
 
 
 def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd: BoundaryData,
@@ -274,40 +243,22 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
     g_phib = np.einsum("ta,tia->ti", phib[tri], grads)
     phi_q = phi[tri] @ MIDPOINT_BASIS.T  # (T, 3) values at quad points
 
-    out = np.zeros(mesh.n_nodes)
-
     # + sigma (grad phi . grad phi_b) w  and  + sigma |grad phi_b|^2 w
     cross = np.einsum("ti,ti->t", g_phi, g_phib) + np.einsum("ti,ti->t", g_phib, g_phib)
     elem = (areas / 3.0)[:, None] * cross[:, None] * (sq @ MIDPOINT_BASIS)
-    np.add.at(out, tri.ravel(), elem.ravel())
 
     # - sigma phi (grad phi + grad phi_b) . grad w
     gsum = g_phi + g_phib
     dirw = np.einsum("ti,tia->ta", gsum, grads)  # (T, 3): (grad phi + grad phi_b) . grad w_a
     coeff = (areas / 3.0) * np.einsum("tq,tq->t", sq, phi_q)
-    elem = -coeff[:, None] * dirw
-    np.add.at(out, tri.ravel(), elem.ravel())
+    elem -= coeff[:, None] * dirw
+    out = scatter_load(tri, elem, mesh.n_nodes)
 
     # boundary: - H (phi^2 + phi phi_b) w on the N and C parts
-    lengths = mesh.edge_lengths()
-    for e in range(mesh.boundary_edges.shape[0]):
-        tag = mesh.edge_tags[e]
-        if tag == "D":
-            continue
-        i, j = mesh.boundary_edges[e]
-        a, b = mesh.nodes[i], mesh.nodes[j]
-        for g in GAUSS2:
-            x = a + g * (b - a)
-            basis = np.array([1.0 - g, g])
-            if tag == "N":
-                coef = bd.H_N
-            else:
-                fv = float(np.asarray(fric.F_field(x[None, :], t)).ravel()[0]) if fric is not None else 0.0
-                coef = float(np.asarray(bd.H_C(fv)))
-            pv = basis @ phi[[i, j]]
-            pbv = basis @ phib[[i, j]]
-            w = 0.5 * lengths[e]
-            out[[i, j]] -= coef * w * (pv * pv + pv * pbv) * basis
+    quad = edge_quadrature(mesh, ("N", "C"))
+    coef = _exchange_weights(quad, bd.H_N, bd.H_C, fric, t)
+    pv, pbv = quad.interpolate(phi), quad.interpolate(phib)
+    out -= scatter_load(quad.conn, quad.test(coef * (pv * pv + pv * pbv)), mesh.n_nodes)
     return out[dofs.scalar_free_nodes]
 
 
@@ -319,9 +270,7 @@ def assemble_velocity_heat(mesh: Mesh, dofs: DofMap, mat: MaterialModel, v) -> n
     gv = np.einsum("tai,tja->tij", v_loc, grads)  # dv_i/dx_j
     scal = np.einsum("ij,tij->t", mat.m_tensor, gv)
     elem = -(mat.theta_ref * scal * areas / 3.0)[:, None] * np.ones((1, 3))
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, tri.ravel(), elem.ravel())
-    return out[dofs.scalar_free_nodes]
+    return scatter_load(tri, elem, mesh.n_nodes)[dofs.scalar_free_nodes]
 
 
 def assemble_thermal_coupling(mesh: Mesh, dofs: DofMap, mat: MaterialModel, theta) -> np.ndarray:
@@ -334,60 +283,45 @@ def assemble_thermal_coupling(mesh: Mesh, dofs: DofMap, mat: MaterialModel, thet
     theta_bar = th[tri].mean(axis=1)  # exact mean over the element for P1
     mg = np.einsum("ij,tjb->tib", mat.m_tensor, grads)
     elem = -(areas * theta_bar)[:, None, None] * mg.transpose(0, 2, 1)  # (T, 3, 2): node b, comp i
-    out = np.zeros(2 * mesh.n_nodes)
-    idx = np.empty((tri.shape[0], 3, 2), dtype=np.int64)
-    idx[:, :, 0] = 2 * tri
-    idx[:, :, 1] = 2 * tri + 1
-    np.add.at(out, idx.ravel(), elem.ravel())
-    return out[dofs.vector_free_dofs()]
+    return scatter_load(xy_dofs(tri), elem, 2 * mesh.n_nodes)[dofs.vector_free_dofs()]
+
+
+def contact_slip(mesh: Mesh, fric: FrictionModel, v_full, t: float):
+    """Contact-edge quadrature with the slip rate |v_tau| and the traction F at its points.
+
+    Returns (quad, slip, F), both arrays (E, 2); v_tau is the velocity
+    interpolant minus its component along the edge normal.
+    """
+    quad = edge_quadrature(mesh, ("C",))
+    vq = quad.interpolate(_vals(v_full).reshape(-1, 2))  # (E, 2, 2)
+    nu = quad.normals[:, None, :]
+    vt = vq - np.sum(vq * nu, axis=-1, keepdims=True) * nu
+    return quad, np.linalg.norm(vt, axis=-1), _on_points(fric.F_field, quad.points, t)
 
 
 def assemble_frictional_heat(mesh: Mesh, dofs: DofMap, fric: FrictionModel, v_del, t: float = 0.0) -> np.ndarray:
     """Frictional heat source mu(|v_tau|) F |v_tau| on the contact part."""
-    vv = _vals(v_del).reshape(-1, 2)
-    out = np.zeros(mesh.n_nodes)
-    lengths = mesh.edge_lengths()
-    for e in mesh.edges_with_tag("C"):
-        i, j = mesh.boundary_edges[e]
-        a, b = mesh.nodes[i], mesh.nodes[j]
-        nu = mesh.edge_normals[e]
-        for g in GAUSS2:
-            x = a + g * (b - a)
-            basis = np.array([1.0 - g, g])
-            vq = basis @ vv[[i, j]]
-            vt = vq - (vq @ nu) * nu
-            s = float(np.linalg.norm(vt))
-            fv = float(np.asarray(fric.F_field(x[None, :], t)).ravel()[0])
-            out[[i, j]] += float(fric.mu(s)) * fv * s * 0.5 * lengths[e] * basis
-    return out[dofs.scalar_free_nodes]
+    quad, slip, F = contact_slip(mesh, fric, v_del, t)
+    heat = np.asarray(fric.mu(slip), dtype=float) * F * slip
+    return scatter_load(quad.conn, quad.test(heat), mesh.n_nodes)[dofs.scalar_free_nodes]
 
 
 # ---------------------------------------------------------------------------
 # mechanics
 
-# (id(mesh), id(mat)) -> weak references to both, then the two operators; a
-# hit needs both references alive and pointing at the arguments, so an id
-# that a freed mesh or material left behind never matches
-_elastic_cache: dict[tuple[int, int], tuple[weakref.ref, weakref.ref, AssembledOperator, AssembledOperator]] = {}
-
 
 def _tensor_stiffness_full(mesh: Mesh, tensor: np.ndarray) -> sp.csr_matrix:
     tri, areas, grads = _geometry(mesh)
-    elem = np.einsum("t,ijkl,tla,tjb->tbiak", areas, tensor, grads, grads).reshape(-1, 6, 6)
-    return _scatter_vector(mesh, elem)
+    # pairwise contraction: the single-loop einsum took 16 ms at n=32, this 0.8 ms, same bits
+    elem = np.einsum("t,ijkl,tla,tjb->tbiak", areas, tensor, grads, grads, optimize=True).reshape(-1, 6, 6)
+    return scatter(xy_dofs(tri), elem, 2 * mesh.n_nodes)
 
 
 def assemble_elastic_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> tuple[AssembledOperator, AssembledOperator]:
-    """Viscosity and elasticity gradient forms; cached per (mesh, material)."""
-    key = (id(mesh), id(mat))
-    entry = _elastic_cache.get(key)
-    if entry is None or entry[0]() is not mesh or entry[1]() is not mat:
-        a_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.a_tensor)))
-        b_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.b_tensor)))
-        entry = _elastic_cache[key] = (weakref.ref(mesh), weakref.ref(mat), a_op, b_op)
-        for owner in (mesh, mat):
-            weakref.finalize(owner, _elastic_cache.pop, key, None)
-    return entry[2], entry[3]
+    """Viscosity and elasticity gradient forms."""
+    a_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.a_tensor)))
+    b_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.b_tensor)))
+    return a_op, b_op
 
 
 def contact_vector_mass_full(mesh: Mesh) -> sp.csr_matrix:
@@ -396,19 +330,7 @@ def contact_vector_mass_full(mesh: Mesh) -> sp.csr_matrix:
     Pairs a nodal traction field with vector test functions in the contact
     surface inner product.
     """
-    n2 = 2 * mesh.n_nodes
-    rows, cols, vals = [], [], []
-    lengths = mesh.edge_lengths()
-    for e in mesh.edges_with_tag("C"):
-        i, j = mesh.boundary_edges[e]
-        loc = np.kron(lengths[e] * EDGE_MASS, np.eye(2))
-        dof = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        for aa in range(4):
-            for bb in range(4):
-                rows.append(dof[aa])
-                cols.append(dof[bb])
-                vals.append(loc[aa, bb])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n2, n2))
+    return boundary_mass_full(mesh, edge_quadrature(mesh, ("C",)), block=np.eye(2))
 
 
 def contact_lumped_weights(mesh: Mesh, dofs: DofMap) -> np.ndarray:
@@ -416,53 +338,30 @@ def contact_lumped_weights(mesh: Mesh, dofs: DofMap) -> np.ndarray:
 
     Positive quadrature weights for nodal inner products on the contact part.
     """
-    n = mesh.n_nodes
-    w = np.zeros(n)
-    lengths = mesh.edge_lengths()
-    for e in mesh.edges_with_tag("C"):
-        i, j = mesh.boundary_edges[e]
-        w[i] += 0.5 * lengths[e]
-        w[j] += 0.5 * lengths[e]
+    quad = edge_quadrature(mesh, ("C",))
+    w = scatter_load(quad.conn, quad.test(np.ones(quad.weights.shape)), mesh.n_nodes)
     return w[dofs.contact_nodes]
 
 
 def assemble_mech_load(mesh: Mesh, dofs: DofMap, bd: BoundaryData, fric: FrictionModel, t: float = 0.0) -> np.ndarray:
     """Body force + surface traction - prescribed normal contact traction."""
-    tri, areas, grads = _geometry(mesh)
-    out = np.zeros(2 * mesh.n_nodes)
+    tri, areas, _ = _geometry(mesh)
+    n2 = 2 * mesh.n_nodes
 
     # volume: f_0 . eta with the midpoint rule
-    pts = mesh.nodes[tri].transpose(1, 0, 2)  # (3, T, 2) corner positions
-    for q in range(3):
-        qp = (MIDPOINT_BASIS[q][:, None, None] * pts).sum(axis=0)  # (T, 2)
-        f0 = np.asarray(bd.f_0(qp, t), dtype=float)  # (T, 2)
-        for a in range(3):
-            wgt = (areas / 3.0) * MIDPOINT_BASIS[q, a]
-            np.add.at(out, 2 * tri[:, a], wgt * f0[:, 0])
-            np.add.at(out, 2 * tri[:, a] + 1, wgt * f0[:, 1])
+    points = np.einsum("qa,tai->tqi", MIDPOINT_BASIS, mesh.nodes[tri])
+    f0 = _on_points(bd.f_0, points, t)  # (T, 3, 2)
+    volume = np.einsum("t,tqi,qa->tai", areas / 3.0, f0, MIDPOINT_BASIS)
 
-    lengths = mesh.edge_lengths()
-    for e in range(mesh.boundary_edges.shape[0]):
-        tag = mesh.edge_tags[e]
-        if tag == "D":
-            continue
-        i, j = mesh.boundary_edges[e]
-        a, b = mesh.nodes[i], mesh.nodes[j]
-        nu = mesh.edge_normals[e]
-        for g in GAUSS2:
-            x = a + g * (b - a)
-            basis = np.array([1.0 - g, g])
-            w = 0.5 * lengths[e]
-            if tag == "N":
-                f2 = np.asarray(bd.f_2(x[None, :], t), dtype=float).ravel()
-                for loc, node in enumerate((i, j)):
-                    out[2 * node] += w * basis[loc] * f2[0]
-                    out[2 * node + 1] += w * basis[loc] * f2[1]
-            else:  # contact: -F eta_nu
-                fv = float(np.asarray(fric.F_field(x[None, :], t)).ravel()[0])
-                for loc, node in enumerate((i, j)):
-                    out[2 * node] -= w * basis[loc] * fv * nu[0]
-                    out[2 * node + 1] -= w * basis[loc] * fv * nu[1]
+    # boundary: f_2 . eta on the N part, -F eta_nu on the C part
+    quad = edge_quadrature(mesh, ("N", "C"))
+    contact = quad.tags == "C"
+    traction = np.empty(quad.points.shape)
+    traction[~contact] = _on_points(bd.f_2, quad.points[~contact], t)
+    F = _on_points(fric.F_field, quad.points[contact], t)
+    traction[contact] = -F[:, :, None] * quad.normals[contact][:, None, :]
+
+    out = scatter_load(xy_dofs(tri), volume, n2) + scatter_load(xy_dofs(quad.conn), quad.test(traction), n2)
     return out[dofs.vector_free_dofs()]
 
 
@@ -483,13 +382,12 @@ def assemble_p_laplacian(mesh: Mesh, dofs: DofMap, theta) -> tuple[np.ndarray, s
     g = np.einsum("ta,tia->ti", th[tri], grads)
     g2 = np.einsum("ti,ti->t", g, g)
     res_elem = areas[:, None] * np.einsum("ti,tia->ta", g2[:, None] * g, grads)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, tri.ravel(), res_elem.ravel())
+    res = scatter_load(tri, res_elem, mesh.n_nodes)
 
     jac_core = g2[:, None, None] * np.eye(2)[None] + 2.0 * np.einsum("ti,tj->tij", g, g)
     elem = areas[:, None, None] * np.einsum("tia,tij,tjb->tab", grads, jac_core, grads)
-    jac = _scatter(mesh, elem)
-    return out[dofs.scalar_free_nodes], dofs.restrict_scalar(jac)
+    jac = scatter(tri, elem, mesh.n_nodes)
+    return res[dofs.scalar_free_nodes], dofs.restrict_scalar(jac)
 
 
 def u_norm4(mesh: Mesh, theta) -> float:
@@ -504,7 +402,6 @@ def u_norm4(mesh: Mesh, theta) -> float:
 def basis_u_norms(mesh: Mesh, dofs: DofMap) -> np.ndarray:
     """Gradient-L4 norm of each free scalar basis function."""
     tri, areas, grads = _geometry(mesh)
-    acc = np.zeros(mesh.n_nodes)
     g2 = np.einsum("tia,tia->ta", grads, grads)
-    np.add.at(acc, tri.ravel(), (areas[:, None] * g2 * g2).ravel())
+    acc = scatter_load(tri, areas[:, None] * g2 * g2, mesh.n_nodes)
     return acc[dofs.scalar_free_nodes] ** 0.25

@@ -17,7 +17,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    GAUSS2,
     MIDPOINT_BASIS,
     assemble_elastic_operators,
     assemble_frictional_heat,
@@ -32,7 +31,7 @@ from .assembly import (
     theta_at_quadrature,
     u_norm4,
 )
-from .mesh import estimate_scalar_trace_norm, triangle_geometry
+from .mesh import edge_quadrature, estimate_scalar_trace_norm, triangle_geometry
 
 REPORT_COLUMNS = (
     "t",
@@ -57,7 +56,6 @@ class DiagnosticsReport:
     columns: tuple[str, ...]
     data: np.ndarray
     violations: list[str] = field(default_factory=list)
-    cascade: object | None = None
 
     def ok(self) -> bool:
         return not self.violations
@@ -68,14 +66,8 @@ class DiagnosticsReport:
 
 def _boundary_l2(mesh, part: str, values: np.ndarray) -> float:
     """L2 norm of a nodal field over the boundary edges with the given tag."""
-    acc = 0.0
-    lengths = mesh.edge_lengths()
-    for e in mesh.edges_with_tag(part):
-        i, j = mesh.boundary_edges[e]
-        for s in GAUSS2:
-            val = (1.0 - s) * values[i] + s * values[j]
-            acc += 0.5 * lengths[e] * val * val
-    return float(np.sqrt(acc))
+    quad = edge_quadrature(mesh, (part,))
+    return float(np.sqrt(np.sum(quad.weights * quad.interpolate(values) ** 2)))
 
 
 def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:

@@ -39,7 +39,7 @@ TUPLE_OVERRIDES = ("f0", "f2")
 STRING_OVERRIDES = ("phi_b",)
 SOLVER_FLOAT_KEYS = ("T", "h", "dt", "eps", "tol_temperature", "tol_momentum",
                      "regularizer_coefficient")
-SOLVER_INT_KEYS = ("max_iter_temperature", "max_iter_momentum", "seed")
+SOLVER_INT_KEYS = ("max_iter_temperature", "max_iter_momentum")
 
 
 @dataclasses.dataclass

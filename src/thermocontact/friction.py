@@ -28,10 +28,11 @@ from .assembly import (
     assemble_mech_load,
     assemble_thermal_coupling,
     assemble_vector_mass,
+    contact_slip,
     contact_vector_mass_full,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import DofMap, Mesh
+from .mesh import DofMap, Mesh, xy_dofs
 
 
 class SolverError(RuntimeError):
@@ -115,22 +116,8 @@ def contact_traction_full(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
 def friction_functional(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
                         v_full: np.ndarray, t: float = 0.0) -> float:
     """Contact integral of F times the slip-rate potential of |v_tau|."""
-    vv = v_full.reshape(-1, 2)
-    lengths = mesh.edge_lengths()
-    gauss = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    total = 0.0
-    for e in mesh.edges_with_tag("C"):
-        i, j = mesh.boundary_edges[e]
-        a, b = mesh.nodes[i], mesh.nodes[j]
-        nu = mesh.edge_normals[e]
-        for g in gauss:
-            x = a + g * (b - a)
-            basis = np.array([1.0 - g, g])
-            vq = basis @ vv[[i, j]]
-            vt = vq - (vq @ nu) * nu
-            fv = float(np.asarray(rfric.fric.F_field(x[None, :], t)).ravel()[0])
-            total += 0.5 * lengths[e] * fv * float(rfric.potential(float(np.linalg.norm(vt))))
-    return total
+    quad, slip, F = contact_slip(mesh, rfric.fric, v_full, t)
+    return float(np.sum(quad.weights * F * rfric.potential(slip)))
 
 
 def check_subgradient_properties(rfric: RegularizedFriction, n_pairs: int = 10_000,
@@ -269,10 +256,7 @@ def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     free = dofs.node_to_free[dofs.contact_nodes]
     sel = np.flatnonzero(free >= 0)
-    pos = np.stack([2 * free[sel], 2 * free[sel] + 1], axis=1).ravel()
-    node = dofs.contact_nodes[sel]
-    full = np.stack([2 * node, 2 * node + 1], axis=1).ravel()
-    return sel, pos, full
+    return sel, xy_dofs(free[sel]), xy_dofs(dofs.contact_nodes[sel])
 
 
 def _contact_blocks(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,

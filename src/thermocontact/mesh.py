@@ -90,10 +90,7 @@ class DofMap:
 
     def vector_free_dofs(self) -> np.ndarray:
         """Global dof ids (2*node + comp) of the free vector dofs, interleaved."""
-        out = np.empty(self.n_free_vector, dtype=np.int64)
-        out[0::2] = 2 * self.scalar_free_nodes
-        out[1::2] = 2 * self.scalar_free_nodes + 1
-        return out
+        return xy_dofs(self.scalar_free_nodes)
 
     def restrict_scalar(self, mat: sp.spmatrix) -> sp.csr_matrix:
         """Restrict a full (N x N) operator to free scalar dofs."""
@@ -338,13 +335,10 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
 
     c_edges = mesh.edges_with_tag("C")
     if c_edges.size:
-        contact = np.unique(mesh.boundary_edges[c_edges].ravel())
-        acc = np.zeros((n, 2))
-        for e in c_edges:
-            i, j = mesh.boundary_edges[e]
-            acc[i] += mesh.edge_normals[e]
-            acc[j] += mesh.edge_normals[e]
-        nu = acc[contact]
+        conn = mesh.boundary_edges[c_edges]
+        contact = np.unique(conn.ravel())
+        normals = np.tile(mesh.edge_normals[c_edges], (1, 2))
+        nu = scatter_load(xy_dofs(conn), normals, 2 * n).reshape(n, 2)[contact]
         nu /= np.linalg.norm(nu, axis=1)[:, None]
         tau = np.column_stack([-nu[:, 1], nu[:, 0]])
     else:
@@ -363,55 +357,84 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
     )
 
 
-# Unit-length P1 edge mass; scale by the edge length when assembling.
-EDGE_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+# Two-point Gauss rule on the unit edge, and the values of the two edge
+# basis functions at its points; row = point, column = basis
+GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+GAUSS2_BASIS = np.column_stack([1.0 - GAUSS2, GAUSS2])
+
+
+def xy_dofs(nodes: np.ndarray) -> np.ndarray:
+    """Interleaved (x, y) dof ids 2*node, 2*node + 1 of (..., k) node ids, as (..., 2k)."""
+    return np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(*nodes.shape[:-1], 2 * nodes.shape[-1])
+
+
+def scatter(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum (E, k, k) local matrices over the (E, k) dof connectivity into (n, n)."""
+    k = conn.shape[1]
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, (1, k)).ravel()
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+
+
+def scatter_load(conn: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
+    """Sum (E, k) local vectors over the (E, k) dof connectivity into (n,)."""
+    return np.bincount(conn.ravel(), weights=local.ravel(), minlength=n)
+
+
+@dataclass
+class EdgeQuadrature:
+    """Two-point Gauss rule on the boundary edges with the given tags.
+
+    ``conn`` (E, 2) holds the node pairs, ``tags`` (E,) their tags,
+    ``points`` (E, 2, 2) the coordinates of the two Gauss points of each
+    edge, ``weights`` (E, 2) their weights (half the edge length), and
+    ``normals`` (E, 2) the outward unit normals.
+    """
+
+    conn: np.ndarray
+    tags: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    normals: np.ndarray
+
+    def interpolate(self, nodal: np.ndarray) -> np.ndarray:
+        """Values of a nodal field, (N,) or (N, 2), at the points: (E, 2) or (E, 2, 2)."""
+        return np.einsum("ga,ea...->eg...", GAUSS2_BASIS, nodal[self.conn])
+
+    def test(self, values: np.ndarray) -> np.ndarray:
+        """Integrals of a field given at the points, (E, 2[, 2]), against the two edge basis functions."""
+        return np.einsum("eg,eg...,ga->ea...", self.weights, values, GAUSS2_BASIS)
+
+
+def edge_quadrature(mesh: Mesh, tags: tuple[str, ...]) -> EdgeQuadrature:
+    """Gauss points, weights and normals of the boundary edges whose tag is in tags."""
+    ids = np.flatnonzero(np.isin(mesh.edge_tags, tags))
+    conn = mesh.boundary_edges[ids]
+    a = mesh.nodes[conn[:, 0]][:, None, :]
+    b = mesh.nodes[conn[:, 1]][:, None, :]
+    points = a + GAUSS2[None, :, None] * (b - a)
+    weights = np.repeat(0.5 * mesh.edge_lengths()[ids][:, None], 2, axis=1)
+    return EdgeQuadrature(conn, mesh.edge_tags[ids], points, weights, mesh.edge_normals[ids])
+
+
+def boundary_mass_full(mesh: Mesh, quad: EdgeQuadrature, weight=1.0, block=None) -> sp.csr_matrix:
+    """P1 boundary mass over the quadrature's edges, weighted per Gauss point.
+
+    ``weight`` is a scalar or (E, 2). Without ``block`` this is the scalar
+    (N, N) form; with a (2, 2) or per-edge (E, 2, 2) ``block`` it is the
+    (2N, 2N) vector form pairing ``block @ u`` with the test function.
+    """
+    local = np.einsum("eg,ga,gb->eab", quad.weights * weight, GAUSS2_BASIS, GAUSS2_BASIS)
+    if block is None:
+        return scatter(quad.conn, local, mesh.n_nodes)
+    vec = local[:, :, None, :, None] * np.reshape(block, (-1, 1, 2, 1, 2))
+    return scatter(xy_dofs(quad.conn), vec.reshape(-1, 4, 4), 2 * mesh.n_nodes)
 
 
 def _scalar_stiffness_full(mesh: Mesh) -> sp.csr_matrix:
     areas, grads = triangle_geometry(mesh)
-    rows, cols, vals = [], [], []
-    for t, tri in enumerate(mesh.triangles):
-        loc = areas[t] * grads[t].T @ grads[t]
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                vals.append(loc[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-
-
-def _boundary_mass_full(mesh: Mesh, edge_ids: np.ndarray) -> sp.csr_matrix:
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    lengths = mesh.edge_lengths()
-    for e in edge_ids:
-        i, j = mesh.boundary_edges[e]
-        loc = lengths[e] * EDGE_MASS
-        for a, ga in enumerate((i, j)):
-            for b, gb in enumerate((i, j)):
-                rows.append(ga)
-                cols.append(gb)
-                vals.append(loc[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _tangential_contact_mass_full(mesh: Mesh) -> sp.csr_matrix:
-    """Vector boundary mass on the C part with per-edge tangential projection."""
-    n2 = 2 * mesh.n_nodes
-    rows, cols, vals = [], [], []
-    lengths = mesh.edge_lengths()
-    for e in mesh.edges_with_tag("C"):
-        i, j = mesh.boundary_edges[e]
-        nu = mesh.edge_normals[e]
-        proj = np.eye(2) - np.outer(nu, nu)
-        loc = np.kron(lengths[e] * EDGE_MASS, proj)
-        dofs = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        for a in range(4):
-            for b in range(4):
-                rows.append(dofs[a])
-                cols.append(dofs[b])
-                vals.append(loc[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n2, n2))
+    local = areas[:, None, None] * np.einsum("tia,tib->tab", grads, grads)
+    return scatter(mesh.triangles, local, mesh.n_nodes)
 
 
 def _power_iteration_pencil(
@@ -461,9 +484,11 @@ def estimate_trace_norm(
     the tangentially projected boundary mass on the C part against the
     componentwise gradient inner product, both restricted to free vector dofs.
     """
-    if not mesh.edges_with_tag("C").size:
+    quad = edge_quadrature(mesh, ("C",))
+    if not quad.conn.size:
         raise MeshError("estimate_trace_norm requires a nonempty contact part")
-    btau = dofs.restrict_vector(_tangential_contact_mass_full(mesh))
+    tangential = np.eye(2) - np.einsum("ei,ej->eij", quad.normals, quad.normals)
+    btau = dofs.restrict_vector(boundary_mass_full(mesh, quad, block=tangential))
     ks = _scalar_stiffness_full(mesh)
     kvec = dofs.restrict_vector(sp.kron(ks, sp.eye(2), format="csr"))
     return _power_iteration_pencil(btau, kvec, seed, tol, max_iter)
@@ -483,9 +508,9 @@ def estimate_scalar_trace_norm(
     scalar space with the plain (unprojected) boundary mass on the edges
     whose tag lies in ``parts``.
     """
-    edge_ids = np.flatnonzero(np.isin(mesh.edge_tags, parts))
-    if not edge_ids.size:
+    quad = edge_quadrature(mesh, parts)
+    if not quad.conn.size:
         return 0.0
-    bmat = dofs.restrict_scalar(_boundary_mass_full(mesh, edge_ids))
+    bmat = dofs.restrict_scalar(boundary_mass_full(mesh, quad))
     kmat = dofs.restrict_scalar(_scalar_stiffness_full(mesh))
     return _power_iteration_pencil(bmat, kmat, seed, tol, max_iter)

@@ -78,7 +78,6 @@ class SolverConfig:
     joule_mode: str = "direct"
     regularizer_coefficient: float | None = None
     cascade_levels: tuple[float, ...] = ()
-    seed: int = 0
 
     def validate(self) -> None:
         if not (0.0 < self.dt <= self.h < self.T):

@@ -107,6 +107,24 @@ def dense_boundary_mass(mesh, tags, weight=None) -> np.ndarray:
     return out
 
 
+def edge_gauss_points(mesh, tags):
+    """Yield (i, j, x, weight, basis values, outward normal) per Gauss point.
+
+    Walks every boundary edge (i, j) whose tag is in tags; the basis values
+    are those of the two edge endpoints' hat functions at x.
+    """
+    for e in range(mesh.boundary_edges.shape[0]):
+        if mesh.edge_tags[e] not in tags:
+            continue
+        i, j = mesh.boundary_edges[e]
+        a, b = mesh.nodes[i], mesh.nodes[j]
+        pts, w = edge_quad(a, b)
+        length = float(np.linalg.norm(b - a))
+        for q, wq in zip(pts, w):
+            t = float(np.linalg.norm(q - a)) / length
+            yield i, j, q, wq, np.array([1.0 - t, t]), mesh.edge_normals[e]
+
+
 def dense_vector_stiffness(mesh, tensor: np.ndarray) -> np.ndarray:
     """Full (2N, 2N) matrix of the fourth-order-tensor gradient form.
 

@@ -31,7 +31,9 @@ from thermocontact.assembly import (
     u_norm4,
     vector_stiffness_componentwise_full,
 )
+from thermocontact.friction import RegularizedFriction, friction_functional
 from thermocontact.materials import default_ptc_model
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 
 from conftest import const_bd, const_friction
 
@@ -352,13 +354,6 @@ class TestElasticOperators:
         w = scipy.linalg.eigvalsh(b_op.matrix.toarray())
         assert w.min() > 0.0
 
-    def test_cached_between_calls(self, square2):
-        mesh, dofs = square2
-        mat, _, _ = default_ptc_model()
-        first = assemble_elastic_operators(mesh, dofs, mat)
-        second = assemble_elastic_operators(mesh, dofs, mat)
-        assert first[0] is second[0] and first[1] is second[1]
-
     def test_cache_never_serves_a_freed_material(self, square4):
         # each material is freed before the next is made, so CPython reuses
         # ids; a cache keyed on ids alone handed some of them stale operators
@@ -577,3 +572,107 @@ class TestContactMass:
         assert kv.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes)
         ref = oracles.dense_componentwise_vector_stiffness(mesh)
         np.testing.assert_allclose(kv.toarray(), ref, rtol=0.0, atol=1e-12)
+
+
+def moving_traction(x, t):
+    """Normal traction that varies along the contact part and in time."""
+    return (np.asarray(x)[..., 0] + 0.5) * (1.0 + t)
+
+
+class TestTimeDependentTraction:
+    """F(x, t) = (x0 + 0.5)(1 + t) at two times against per-point oracles."""
+
+    TIMES = (0.0, 0.7)
+
+    @pytest.fixture
+    def models(self, square4):
+        mesh, dofs = square4
+        _, fric, bd = default_ptc_model()
+        fric = dataclasses.replace(fric, F_field=moving_traction, F_bar=3.0, time_dependent=True)
+        return mesh, dofs, fric, bd
+
+    def test_thermal_robin(self, models):
+        mesh, dofs, fric, bd = models
+        for t in self.TIMES:
+            got = assemble_thermal_robin(mesh, dofs, bd, fric, t).matrix.toarray()
+            ref = bd.h_N * oracles.dense_boundary_mass(mesh, ("N",))
+            ref += oracles.dense_boundary_mass(mesh, ("C",), weight=lambda q: bd.h_C(moving_traction(q, t)))
+            np.testing.assert_allclose(got, oracles.restrict(ref, dofs.scalar_free_nodes), rtol=0.0, atol=1e-12)
+
+    def test_electric_robin_part(self, models):
+        mesh, dofs, fric, bd = models
+        mat, _, _ = default_ptc_model()
+        theta = np.zeros(mesh.n_nodes)
+        stiff = mat.sigma_el(0.0) * oracles.dense_scalar_stiffness(mesh)
+        for t in self.TIMES:
+            op = assemble_electric_system(mesh, dofs, mat, bd, theta, fric, t)
+            robin = bd.H_N * oracles.dense_boundary_mass(mesh, ("N",))
+            robin += oracles.dense_boundary_mass(mesh, ("C",), weight=lambda q: bd.H_C(moving_traction(q, t)))
+            ref = stiff + robin
+            np.testing.assert_allclose(op.matrix.toarray(), oracles.restrict(ref, dofs.scalar_free_nodes),
+                                       rtol=0.0, atol=1e-12)
+            load_ref = -(ref @ phi_b_nodal(mesh, bd))[dofs.scalar_free_nodes]
+            np.testing.assert_allclose(op.load, load_ref, rtol=0.0, atol=1e-12)
+
+    def test_mech_load_contact_part(self, models):
+        mesh, dofs, fric, _ = models
+        for t in self.TIMES:
+            got = assemble_mech_load(mesh, dofs, const_bd(), fric, t)
+            ref = np.zeros(2 * mesh.n_nodes)
+            for i, j, x, w, vals, nu in oracles.edge_gauss_points(mesh, ("C",)):
+                for node, val in zip((i, j), vals):
+                    ref[2 * node:2 * node + 2] -= w * val * moving_traction(x, t) * nu
+            np.testing.assert_allclose(got, ref[dofs.vector_free_dofs()], rtol=0.0, atol=1e-13)
+
+    def test_frictional_heat_and_functional(self, models):
+        mesh, dofs, fric, _ = models
+        rfric = RegularizedFriction(fric)
+        v = np.random.default_rng(53).normal(size=2 * mesh.n_nodes)
+        vv = v.reshape(-1, 2)
+        for t in self.TIMES:
+            heat = np.zeros(mesh.n_nodes)
+            energy = 0.0
+            for i, j, x, w, vals, nu in oracles.edge_gauss_points(mesh, ("C",)):
+                vq = vals @ vv[[i, j]]
+                s = float(np.linalg.norm(vq - (vq @ nu) * nu))
+                F = moving_traction(x, t)
+                heat[[i, j]] += w * float(fric.mu(s)) * F * s * vals
+                energy += w * F * float(rfric.potential(s))
+            got = assemble_frictional_heat(mesh, dofs, fric, v, t)
+            np.testing.assert_allclose(got, heat[dofs.scalar_free_nodes], rtol=0.0, atol=1e-13)
+            assert abs(friction_functional(mesh, dofs, rfric, v, t) - energy) < 1e-13
+
+
+def counted(fn, counts, name):
+    def wrapper(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+    return wrapper
+
+
+class TestOneCallPerAssembly:
+    """Each assembly evaluates each model callable once, on all its points."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_call_counts(self, n):
+        mesh = build_unit_square_mesh(n)
+        dofs = build_dof_maps(mesh)
+        mat, fric, bd = default_ptc_model({"f2": (0.1, 0.0)})
+        counts = {}
+        mat = dataclasses.replace(mat, k=counted(mat.k, counts, "k"))
+        fric = dataclasses.replace(fric, F_field=counted(fric.F_field, counts, "F_field"))
+        bd = dataclasses.replace(bd, f_2=counted(bd.f_2, counts, "f_2"))
+        rng = np.random.default_rng(n)
+        theta = rng.normal(size=mesh.n_nodes)
+        v = rng.normal(size=2 * mesh.n_nodes)
+        calls = (
+            (lambda: assemble_thermal_stiffness(mesh, dofs, mat, theta), {"k": 1}),
+            (lambda: assemble_mech_load(mesh, dofs, bd, fric, 0.1), {"F_field": 1, "f_2": 1}),
+            (lambda: assemble_thermal_robin(mesh, dofs, bd, fric, 0.1), {"F_field": 1}),
+            (lambda: assemble_frictional_heat(mesh, dofs, fric, v, 0.1), {"F_field": 1}),
+            (lambda: friction_functional(mesh, dofs, RegularizedFriction(fric), v, 0.1), {"F_field": 1}),
+        )
+        for call, expected in calls:
+            counts.clear()
+            call()
+            assert counts == expected

@@ -42,7 +42,6 @@ solver.h = 0.05
 solver.dt = 0.0125
 solver.joule_mode = reformulated
 solver.cascade_levels = 0.1 0.05
-solver.seed = 7
 output.dir = results
 output.stride = 2
 output.diagnostics = off
@@ -54,7 +53,6 @@ output.assert = on
         assert rc.overrides == {"f0": (0.5, 0.0), "phi_b": "x1x2", "mu_d": 0.3}
         assert rc.solver.joule_mode == "reformulated"
         assert rc.solver.cascade_levels == (0.1, 0.05)
-        assert rc.solver.seed == 7
         assert rc.out_dir == "results"
         assert rc.stride == 2
         assert rc.diagnostics is False and rc.assert_mode is True
@@ -67,6 +65,7 @@ output.assert = on
         ("model.f0 = 0.5\n", "two numbers"),
         ("output.stride = 0\n", "stride"),
         ("just some words\n", "expected"),
+        ("solver.seed = 7\n", "unknown key"),
     ])
     def test_rejects(self, tmp_path, extra, match):
         with pytest.raises(ConfigError, match=match):

@@ -128,6 +128,27 @@ class TestValidator:
         assert not a7c.passed
         assert a7c.witness is not None
 
+    @pytest.mark.parametrize("scale_k,failing", [
+        (lambda k, s: k(s) - 0.5 * np.eye(2), "A3"),  # floor 0.5 below delta = 1
+        (lambda k, s: k(s) + np.eye(2), "A3U"),  # at least 2 above k_upper = 1.1
+        (lambda k, s: k(10.0 * np.asarray(s)), "A3L"),  # ten times the declared slope
+    ], ids=["A3", "A3U", "A3L"])
+    def test_bad_conductivity_fails_one_a3_check(self, default_models, trace_norm_n4, scale_k, failing):
+        mat, fric, bd = default_models
+        import dataclasses
+        bad = dataclasses.replace(mat, k=lambda s: scale_k(mat.k, s))
+        rep = validate_assumptions(bad, fric, bd, trace_norm_n4)
+        a3 = {c.id: c for c in rep.checks if c.id.startswith("A3")}
+        assert [cid for cid, c in a3.items() if not c.passed] == [failing]
+        assert a3[failing].margin < 0
+        assert a3[failing].witness is not None
+        if failing != "A3L":
+            w = a3[failing].witness
+            xi = np.asarray(w["xi"])
+            assert w["form"] == pytest.approx(xi @ bad.k(w["s"]) @ xi)
+            bound = mat.delta if failing == "A3" else mat.k_upper
+            assert (w["form"] < bound * (xi @ xi)) == (failing == "A3")
+
     def test_sigma_lipschitz_declared_constant_tight(self, default_models, trace_norm_n4):
         # sampled quotients must approach but not exceed the declared constant
         rep = validate_assumptions(*default_models, trace_norm_n4, seed=11)

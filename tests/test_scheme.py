@@ -10,6 +10,7 @@ from conftest import const_bd, const_friction
 from thermocontact.assembly import (
     assemble_electric_system,
     assemble_scalar_mass,
+    assemble_thermal_robin,
     assemble_thermal_stiffness,
     phi_b_nodal,
     scalar_stiffness_unit_full,
@@ -22,6 +23,7 @@ from thermocontact.scheme import (
     Models,
     SolverConfig,
     SystemState,
+    _robin_matrix,
     advance,
     advance_one,
     delay_inequality_gap,
@@ -168,6 +170,26 @@ class TestInitialize:
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), v0=v0)
         xi = ws.buffer.states[0].xi.reshape(-1, 2)[models.dofs.contact_nodes]
         assert np.linalg.norm(xi, axis=1).max() > 0.0
+
+
+class TestTimeDependentExchange:
+    def test_robin_matrix_follows_time(self):
+        models = default_models(4)
+        fric = dataclasses.replace(
+            models.fric, F_field=lambda x, t: (np.asarray(x)[..., 0] + 0.5) * (1.0 + t),
+            F_bar=3.0, time_dependent=True)
+        models = dataclasses.replace(models, fric=fric)
+        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        ws = initialize(models, cfg)
+        for t in (0.0, 0.7):
+            ref = assemble_thermal_robin(models.mesh, models.dofs, models.bd, fric, t).matrix
+            assert abs(_robin_matrix(ws, t) - ref).max() == 0.0
+        assert abs(_robin_matrix(ws, 0.7) - ws.ops.robin_thermal).max() > 1e-3
+        assert np.all(np.isfinite(advance_one(ws).theta))
+
+        static = dataclasses.replace(models, fric=dataclasses.replace(fric, time_dependent=False))
+        ws_static = initialize(static, cfg)
+        assert _robin_matrix(ws_static, 0.7) is ws_static.ops.robin_thermal
 
 
 class TestTemperatureStep:
