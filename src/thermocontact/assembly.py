@@ -5,8 +5,10 @@ Conventions
 Scalar and vector fields are passed as full nodal arrays (length N, or 2N
 interleaved (x, y)); entries at Dirichlet nodes are part of the data (zero
 for unknowns, boundary values for the ambient potential interpolant).
-Assembled matrices are restricted to free dofs; load vectors are returned
-on free dofs.
+Assembled matrices live on free dofs: element matrices are summed straight
+into the fixed free-dof patterns of the DofMap (``dofs.scalar``,
+``dofs.vector``), so every scalar operator shares one sparsity and every
+vector operator another. Load vectors are returned on free dofs.
 
 Quadrature is the 3-point midpoint rule on triangles and 2-point Gauss on
 edges: exact for every constant-coefficient P1 form that appears here;
@@ -31,12 +33,11 @@ from .mesh import (
     DofMap,
     EdgeQuadrature,
     Mesh,
-    _scalar_stiffness_full,
-    boundary_mass_full,
+    blocked,
+    boundary_mass_local,
     edge_quadrature,
-    scatter,
     scatter_load,
-    triangle_geometry,
+    unit_stiffness_local,
     xy_dofs,
 )
 
@@ -47,6 +48,8 @@ MIDPOINT_BASIS = np.array([
     [0.0, 0.5, 0.5],
     [0.5, 0.0, 0.5],
 ])
+# P1 mass on the reference triangle, per unit area
+MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 @dataclass
@@ -80,11 +83,6 @@ class AssembledOperator:
             raise AssertionError(f"operator not symmetric: max deviation {worst:.3e}")
 
 
-def _geometry(mesh: Mesh):
-    areas, grads = triangle_geometry(mesh)
-    return mesh.triangles, areas, grads
-
-
 def _on_points(fn, points: np.ndarray, *args) -> np.ndarray:
     """One call of a model callable on all points (..., 2); values shaped (...) + value shape."""
     vals = np.asarray(fn(points.reshape(-1, 2), *args), dtype=float)
@@ -105,59 +103,45 @@ def theta_at_quadrature(mesh: Mesh, theta: np.ndarray) -> np.ndarray:
 # volume matrices
 
 
-def scalar_mass_full(mesh: Mesh) -> sp.csr_matrix:
-    _, areas, _ = _geometry(mesh)
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return scatter(mesh.triangles, areas[:, None, None] * local[None], mesh.n_nodes)
+def _mass_local(mesh: Mesh) -> np.ndarray:
+    return mesh.areas[:, None, None] * MASS_LOCAL
 
 
-def vector_mass_full(mesh: Mesh) -> sp.csr_matrix:
-    return sp.kron(scalar_mass_full(mesh), sp.eye(2), format="csr")
+def h1_norm(mesh: Mesh, values) -> float:
+    """H1 norm (gradient and L2 parts) of a nodal field, Dirichlet entries included."""
+    loc = _vals(values)[mesh.triangles]
+    local = unit_stiffness_local(mesh) + _mass_local(mesh)
+    return float(np.sqrt(np.einsum("ta,tab,tb->", loc, local, loc)))
 
 
-def scalar_stiffness_unit_full(mesh: Mesh) -> sp.csr_matrix:
-    """Unit-coefficient gradient form; the discrete V-norm matrix."""
-    return _scalar_stiffness_full(mesh)
-
-
-def vector_stiffness_componentwise_full(mesh: Mesh) -> sp.csr_matrix:
-    """Componentwise gradient form; the discrete E-norm matrix."""
-    return sp.kron(_scalar_stiffness_full(mesh), sp.eye(2), format="csr")
+def assemble_scalar_stiffness_unit(mesh: Mesh, dofs: DofMap) -> AssembledOperator:
+    """Unit-coefficient gradient form on free dofs; the discrete V-norm matrix."""
+    return AssembledOperator(dofs.scalar.csr(dofs.scalar.sum_triangles(unit_stiffness_local(mesh))))
 
 
 def assemble_scalar_mass(mesh: Mesh, dofs: DofMap) -> AssembledOperator:
-    return AssembledOperator(dofs.restrict_scalar(scalar_mass_full(mesh)))
+    return AssembledOperator(dofs.scalar.csr(dofs.scalar.sum_triangles(_mass_local(mesh))))
 
 
 def assemble_vector_mass(mesh: Mesh, dofs: DofMap) -> AssembledOperator:
-    return AssembledOperator(dofs.restrict_vector(vector_mass_full(mesh)))
+    return AssembledOperator(dofs.vector.csr(dofs.vector.sum_triangles(blocked(_mass_local(mesh), np.eye(2)))))
 
 
-def _weighted_stiffness_full(mesh: Mesh, kq: np.ndarray) -> sp.csr_matrix:
-    """Gradient form with a (T, 3, 2, 2) coefficient matrix per quad point.
+def _stiffness_local(mesh: Mesh, kq: np.ndarray) -> np.ndarray:
+    """(T, 3, 3) gradient form with a (T, 3, 2, 2) coefficient matrix per quad point.
 
-    Entry [test a, trial b] integrates grad(a)^T k^T grad(b).
+    Entry [test a, trial b] integrates grad(a)^T k^T grad(b): the quadrature
+    mean of k^T, contracted against the mesh's gradient products.
     """
-    _, areas, grads = _geometry(mesh)
-    elem = np.einsum("t,tqji,tia,tjb->tab", areas / 3.0, kq, grads, grads)
-    return scatter(mesh.triangles, elem, mesh.n_nodes)
-
-
-def thermal_stiffness_full(mesh: Mesh, mat: MaterialModel, theta_eval) -> sp.csr_matrix:
-    tq = theta_at_quadrature(mesh, _vals(theta_eval))
-    return _weighted_stiffness_full(mesh, np.asarray(mat.k(tq), dtype=float))
+    kt = kq.sum(axis=1).transpose(0, 2, 1).reshape(-1, 4) / 3.0
+    return np.einsum("tk,tkm->tm", kt, mesh.grad_products).reshape(-1, 3, 3)
 
 
 def assemble_thermal_stiffness(mesh: Mesh, dofs: DofMap, mat: MaterialModel, theta_eval) -> AssembledOperator:
     """Conductivity form with k evaluated at the given temperature field."""
-    return AssembledOperator(dofs.restrict_scalar(thermal_stiffness_full(mesh, mat, theta_eval)))
-
-
-def _sigma_stiffness_full(mesh: Mesh, mat: MaterialModel, theta) -> sp.csr_matrix:
-    tq = theta_at_quadrature(mesh, _vals(theta))
-    sq = np.asarray(mat.sigma_el(tq), dtype=float)
-    kq = sq[:, :, None, None] * np.eye(2)[None, None]
-    return _weighted_stiffness_full(mesh, kq)
+    tq = theta_at_quadrature(mesh, _vals(theta_eval))
+    local = _stiffness_local(mesh, np.asarray(mat.k(tq), dtype=float))
+    return AssembledOperator(dofs.scalar.csr(dofs.scalar.sum_triangles(local)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +159,18 @@ def _exchange_weights(quad: EdgeQuadrature, coeff_n: float, coeff_c, fric: Frict
     return coef
 
 
-def _robin_mass_full(mesh: Mesh, coeff_n: float, coeff_c, fric: FrictionModel | None, t: float) -> sp.csr_matrix:
-    """Boundary mass with constant weight on N edges and coeff_c(F(x, t)) on C edges."""
+def _robin_local(mesh: Mesh, coeff_n: float, coeff_c, fric: FrictionModel | None,
+                 t: float) -> tuple[EdgeQuadrature, np.ndarray]:
+    """N/C-edge quadrature and its boundary masses, weight coeff_n on N edges and coeff_c(F(x, t)) on C edges."""
     quad = edge_quadrature(mesh, ("N", "C"))
-    return boundary_mass_full(mesh, quad, _exchange_weights(quad, coeff_n, coeff_c, fric, t))
+    return quad, boundary_mass_local(quad, _exchange_weights(quad, coeff_n, coeff_c, fric, t))
 
 
 def assemble_thermal_robin(mesh: Mesh, dofs: DofMap, bd: BoundaryData,
                            fric: FrictionModel | None = None, t: float = 0.0) -> AssembledOperator:
     """Heat exchange boundary mass: h_N on the N part, h_C(F) on the C part."""
-    full = _robin_mass_full(mesh, bd.h_N, bd.h_C, fric, t)
-    return AssembledOperator(dofs.restrict_scalar(full))
+    quad, local = _robin_local(mesh, bd.h_N, bd.h_C, fric, t)
+    return AssembledOperator(dofs.scalar.csr(dofs.scalar.sum_edges(quad, local)))
 
 
 def assemble_electric_system(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd: BoundaryData,
@@ -193,14 +178,21 @@ def assemble_electric_system(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd: B
     """Matrix and load of the current conservation law in the shifted unknown.
 
     Matrix = sigma_el(theta)-weighted stiffness + H_N / H_C(F) boundary mass;
-    load = -(that same full operator applied to the phi_b interpolant). A free
-    solution phi of matrix @ phi = load makes the total potential
-    phi + phi_b satisfy the discrete balance.
+    load = -(the same element and edge matrices applied to the phi_b
+    interpolant), on all nodes of each element. A free solution phi of
+    matrix @ phi = load makes the total potential phi + phi_b satisfy the
+    discrete balance.
     """
-    full = _sigma_stiffness_full(mesh, mat, theta) + _robin_mass_full(mesh, bd.H_N, bd.H_C, fric, t)
+    tri = mesh.triangles
+    sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, _vals(theta))), dtype=float)
+    elem = _stiffness_local(mesh, sq[:, :, None, None] * np.eye(2))
+    quad, edge = _robin_local(mesh, bd.H_N, bd.H_C, fric, t)
     phib = phi_b_nodal(mesh, bd)
-    load = -(full @ phib)[dofs.scalar_free_nodes]
-    return AssembledOperator(dofs.restrict_scalar(full), load)
+    applied = (scatter_load(tri, np.einsum("tab,tb->ta", elem, phib[tri]), mesh.n_nodes)
+               + scatter_load(quad.conn, np.einsum("eab,eb->ea", edge, phib[quad.conn]), mesh.n_nodes))
+    p = dofs.scalar
+    return AssembledOperator(p.csr(p.sum_triangles(elem) + p.sum_edges(quad, edge)),
+                             -applied[dofs.scalar_free_nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def assemble_joule_load_direct(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd:
     """
     theta = _vals(theta_del)
     phi_tot = _vals(phi_del) + phi_b_nodal(mesh, bd)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     g = np.einsum("ta,tia->ti", phi_tot[tri], grads)
     c = np.einsum("ti,ti->t", g, g)
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta)), dtype=float)
@@ -236,7 +228,7 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
     theta = _vals(theta_del)
     phi = _vals(phi_del)
     phib = phi_b_nodal(mesh, bd)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
 
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta)), dtype=float)  # (T, 3)
     g_phi = np.einsum("ta,tia->ti", phi[tri], grads)
@@ -265,7 +257,7 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
 def assemble_velocity_heat(mesh: Mesh, dofs: DofMap, mat: MaterialModel, v) -> np.ndarray:
     """Heat production of straining: -m_ij theta_ref dv_i/dx_j against w."""
     vv = _vals(v).reshape(-1, 2)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     v_loc = vv[tri]  # (T, 3, 2)
     gv = np.einsum("tai,tja->tij", v_loc, grads)  # dv_i/dx_j
     scal = np.einsum("ij,tij->t", mat.m_tensor, gv)
@@ -279,7 +271,7 @@ def assemble_thermal_coupling(mesh: Mesh, dofs: DofMap, mat: MaterialModel, thet
     Adjoint to the velocity-heat form up to the factor theta_ref.
     """
     th = _vals(theta)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     theta_bar = th[tri].mean(axis=1)  # exact mean over the element for P1
     mg = np.einsum("ij,tjb->tib", mat.m_tensor, grads)
     elem = -(areas * theta_bar)[:, None, None] * mg.transpose(0, 2, 1)  # (T, 3, 2): node b, comp i
@@ -310,42 +302,36 @@ def assemble_frictional_heat(mesh: Mesh, dofs: DofMap, fric: FrictionModel, v_de
 # mechanics
 
 
-def _tensor_stiffness_full(mesh: Mesh, tensor: np.ndarray) -> sp.csr_matrix:
-    tri, areas, grads = _geometry(mesh)
-    # pairwise contraction: the single-loop einsum took 16 ms at n=32, this 0.8 ms, same bits
-    elem = np.einsum("t,ijkl,tla,tjb->tbiak", areas, tensor, grads, grads, optimize=True).reshape(-1, 6, 6)
-    return scatter(xy_dofs(tri), elem, 2 * mesh.n_nodes)
+def _tensor_stiffness_local(mesh: Mesh, tensor: np.ndarray) -> np.ndarray:
+    """(T, 6, 6) fourth-order-tensor gradient form on each triangle, interleaved (x, y) dofs.
+
+    Entry [(b, i), (a, k)] integrates tensor[i, j, k, l] d(trial_k)/dx_l d(test_i)/dx_j.
+    """
+    products = mesh.grad_products.reshape(-1, 2, 2, 3, 3)
+    return np.einsum("ijkl,tjlba->tbiak", tensor, products, optimize=True).reshape(-1, 6, 6)
 
 
 def assemble_elastic_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> tuple[AssembledOperator, AssembledOperator]:
     """Viscosity and elasticity gradient forms."""
-    a_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.a_tensor)))
-    b_op = AssembledOperator(dofs.restrict_vector(_tensor_stiffness_full(mesh, mat.b_tensor)))
+    p = dofs.vector
+    a_op = AssembledOperator(p.csr(p.sum_triangles(_tensor_stiffness_local(mesh, mat.a_tensor))))
+    b_op = AssembledOperator(p.csr(p.sum_triangles(_tensor_stiffness_local(mesh, mat.b_tensor))))
     return a_op, b_op
 
 
-def contact_vector_mass_full(mesh: Mesh) -> sp.csr_matrix:
-    """Unprojected vector boundary mass on the C part (2N x 2N).
+def assemble_contact_mass(mesh: Mesh, dofs: DofMap) -> AssembledOperator:
+    """Unprojected vector boundary mass on the C part, on free vector dofs.
 
     Pairs a nodal traction field with vector test functions in the contact
     surface inner product.
     """
-    return boundary_mass_full(mesh, edge_quadrature(mesh, ("C",)), block=np.eye(2))
-
-
-def contact_lumped_weights(mesh: Mesh, dofs: DofMap) -> np.ndarray:
-    """Row sums of the scalar contact boundary mass at the contact nodes.
-
-    Positive quadrature weights for nodal inner products on the contact part.
-    """
     quad = edge_quadrature(mesh, ("C",))
-    w = scatter_load(quad.conn, quad.test(np.ones(quad.weights.shape)), mesh.n_nodes)
-    return w[dofs.contact_nodes]
+    return AssembledOperator(dofs.vector.csr(dofs.vector.sum_edges(quad, boundary_mass_local(quad, block=np.eye(2)))))
 
 
 def assemble_mech_load(mesh: Mesh, dofs: DofMap, bd: BoundaryData, fric: FrictionModel, t: float = 0.0) -> np.ndarray:
     """Body force + surface traction - prescribed normal contact traction."""
-    tri, areas, _ = _geometry(mesh)
+    tri, areas = mesh.triangles, mesh.areas
     n2 = 2 * mesh.n_nodes
 
     # volume: f_0 . eta with the midpoint rule
@@ -378,30 +364,21 @@ def assemble_p_laplacian(mesh: Mesh, dofs: DofMap, theta) -> tuple[np.ndarray, s
     quadrature error enters.
     """
     th = _vals(theta)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     g = np.einsum("ta,tia->ti", th[tri], grads)
     g2 = np.einsum("ti,ti->t", g, g)
     res_elem = areas[:, None] * np.einsum("ti,tia->ta", g2[:, None] * g, grads)
     res = scatter_load(tri, res_elem, mesh.n_nodes)
 
     jac_core = g2[:, None, None] * np.eye(2)[None] + 2.0 * np.einsum("ti,tj->tij", g, g)
-    elem = areas[:, None, None] * np.einsum("tia,tij,tjb->tab", grads, jac_core, grads)
-    jac = scatter(tri, elem, mesh.n_nodes)
-    return res[dofs.scalar_free_nodes], dofs.restrict_scalar(jac)
+    elem = np.einsum("tk,tkm->tm", jac_core.reshape(-1, 4), mesh.grad_products)
+    return res[dofs.scalar_free_nodes], dofs.scalar.csr(dofs.scalar.sum_triangles(elem))
 
 
 def u_norm4(mesh: Mesh, theta) -> float:
     """Fourth power of the gradient-L4 norm, exact for P1 fields."""
     th = _vals(theta)
-    tri, areas, grads = _geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     g = np.einsum("ta,tia->ti", th[tri], grads)
     g2 = np.einsum("ti,ti->t", g, g)
     return float(np.sum(areas * g2 * g2))
-
-
-def basis_u_norms(mesh: Mesh, dofs: DofMap) -> np.ndarray:
-    """Gradient-L4 norm of each free scalar basis function."""
-    tri, areas, grads = _geometry(mesh)
-    g2 = np.einsum("tia,tia->ta", grads, grads)
-    acc = scatter_load(tri, areas[:, None] * g2 * g2, mesh.n_nodes)
-    return acc[dofs.scalar_free_nodes] ** 0.25

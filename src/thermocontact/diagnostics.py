@@ -24,14 +24,14 @@ from .assembly import (
     assemble_joule_load_reformulated,
     assemble_p_laplacian,
     assemble_scalar_mass,
+    assemble_scalar_stiffness_unit,
     assemble_vector_mass,
+    h1_norm,
     phi_b_nodal,
-    scalar_mass_full,
-    scalar_stiffness_unit_full,
     theta_at_quadrature,
     u_norm4,
 )
-from .mesh import edge_quadrature, estimate_scalar_trace_norm, triangle_geometry
+from .mesh import edge_quadrature, estimate_scalar_trace_norm
 
 REPORT_COLUMNS = (
     "t",
@@ -81,9 +81,7 @@ def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:
     """
     mesh, dofs, mat, bd = models.mesh, models.dofs, models.mat, models.bd
     phib = phi_b_nodal(mesh, bd)
-    k_full = scalar_stiffness_unit_full(mesh)
-    m_full = scalar_mass_full(mesh)
-    h1 = float(np.sqrt(phib @ (k_full @ phib) + phib @ (m_full @ phib)))
+    h1 = h1_norm(mesh, phib)
     l2_n = _boundary_l2(mesh, "N", phib)
     l2_c = _boundary_l2(mesh, "C", phib)
     if l2_n == 0.0 and l2_c == 0.0:
@@ -96,9 +94,9 @@ def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:
 
 def potential_bound(models, state) -> tuple[float, float]:
     """Both sides of the potential estimate for one converged state."""
-    k_full = scalar_stiffness_unit_full(models.mesh)
-    phi = np.asarray(state.phi, dtype=float)
-    lhs = float(np.sqrt(max(phi @ (k_full @ phi), 0.0)))
+    stiff = assemble_scalar_stiffness_unit(models.mesh, models.dofs).matrix
+    phi = np.asarray(state.phi, dtype=float)[models.dofs.scalar_free_nodes]
+    lhs = float(np.sqrt(max(phi @ (stiff @ phi), 0.0)))
     return lhs, potential_bound_constant(models)
 
 
@@ -107,7 +105,7 @@ def weighted_gradient_integral(models, state) -> float:
     squared-gradient integral of the total potential."""
     mesh, mat, bd = models.mesh, models.mat, models.bd
     total = np.asarray(state.phi, dtype=float) + phi_b_nodal(mesh, bd)
-    tri, areas, grads = mesh.triangles, *triangle_geometry(mesh)
+    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
     g = np.einsum("ta,tia->ti", total[tri], grads)
     g2 = np.einsum("ti,ti->t", g, g)
     vals_q = total[tri] @ MIDPOINT_BASIS.T
@@ -131,7 +129,7 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
     nr = float(np.linalg.norm(r))
     if nr == 0.0:
         return 0.0
-    k_free = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh)).tocsr()
+    k_free = assemble_scalar_stiffness_unit(mesh, dofs).matrix
     w = spla.spsolve(k_free, r)
     u4 = u_norm4(mesh, _full_scalar(mesh, dofs, w))
     pairing = float(r @ w)
@@ -146,7 +144,7 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
         res = res - r
         if np.linalg.norm(res) <= target:
             break
-        step = spla.spsolve(jac.tocsr(), -res)
+        step = spla.spsolve(jac, -res)
         base = objective(w)
         scale = 1.0
         for _ in range(25):
@@ -194,7 +192,7 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
     sfree = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
     mass_s = assemble_scalar_mass(mesh, dofs).matrix
-    stiff_s = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh))
+    stiff_s = assemble_scalar_stiffness_unit(mesh, dofs).matrix
     mass_v = assemble_vector_mass(mesh, dofs).matrix
     visc_op, elast_op = assemble_elastic_operators(mesh, dofs, mat)
     bound_c = potential_bound_constant(models)

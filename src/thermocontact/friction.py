@@ -24,15 +24,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (
+    assemble_contact_mass,
     assemble_elastic_operators,
     assemble_mech_load,
     assemble_thermal_coupling,
     assemble_vector_mass,
     contact_slip,
-    contact_vector_mass_full,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import DofMap, Mesh, xy_dofs
+from .mesh import SYMMETRIC_ORDERING, DofMap, Mesh, xy_dofs
 
 
 class SolverError(RuntimeError):
@@ -235,28 +235,27 @@ class MomentumOperators:
     mass: sp.csr_matrix
     visc: sp.csr_matrix
     elast: sp.csr_matrix
-    contact_rows: sp.csr_matrix  # free rows of the full contact pairing
+    contact: sp.csr_matrix  # contact pairing on free dofs; the nodal traction is zero on D nodes
     condensed: _CondensedStep | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_momentum_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> MomentumOperators:
     visc, elast = assemble_elastic_operators(mesh, dofs, mat)
     mass = assemble_vector_mass(mesh, dofs)
-    vfree = dofs.vector_free_dofs()
-    contact_rows = contact_vector_mass_full(mesh)[vfree, :].tocsr()
-    return MomentumOperators(mass.matrix, visc.matrix, elast.matrix, contact_rows)
+    contact = assemble_contact_mass(mesh, dofs)
+    return MomentumOperators(mass.matrix, visc.matrix, elast.matrix, contact.matrix)
 
 
-def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray]:
     """Free contact nodes and their interleaved (x, y) dofs.
 
     Returns the nodes as indices into ``dofs.contact_nodes``, then their dofs
-    as positions in the free vector and as full dof ids. A contact node on
-    the D part never moves, so the traction Jacobian acts on these dofs only.
+    as positions in the free vector. A contact node on the D part never
+    moves, so the traction Jacobian acts on these dofs only.
     """
     free = dofs.node_to_free[dofs.contact_nodes]
     sel = np.flatnonzero(free >= 0)
-    return sel, xy_dofs(free[sel]), xy_dofs(dofs.contact_nodes[sel])
+    return sel, xy_dofs(free[sel])
 
 
 def _contact_blocks(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
@@ -269,8 +268,8 @@ def _contact_blocks(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
     return np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
 
 
-def _base_matrix(ops: MomentumOperators, rho: float, dt: float) -> sp.csr_matrix:
-    return (rho / dt * ops.mass + ops.visc + dt * ops.elast).tocsr()
+def _base_matrix(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float) -> sp.csr_matrix:
+    return dofs.vector.csr(rho / dt * ops.mass.data + ops.visc.data + dt * ops.elast.data)
 
 
 def _condensed_step(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float) -> _CondensedStep:
@@ -278,10 +277,11 @@ def _condensed_step(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float)
     key = (rho, dt)
     cond = ops.condensed
     if cond is None or cond.key != key:
-        base = _base_matrix(ops, rho, dt)
-        lu = splu(base.tocsc())
-        sel, pos, full = _free_contact_dofs(dofs)
-        z = lu.solve(ops.contact_rows[:, full].toarray())
+        base = _base_matrix(ops, dofs, rho, dt)
+        # B is SPD, so diagonal pivots are stable and keep the symmetric ordering's fill
+        lu = splu(base.tocsc(), permc_spec=SYMMETRIC_ORDERING, options={"SymmetricMode": True})
+        sel, pos = _free_contact_dofs(dofs)
+        z = lu.solve(ops.contact[:, pos].toarray())
         tau = dofs.contact_tangent[sel]
         q = tau.shape[0]
         ts = np.einsum("kj,kjl->kl", tau, z[pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
@@ -303,7 +303,7 @@ def _residual_map(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regulariz
         v_full = np.zeros(2 * mesh.n_nodes)
         v_full[vfree] = v_free
         xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
-        return base @ v_free + ops.contact_rows @ xi - rhs_const, xi, v_full
+        return base @ v_free + ops.contact @ xi[vfree] - rhs_const, xi, v_full
 
     return residual, float(np.linalg.norm(load))
 
@@ -364,14 +364,14 @@ def momentum_residual(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regul
                       u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
                       v_free: np.ndarray):
     """Residual and exact Jacobian of the implicit step at a trial velocity."""
-    base = _base_matrix(ops, mat.mass_mech(), dt)
+    base = _base_matrix(ops, dofs, mat.mass_mech(), dt)
     residual, _ = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
                                 u_old, v_old, theta_del, base)
     res, _, v_full = residual(v_free)
-    sel, pos, full = _free_contact_dofs(dofs)
+    sel, pos = _free_contact_dofs(dofs)
     blocks = _contact_blocks(mesh, dofs, rfric, v_full, t_new, sel)
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()
     cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
     d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
-    return res, (base + ops.contact_rows[:, full] @ d_et).tocsr()
+    return res, (base + ops.contact[:, pos] @ d_et).tocsr()

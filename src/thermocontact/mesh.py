@@ -15,6 +15,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 VALID_TAGS = ("D", "N", "C")
+# SuperLU column ordering for the SPD systems assembled on the free-dof
+# patterns: minimum degree on A^T + A, which is the pattern itself
+SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 
 
 class MeshError(ValueError):
@@ -39,6 +42,17 @@ class Mesh:
         Outward unit normal per boundary edge.
     edge_owner : (E,) int array
         Index of the triangle owning each boundary edge.
+    areas : (T,) float array
+    grads : (T, 2, 3) float array
+        Triangle areas and P1 basis gradients (see :func:`triangle_geometry`).
+    grad_products : (T, 4, 9) float array
+        ``area * grads[:, i, a] * grads[:, j, b]`` at ``[:, 2 i + j, 3 a + b]``;
+        every gradient form contracts its coefficient against it.
+
+    The mesh builders end in :func:`_validate`, which fills the derived
+    arrays and makes every array read-only, so the geometry and the edge
+    quadratures cached on the mesh cannot go stale: an edited geometry
+    needs a new mesh.
     """
 
     nodes: np.ndarray
@@ -47,6 +61,10 @@ class Mesh:
     edge_tags: np.ndarray
     edge_normals: np.ndarray = field(default=None)  # type: ignore[assignment]
     edge_owner: np.ndarray = field(default=None)  # type: ignore[assignment]
+    areas: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    grads: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    grad_products: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    _quadratures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -69,7 +87,9 @@ class DofMap:
     order; the vector space uses two dofs per free node, interleaved (x, y).
     ``contact_nodes`` are all nodes of C-tagged edges (a node shared with the
     D part stays Dirichlet and simply never moves). Unit normal/tangent pairs
-    at contact nodes average the adjacent C-edge normals.
+    at contact nodes average the adjacent C-edge normals. ``scalar`` and
+    ``vector`` are the free-dof sparsity patterns every operator is
+    assembled into.
     """
 
     n_nodes: int
@@ -79,6 +99,8 @@ class DofMap:
     contact_nodes: np.ndarray
     contact_normal: np.ndarray
     contact_tangent: np.ndarray
+    scalar: FreePattern
+    vector: FreePattern
 
     @property
     def n_free_scalar(self) -> int:
@@ -91,16 +113,6 @@ class DofMap:
     def vector_free_dofs(self) -> np.ndarray:
         """Global dof ids (2*node + comp) of the free vector dofs, interleaved."""
         return xy_dofs(self.scalar_free_nodes)
-
-    def restrict_scalar(self, mat: sp.spmatrix) -> sp.csr_matrix:
-        """Restrict a full (N x N) operator to free scalar dofs."""
-        f = self.scalar_free_nodes
-        return mat.tocsr()[f][:, f].tocsr()
-
-    def restrict_vector(self, mat: sp.spmatrix) -> sp.csr_matrix:
-        """Restrict a full (2N x 2N) operator to free vector dofs."""
-        f = self.vector_free_dofs()
-        return mat.tocsr()[f][:, f].tocsr()
 
 
 def triangle_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +165,7 @@ def _validate(mesh: Mesh) -> Mesh:
         bad = int(np.flatnonzero((be < 0) | (be >= n)).flat[0] // 2)
         raise MeshError(f"boundary edge {bad}: node index out of range")
 
-    areas, _ = triangle_geometry(mesh)
+    areas, grads = triangle_geometry(mesh)
     neg = np.flatnonzero(areas <= 0)
     if neg.size:
         raise MeshError(f"inconsistent orientation: triangle {neg[0]} has non-positive area")
@@ -198,6 +210,11 @@ def _validate(mesh: Mesh) -> Mesh:
         normals[e] = nu
     mesh.edge_owner = owner
     mesh.edge_normals = normals
+    mesh.areas, mesh.grads = areas, grads
+    products = areas[:, None, None, None, None] * grads[:, :, None, :, None] * grads[:, None, :, None, :]
+    mesh.grad_products = products.reshape(-1, 4, 9)
+    for arr in (nodes, tri, be, mesh.edge_tags, normals, owner, areas, grads, mesh.grad_products):
+        arr.setflags(write=False)
     return mesh
 
 
@@ -346,6 +363,8 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         nu = np.zeros((0, 2))
         tau = np.zeros((0, 2))
 
+    vector_to_free = np.full(2 * n, -1, dtype=np.int64)
+    vector_to_free[xy_dofs(free)] = np.arange(2 * free.size)
     return DofMap(
         n_nodes=n,
         dirichlet_nodes=dirichlet,
@@ -354,6 +373,9 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         contact_nodes=contact,
         contact_normal=nu,
         contact_tangent=tau,
+        scalar=_free_pattern(mesh.triangles, mesh.boundary_edges, node_to_free, free.size),
+        vector=_free_pattern(xy_dofs(mesh.triangles), xy_dofs(mesh.boundary_edges),
+                             vector_to_free, 2 * free.size),
     )
 
 
@@ -368,12 +390,70 @@ def xy_dofs(nodes: np.ndarray) -> np.ndarray:
     return np.stack([2 * nodes, 2 * nodes + 1], axis=-1).reshape(*nodes.shape[:-1], 2 * nodes.shape[-1])
 
 
-def scatter(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum (E, k, k) local matrices over the (E, k) dof connectivity into (n, n)."""
+def _entry_keys(conn: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(E, k*k) keys row * n + col of the local matrix entries of an (E, k) dof connectivity.
+
+    ``index`` maps each dof to its row/column among n; an entry whose row or
+    column maps to -1 gets key -1.
+    """
     k = conn.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, (1, k)).ravel()
-    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+    rows = index[np.repeat(conn, k, axis=1)]
+    cols = index[np.tile(conn, (1, k))]
+    return np.where((rows >= 0) & (cols >= 0), rows * n + cols, -1)
+
+
+@dataclass(frozen=True)
+class FreePattern:
+    """Fixed CSR sparsity of the P1 forms on one free-dof space of a mesh.
+
+    ``indptr``/``indices`` hold the (n, n) pattern of the triangle
+    connectivity. ``tri`` (T, k*k) and ``edge`` (E, m*m) give the position
+    in ``indices`` of every entry of a triangle and a boundary-edge local
+    matrix, in row-major local order, over all triangles and all boundary
+    edges of the mesh. An entry in a Dirichlet row or column has position
+    nnz and is dropped. Every boundary edge is a triangle edge, so edge
+    entries land in the same pattern, and matrices assembled here add as
+    their data arrays.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    tri: np.ndarray
+    edge: np.ndarray
+
+    def _sum(self, slots: np.ndarray, local: np.ndarray) -> np.ndarray:
+        nnz = self.indices.size
+        return np.bincount(slots.ravel(), weights=np.ravel(local), minlength=nnz + 1)[:nnz]
+
+    def sum_triangles(self, local: np.ndarray) -> np.ndarray:
+        """Data array of the (T, k, k) triangle matrices summed into the pattern."""
+        return self._sum(self.tri, local)
+
+    def sum_edges(self, quad: EdgeQuadrature, local: np.ndarray) -> np.ndarray:
+        """Data array of the (E, m, m) matrices on the quadrature's edges summed into the pattern."""
+        return self._sum(self.edge[quad.ids], local)
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The (n, n) matrix with the given data array on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _free_pattern(tri_conn: np.ndarray, edge_conn: np.ndarray, index: np.ndarray, n: int) -> FreePattern:
+    """Pattern of the triangle connectivity on the n dofs that index maps to 0..n-1."""
+    tri_keys = _entry_keys(tri_conn, index, n)
+    keys = np.sort(tri_keys[tri_keys >= 0])
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # unique; np.unique took 8x as long here
+
+    def slots(entry_keys):
+        return np.where(entry_keys >= 0, np.searchsorted(keys, entry_keys), keys.size)
+
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    out = FreePattern(n, indptr, (keys % n).astype(np.int32),
+                      slots(tri_keys), slots(_entry_keys(edge_conn, index, n)))
+    for arr in (out.indptr, out.indices, out.tri, out.edge):
+        arr.setflags(write=False)
+    return out
 
 
 def scatter_load(conn: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
@@ -385,12 +465,14 @@ def scatter_load(conn: np.ndarray, local: np.ndarray, n: int) -> np.ndarray:
 class EdgeQuadrature:
     """Two-point Gauss rule on the boundary edges with the given tags.
 
+    ``ids`` (E,) are the edges' indices among the mesh's boundary edges,
     ``conn`` (E, 2) holds the node pairs, ``tags`` (E,) their tags,
     ``points`` (E, 2, 2) the coordinates of the two Gauss points of each
     edge, ``weights`` (E, 2) their weights (half the edge length), and
     ``normals`` (E, 2) the outward unit normals.
     """
 
+    ids: np.ndarray
     conn: np.ndarray
     tags: np.ndarray
     points: np.ndarray
@@ -407,34 +489,51 @@ class EdgeQuadrature:
 
 
 def edge_quadrature(mesh: Mesh, tags: tuple[str, ...]) -> EdgeQuadrature:
-    """Gauss points, weights and normals of the boundary edges whose tag is in tags."""
-    ids = np.flatnonzero(np.isin(mesh.edge_tags, tags))
-    conn = mesh.boundary_edges[ids]
-    a = mesh.nodes[conn[:, 0]][:, None, :]
-    b = mesh.nodes[conn[:, 1]][:, None, :]
-    points = a + GAUSS2[None, :, None] * (b - a)
-    weights = np.repeat(0.5 * mesh.edge_lengths()[ids][:, None], 2, axis=1)
-    return EdgeQuadrature(conn, mesh.edge_tags[ids], points, weights, mesh.edge_normals[ids])
+    """Gauss points, weights and normals of the boundary edges whose tag is in tags.
+
+    Built once per mesh and tag tuple, kept on the mesh, read-only.
+    """
+    tags = tuple(tags)
+    quad = mesh._quadratures.get(tags)
+    if quad is None:
+        ids = np.flatnonzero(np.isin(mesh.edge_tags, tags))
+        conn = mesh.boundary_edges[ids]
+        a = mesh.nodes[conn[:, 0]][:, None, :]
+        b = mesh.nodes[conn[:, 1]][:, None, :]
+        points = a + GAUSS2[None, :, None] * (b - a)
+        weights = np.repeat(0.5 * mesh.edge_lengths()[ids][:, None], 2, axis=1)
+        quad = EdgeQuadrature(ids, conn, mesh.edge_tags[ids], points, weights, mesh.edge_normals[ids])
+        for arr in (quad.ids, quad.conn, quad.tags, quad.points, quad.weights, quad.normals):
+            arr.setflags(write=False)
+        mesh._quadratures[tags] = quad
+    return quad
 
 
-def boundary_mass_full(mesh: Mesh, quad: EdgeQuadrature, weight=1.0, block=None) -> sp.csr_matrix:
-    """P1 boundary mass over the quadrature's edges, weighted per Gauss point.
+def blocked(local: np.ndarray, block) -> np.ndarray:
+    """(E, 2k, 2k) vector form of (E, k, k) scalar local matrices, coupling components by block.
 
-    ``weight`` is a scalar or (E, 2). Without ``block`` this is the scalar
-    (N, N) form; with a (2, 2) or per-edge (E, 2, 2) ``block`` it is the
-    (2N, 2N) vector form pairing ``block @ u`` with the test function.
+    ``block`` is (2, 2) or per element (E, 2, 2); rows and columns are the
+    interleaved (x, y) dofs of the k nodes.
+    """
+    e, k = local.shape[:2]
+    vec = local[:, :, None, :, None] * np.reshape(block, (-1, 1, 2, 1, 2))
+    return vec.reshape(e, 2 * k, 2 * k)
+
+
+def boundary_mass_local(quad: EdgeQuadrature, weight=1.0, block=None) -> np.ndarray:
+    """P1 boundary mass on each of the quadrature's edges, weighted per Gauss point.
+
+    ``weight`` is a scalar or (E, 2). Without ``block`` these are the scalar
+    (E, 2, 2) matrices; with a (2, 2) or per-edge (E, 2, 2) ``block`` the
+    (E, 4, 4) vector ones pairing ``block @ u`` with the test function.
     """
     local = np.einsum("eg,ga,gb->eab", quad.weights * weight, GAUSS2_BASIS, GAUSS2_BASIS)
-    if block is None:
-        return scatter(quad.conn, local, mesh.n_nodes)
-    vec = local[:, :, None, :, None] * np.reshape(block, (-1, 1, 2, 1, 2))
-    return scatter(xy_dofs(quad.conn), vec.reshape(-1, 4, 4), 2 * mesh.n_nodes)
+    return local if block is None else blocked(local, block)
 
 
-def _scalar_stiffness_full(mesh: Mesh) -> sp.csr_matrix:
-    areas, grads = triangle_geometry(mesh)
-    local = areas[:, None, None] * np.einsum("tia,tib->tab", grads, grads)
-    return scatter(mesh.triangles, local, mesh.n_nodes)
+def unit_stiffness_local(mesh: Mesh) -> np.ndarray:
+    """(T, 3, 3) unit-coefficient gradient form on each triangle."""
+    return (mesh.grad_products[:, 0] + mesh.grad_products[:, 3]).reshape(-1, 3, 3)
 
 
 def _power_iteration_pencil(
@@ -488,9 +587,9 @@ def estimate_trace_norm(
     if not quad.conn.size:
         raise MeshError("estimate_trace_norm requires a nonempty contact part")
     tangential = np.eye(2) - np.einsum("ei,ej->eij", quad.normals, quad.normals)
-    btau = dofs.restrict_vector(boundary_mass_full(mesh, quad, block=tangential))
-    ks = _scalar_stiffness_full(mesh)
-    kvec = dofs.restrict_vector(sp.kron(ks, sp.eye(2), format="csr"))
+    p = dofs.vector
+    btau = p.csr(p.sum_edges(quad, boundary_mass_local(quad, block=tangential)))
+    kvec = p.csr(p.sum_triangles(blocked(unit_stiffness_local(mesh), np.eye(2))))
     return _power_iteration_pencil(btau, kvec, seed, tol, max_iter)
 
 
@@ -511,6 +610,7 @@ def estimate_scalar_trace_norm(
     quad = edge_quadrature(mesh, parts)
     if not quad.conn.size:
         return 0.0
-    bmat = dofs.restrict_scalar(boundary_mass_full(mesh, quad))
-    kmat = dofs.restrict_scalar(_scalar_stiffness_full(mesh))
+    p = dofs.scalar
+    bmat = p.csr(p.sum_edges(quad, boundary_mass_local(quad)))
+    kmat = p.csr(p.sum_triangles(unit_stiffness_local(mesh)))
     return _power_iteration_pencil(bmat, kmat, seed, tol, max_iter)

@@ -28,10 +28,10 @@ from .assembly import (
     assemble_joule_load_reformulated,
     assemble_p_laplacian,
     assemble_scalar_mass,
+    assemble_scalar_stiffness_unit,
     assemble_thermal_robin,
     assemble_thermal_stiffness,
     assemble_velocity_heat,
-    scalar_stiffness_unit_full,
     u_norm4,
 )
 from .friction import (
@@ -43,7 +43,7 @@ from .friction import (
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import DofMap, Mesh
+from .mesh import SYMMETRIC_ORDERING, DofMap, Mesh
 
 JOULE_MODES = ("direct", "reformulated")
 
@@ -231,7 +231,7 @@ def initialize(models: Models, config: SolverConfig,
 def _solve_electric(models: Models, theta_full: np.ndarray, fric: FrictionModel, t: float) -> np.ndarray:
     mesh, dofs = models.mesh, models.dofs
     op = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, fric, t)
-    phi_free = spsolve(op.matrix, op.load)
+    phi_free = spsolve(op.matrix, op.load, permc_spec=SYMMETRIC_ORDERING)
     res = float(np.linalg.norm(op.matrix @ phi_free - op.load))
     if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(op.load))):
         raise SolverError(f"electric solve at t={t:.6g}: residual {res:.3e} (matrix near-singular?)")
@@ -278,7 +278,8 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
                + assemble_frictional_heat(mesh, dofs, models.fric, delayed.v, t_new))
 
     rho_cp = mat.mass_thermal()
-    base = ((rho_cp / dt) * ws.ops.mass_thermal + stiff + robin).tocsr()
+    pattern = dofs.scalar  # every matrix here is on it, so they add as data arrays
+    base = pattern.csr((rho_cp / dt) * ws.ops.mass_thermal.data + stiff.data + robin.data)
     rhs = sources + (rho_cp / dt) * (ws.ops.mass_thermal @ old.theta[free])
     c_reg = cfg.regularizer
     target = cfg.tol_temperature * (1.0 + float(np.linalg.norm(rhs)))
@@ -298,8 +299,8 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
             raise SolverError(
                 f"temperature step at t={t_new:.6g} stalled after {iterations} iterations; "
                 f"residual {res_norm:.3e} > {target:.3e}")
-        jac = base + c_reg * pl_jac
-        delta = spsolve(jac.tocsr(), -res)
+        jac = pattern.csr(base.data + c_reg * pl_jac.data)
+        delta = spsolve(jac, -res, permc_spec=SYMMETRIC_ORDERING)
         alpha = 1.0
         for _ in range(20):
             trial = theta + alpha * delta
@@ -402,7 +403,7 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
     free = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
     mass = assemble_scalar_mass(mesh, dofs).matrix
-    stiff = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh))
+    stiff = assemble_scalar_stiffness_unit(mesh, dofs).matrix
     vstiff = assemble_elastic_operators(mesh, dofs, models.mat)[1].matrix
     dt = config.dt
 

@@ -1,13 +1,21 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is dense, per-element, and derives basis data from first
-principles (Vandermonde inversion), deliberately sharing no code with the
-package's assembly routines.
+Everything down to :func:`restrict` is dense, per-element, and derives
+basis data from first principles (Vandermonde inversion), deliberately
+sharing no code with the package's assembly routines. The sparse
+references after it restrict full (N x N) or (2N x 2N) matrices, built by
+:func:`scatter` from the package's element matrices, to the free dofs by
+fancy indexing: the path the package's free-dof patterns replace, kept to
+check them against. The remaining helpers are quantities only tests use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+from thermocontact.assembly import _mass_local, _tensor_stiffness_local
+from thermocontact.mesh import boundary_mass_local, edge_quadrature, scatter_load, unit_stiffness_local, xy_dofs
 
 
 def p1_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,3 +190,88 @@ def dense_tangential_contact_mass(mesh) -> np.ndarray:
 
 def restrict(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[np.ix_(idx, idx)]
+
+
+def scatter(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum (E, k, k) local matrices over the (E, k) dof connectivity into (n, n).
+
+    Each entry sums its element contributions in element order, as the
+    package's free-dof patterns do, so restricted entries agree bit for bit.
+    """
+    k = conn.shape[1]
+    keys = (np.repeat(conn, k, axis=1) * n + np.tile(conn, (1, k))).ravel()
+    uniq, slots = np.unique(keys, return_inverse=True)
+    data = np.bincount(slots, weights=local.ravel())
+    return sp.csr_matrix((data, uniq % n, np.searchsorted(uniq, np.arange(n + 1) * n)), shape=(n, n))
+
+
+def scalar_mass_full(mesh) -> sp.csr_matrix:
+    """P1 mass on all nodes (N x N)."""
+    return scatter(mesh.triangles, _mass_local(mesh), mesh.n_nodes)
+
+
+def scalar_stiffness_unit_full(mesh) -> sp.csr_matrix:
+    """Unit-coefficient gradient form on all nodes (N x N); the discrete V-norm matrix."""
+    return scatter(mesh.triangles, unit_stiffness_local(mesh), mesh.n_nodes)
+
+
+def restrict_scalar(dofs, mat) -> sp.csr_matrix:
+    """Restrict a full (N x N) operator to free scalar dofs."""
+    f = dofs.scalar_free_nodes
+    return mat.tocsr()[f][:, f].tocsr()
+
+
+def restrict_vector(dofs, mat) -> sp.csr_matrix:
+    """Restrict a full (2N x 2N) operator to free vector dofs."""
+    f = dofs.vector_free_dofs()
+    return mat.tocsr()[f][:, f].tocsr()
+
+
+def tensor_stiffness_full(mesh, tensor: np.ndarray) -> sp.csr_matrix:
+    """Fourth-order-tensor gradient form on all (2N) vector dofs."""
+    return scatter(xy_dofs(mesh.triangles), _tensor_stiffness_local(mesh, tensor), 2 * mesh.n_nodes)
+
+
+def vector_stiffness_componentwise_full(mesh) -> sp.csr_matrix:
+    """Componentwise gradient form; the discrete E-norm matrix."""
+    return sp.kron(scalar_stiffness_unit_full(mesh), sp.eye(2), format="csr")
+
+
+def contact_vector_mass_full(mesh) -> sp.csr_matrix:
+    """Unprojected vector boundary mass on the C part (2N x 2N)."""
+    quad = edge_quadrature(mesh, ("C",))
+    return scatter(xy_dofs(quad.conn), boundary_mass_local(quad, block=np.eye(2)), 2 * mesh.n_nodes)
+
+
+def contact_lumped_weights(mesh, dofs) -> np.ndarray:
+    """Row sums of the scalar contact boundary mass at the contact nodes.
+
+    Positive quadrature weights for nodal inner products on the contact part.
+    """
+    quad = edge_quadrature(mesh, ("C",))
+    w = scatter_load(quad.conn, quad.test(np.ones(quad.weights.shape)), mesh.n_nodes)
+    return w[dofs.contact_nodes]
+
+
+def basis_u_norms(mesh, dofs) -> np.ndarray:
+    """Gradient-L4 norm of each free scalar basis function."""
+    g2 = np.einsum("tia,tia->ta", mesh.grads, mesh.grads)
+    acc = scatter_load(mesh.triangles, mesh.areas[:, None] * g2 * g2, mesh.n_nodes)
+    return acc[dofs.scalar_free_nodes] ** 0.25
+
+
+def dense_p_laplacian_jacobian(mesh, theta: np.ndarray) -> np.ndarray:
+    """Full (N, N) Jacobian of the |grad|^2-weighted gradient form at theta.
+
+    Per element: area * G^T (|g|^2 I + 2 g g^T) G with g the constant
+    gradient of theta and G the basis gradients.
+    """
+    n = mesh.n_nodes
+    out = np.zeros((n, n))
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        _, grads = p1_basis(p)
+        g = grads @ theta[tri]
+        core = (g @ g) * np.eye(2) + 2.0 * np.outer(g, g)
+        out[np.ix_(tri, tri)] += tri_area(p) * grads.T @ core @ grads
+    return out

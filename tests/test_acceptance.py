@@ -20,6 +20,7 @@ from oracles import (
     dense_vector_stiffness,
     p1_basis,
     restrict,
+    restrict_scalar,
     tri_area,
 )
 from thermocontact.assembly import (
@@ -156,9 +157,9 @@ def test_02_potential_bound_every_step():
     models = make_default_models()
     states = advance(initialize(models, DEFAULT_CFG))
     bound = potential_bound_constant(models)
-    from thermocontact.assembly import scalar_stiffness_unit_full
+    from oracles import scalar_stiffness_unit_full
 
-    stiff = models.dofs.restrict_scalar(scalar_stiffness_unit_full(models.mesh))
+    stiff = restrict_scalar(models.dofs, scalar_stiffness_unit_full(models.mesh))
     free = models.dofs.scalar_free_nodes
     worst = 0.0
     for s in states:

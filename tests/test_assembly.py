@@ -22,20 +22,24 @@ from thermocontact.assembly import (
     assemble_thermal_stiffness,
     assemble_vector_mass,
     assemble_velocity_heat,
-    basis_u_norms,
-    contact_lumped_weights,
-    contact_vector_mass_full,
     phi_b_nodal,
-    _tensor_stiffness_full,
-    scalar_stiffness_unit_full,
     u_norm4,
-    vector_stiffness_componentwise_full,
 )
 from thermocontact.friction import RegularizedFriction, friction_functional
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 
 from conftest import const_bd, const_friction
+from oracles import (
+    basis_u_norms,
+    contact_lumped_weights,
+    contact_vector_mass_full,
+    restrict_scalar,
+    restrict_vector,
+    scalar_stiffness_unit_full,
+    tensor_stiffness_full,
+    vector_stiffness_componentwise_full,
+)
 
 
 def patch_areas(mesh):
@@ -82,7 +86,7 @@ class TestThermalStiffness:
         mesh, dofs = square4
         mat, _, _ = default_ptc_model()
         got = assemble_thermal_stiffness(mesh, dofs, mat, np.zeros(mesh.n_nodes)).matrix.toarray()
-        ref = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh)).toarray()
+        ref = restrict_scalar(dofs, scalar_stiffness_unit_full(mesh)).toarray()
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
     def test_matches_dense_at_random_temperature(self, square2, square4):
@@ -104,7 +108,7 @@ class TestThermalStiffness:
         theta = 2.0 * rng.normal(size=mesh.n_nodes)
         op = assemble_thermal_stiffness(mesh, dofs, mat, theta)
         op.check_symmetric()
-        unit = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh)).toarray()
+        unit = restrict_scalar(dofs, scalar_stiffness_unit_full(mesh)).toarray()
         dense = op.matrix.toarray()
         for _ in range(20):
             z = rng.normal(size=dense.shape[0])
@@ -362,7 +366,7 @@ class TestElasticOperators:
             mat, _, _ = default_ptc_model({"mu_b": 0.5 + i})
             a_op, b_op = assemble_elastic_operators(mesh, dofs, mat)
             for op, tensor in ((a_op, mat.a_tensor), (b_op, mat.b_tensor)):
-                ref = dofs.restrict_vector(_tensor_stiffness_full(mesh, tensor))
+                ref = restrict_vector(dofs, tensor_stiffness_full(mesh, tensor))
                 assert abs(op.matrix - ref).max() == 0.0
 
 

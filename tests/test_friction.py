@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg
 
 from conftest import const_bd, const_friction
+from oracles import contact_lumped_weights
 from thermocontact.friction import (
     _condensed_step,
     _contact_blocks,
@@ -22,7 +23,6 @@ from thermocontact.friction import (
     nodal_tangential,
     solve_momentum_step,
 )
-from thermocontact.assembly import contact_lumped_weights
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 

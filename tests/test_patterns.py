@@ -1,0 +1,198 @@
+"""Free-dof patterns against dense oracles, and the read-only cached mesh data."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import oracles
+from thermocontact.assembly import (
+    assemble_contact_mass,
+    assemble_elastic_operators,
+    assemble_electric_system,
+    assemble_p_laplacian,
+    assemble_scalar_mass,
+    assemble_scalar_stiffness_unit,
+    assemble_thermal_robin,
+    assemble_thermal_stiffness,
+    assemble_vector_mass,
+    phi_b_nodal,
+)
+from thermocontact.driver import main
+from thermocontact.materials import default_ptc_model
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, load_mesh
+
+MESH_ARRAYS = ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normals", "edge_owner",
+               "areas", "grads", "grad_products")
+QUAD_ARRAYS = ("ids", "conn", "tags", "points", "weights", "normals")
+PATTERN_ARRAYS = ("indptr", "indices", "tri", "edge")
+QUAD_TAGS = (("C",), ("N",), ("N", "C"))
+
+
+def perturbed_mesh_text(n=4):
+    """Mesh file of an n x n square with moved interior nodes; C edges meet the D corner (0, 0).
+
+    Left D, bottom C, right C, top N: the bottom contact side starts at a
+    Dirichlet corner and the right one ends at an exchange corner.
+    """
+    mesh = build_unit_square_mesh(n, tags={"left": "D", "bottom": "C", "right": "C", "top": "N"})
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    inner = (x > 0) & (x < 1) & (y > 0) & (y < 1)
+    nodes = mesh.nodes.copy()
+    nodes[inner] += 0.3 / n * np.column_stack([np.sin(7.0 * y[inner]), np.cos(5.0 * x[inner])])
+    lines = [f"nodes {mesh.n_nodes} triangles {mesh.triangles.shape[0]} edges {mesh.boundary_edges.shape[0]}"]
+    lines += [f"{float(a)!r} {float(b)!r}" for a, b in nodes]
+    lines += [" ".join(map(str, t)) for t in mesh.triangles]
+    lines += [f"{i} {j} {tag}" for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(params=["DDCN", "contact_free", "loaded"])
+def case(request, tmp_path):
+    if request.param == "loaded":
+        path = tmp_path / "perturbed.mesh"
+        path.write_text(perturbed_mesh_text())
+        mesh = load_mesh(str(path))
+        corner = np.flatnonzero((mesh.boundary_edges == 0).any(axis=1))  # the two edges at (0, 0)
+        assert sorted(mesh.edge_tags[corner]) == ["C", "D"]
+    else:
+        bottom = "C" if request.param == "DDCN" else "N"
+        mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "D", "bottom": bottom, "top": "N"})
+    return mesh, build_dof_maps(mesh)
+
+
+def moving_traction(x, t):
+    return (np.asarray(x)[..., 0] + 0.5) * (1.0 + t)
+
+
+def assert_matches(got, ref):
+    """got (sparse) equals the dense ref to 1e-13 relative to the largest entry of ref."""
+    np.testing.assert_allclose(got.toarray(), ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+class TestOperatorsAgainstOracles:
+    def test_masses_and_unit_stiffness(self, case):
+        mesh, dofs = case
+        sfree, vfree = dofs.scalar_free_nodes, dofs.vector_free_dofs()
+        assert_matches(assemble_scalar_mass(mesh, dofs).matrix,
+                       oracles.restrict(oracles.dense_scalar_mass(mesh), sfree))
+        assert_matches(assemble_vector_mass(mesh, dofs).matrix,
+                       oracles.restrict(oracles.dense_vector_mass(mesh), vfree))
+        assert_matches(assemble_scalar_stiffness_unit(mesh, dofs).matrix,
+                       oracles.restrict(oracles.dense_scalar_stiffness(mesh), sfree))
+        contact = np.kron(oracles.dense_boundary_mass(mesh, ("C",)), np.eye(2))
+        assert_matches(assemble_contact_mass(mesh, dofs).matrix, oracles.restrict(contact, vfree))
+
+    def test_thermal_stiffness(self, case):
+        mesh, dofs = case
+        mat, _, _ = default_ptc_model()
+        theta = np.random.default_rng(1).normal(size=mesh.n_nodes)
+        ref = oracles.dense_scalar_stiffness(mesh, kfun=mat.k, theta=theta)
+        assert_matches(assemble_thermal_stiffness(mesh, dofs, mat, theta).matrix,
+                       oracles.restrict(ref, dofs.scalar_free_nodes))
+
+    def test_electric_system(self, case):
+        mesh, dofs = case
+        mat, fric, bd = default_ptc_model({"phi_b": "x1"})
+        fric = dataclasses.replace(fric, F_field=moving_traction, F_bar=3.0, time_dependent=True)
+        theta = np.random.default_rng(2).normal(size=mesh.n_nodes)
+        t = 0.7
+        full = oracles.dense_scalar_stiffness(mesh, kfun=lambda s: mat.sigma_el(s) * np.eye(2), theta=theta)
+        full += bd.H_N * oracles.dense_boundary_mass(mesh, ("N",))
+        full += oracles.dense_boundary_mass(mesh, ("C",), weight=lambda q: bd.H_C(moving_traction(q, t)))
+        op = assemble_electric_system(mesh, dofs, mat, bd, theta, fric, t)
+        assert_matches(op.matrix, oracles.restrict(full, dofs.scalar_free_nodes))
+        load = -(full @ phi_b_nodal(mesh, bd))[dofs.scalar_free_nodes]
+        np.testing.assert_allclose(op.load, load, rtol=0.0, atol=1e-13 * np.abs(load).max())
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_thermal_robin(self, case, time_dependent):
+        mesh, dofs = case
+        _, fric, bd = default_ptc_model()
+        if time_dependent:
+            fric = dataclasses.replace(fric, F_field=moving_traction, F_bar=3.0, time_dependent=True)
+        t = 0.7
+        ref = bd.h_N * oracles.dense_boundary_mass(mesh, ("N",))
+        ref += oracles.dense_boundary_mass(mesh, ("C",), weight=lambda q: bd.h_C(fric.F_field(q, t)))
+        assert_matches(assemble_thermal_robin(mesh, dofs, bd, fric, t).matrix,
+                       oracles.restrict(ref, dofs.scalar_free_nodes))
+
+    def test_p_laplacian_jacobian(self, case):
+        mesh, dofs = case
+        theta = np.zeros(mesh.n_nodes)
+        theta[dofs.scalar_free_nodes] = np.random.default_rng(3).normal(size=dofs.n_free_scalar)
+        _, jac = assemble_p_laplacian(mesh, dofs, theta)
+        assert_matches(jac, oracles.restrict(oracles.dense_p_laplacian_jacobian(mesh, theta),
+                                             dofs.scalar_free_nodes))
+
+    def test_elastic_operators(self, case):
+        mesh, dofs = case
+        mat, _, _ = default_ptc_model()
+        a_op, b_op = assemble_elastic_operators(mesh, dofs, mat)
+        vfree = dofs.vector_free_dofs()
+        assert_matches(a_op.matrix, oracles.restrict(oracles.dense_vector_stiffness(mesh, mat.a_tensor), vfree))
+        assert_matches(b_op.matrix, oracles.restrict(oracles.dense_vector_stiffness(mesh, mat.b_tensor), vfree))
+
+    def test_operators_on_one_pattern_add_as_data(self, case):
+        mesh, dofs = case
+        mat, fric, bd = default_ptc_model()
+        theta = np.random.default_rng(4).normal(size=mesh.n_nodes)
+        parts = (assemble_scalar_mass(mesh, dofs).matrix,
+                 assemble_thermal_stiffness(mesh, dofs, mat, theta).matrix,
+                 assemble_thermal_robin(mesh, dofs, bd, fric).matrix)
+        for op in parts:
+            assert np.array_equal(op.indptr, dofs.scalar.indptr)
+            assert np.array_equal(op.indices, dofs.scalar.indices)
+        summed = dofs.scalar.csr(sum(op.data for op in parts)).toarray()
+        np.testing.assert_allclose(summed, sum(op.toarray() for op in parts), rtol=0.0, atol=1e-14)
+
+
+def test_loaded_mesh_runs_end_to_end(tmp_path):
+    mesh_path = tmp_path / "perturbed.mesh"
+    mesh_path.write_text(perturbed_mesh_text())
+    cfg = tmp_path / "loaded.cfg"
+    cfg.write_text(f"mesh.file = {mesh_path}\nmodel.f0 = 0.5 0.0\nmodel.phi_b = x1\n"
+                   "solver.T = 0.1\nsolver.h = 0.05\nsolver.dt = 0.025\nsolver.cascade_levels = 0.05 0.025\n")
+    assert main(["check", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--assert"]) == 0
+    for name in ("trajectory.csv", "diagnostics.csv", "cascade.csv", "fields.csv"):
+        assert (out / name).stat().st_size > 0
+
+
+def frozen_arrays(mesh, dofs):
+    quads = [edge_quadrature(mesh, tags) for tags in QUAD_TAGS]
+    return ([getattr(mesh, name) for name in MESH_ARRAYS]
+            + [getattr(q, name) for q in quads for name in QUAD_ARRAYS]
+            + [getattr(p, name) for p in (dofs.scalar, dofs.vector) for name in PATTERN_ARRAYS])
+
+
+class TestCachedMeshData:
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_every_cached_array_is_read_only(self, source, tmp_path):
+        if source == "built":
+            mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "N", "bottom": "C", "top": "N"})
+        else:
+            path = tmp_path / "perturbed.mesh"
+            path.write_text(perturbed_mesh_text())
+            mesh = load_mesh(str(path))
+        for arr in frozen_arrays(mesh, build_dof_maps(mesh)):
+            assert arr.size
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+
+    def test_quadrature_is_built_once_per_tags(self):
+        mesh = build_unit_square_mesh(3)
+        quad = edge_quadrature(mesh, ("N", "C"))
+        assert edge_quadrature(mesh, ["N", "C"]) is quad
+        assert edge_quadrature(mesh, ("C",)) is not quad
+        np.testing.assert_array_equal(quad.ids, np.flatnonzero(np.isin(mesh.edge_tags, ("N", "C"))))
+
+    def test_two_meshes_share_no_cached_arrays(self):
+        meshes = [build_unit_square_mesh(4) for _ in range(2)]
+        arrays = [frozen_arrays(mesh, build_dof_maps(mesh)) for mesh in meshes]
+        for tags in QUAD_TAGS:
+            assert edge_quadrature(meshes[0], tags) is not edge_quadrature(meshes[1], tags)
+        for a in arrays[0]:
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse.linalg
 
 from conftest import const_bd, const_friction
+from oracles import restrict_scalar, scalar_mass_full, scalar_stiffness_unit_full
 from thermocontact.assembly import (
     assemble_electric_system,
     assemble_scalar_mass,
     assemble_thermal_robin,
     assemble_thermal_stiffness,
     phi_b_nodal,
-    scalar_stiffness_unit_full,
 )
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
@@ -243,8 +243,7 @@ class TestTemperatureStep:
             theta = solve_temperature_step(ws, state, s0, (n + 1) * dt)
             state = dataclasses.replace(state, theta=theta, t=(n + 1) * dt)
 
-        stiff = dofs.restrict_scalar(scalar_stiffness_unit_full(mesh))
-        from thermocontact.assembly import scalar_mass_full
+        stiff = restrict_scalar(dofs, scalar_stiffness_unit_full(mesh))
 
         basis_integrals = np.asarray(scalar_mass_full(mesh).sum(axis=1)).ravel()
         target = scipy.sparse.linalg.spsolve(stiff, q0 * basis_integrals[free])
