@@ -94,7 +94,7 @@ def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:
 
 def potential_bound(models, state) -> tuple[float, float]:
     """Both sides of the potential estimate for one converged state."""
-    stiff = assemble_scalar_stiffness_unit(models.mesh, models.dofs).matrix
+    stiff = assemble_scalar_stiffness_unit(models.mesh, models.dofs)
     phi = np.asarray(state.phi, dtype=float)[models.dofs.scalar_free_nodes]
     lhs = float(np.sqrt(max(phi @ (stiff @ phi), 0.0)))
     return lhs, potential_bound_constant(models)
@@ -129,7 +129,7 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
     nr = float(np.linalg.norm(r))
     if nr == 0.0:
         return 0.0
-    k_free = assemble_scalar_stiffness_unit(mesh, dofs).matrix
+    k_free = assemble_scalar_stiffness_unit(mesh, dofs)
     w = spla.spsolve(k_free, r)
     u4 = u_norm4(mesh, _full_scalar(mesh, dofs, w))
     pairing = float(r @ w)
@@ -157,16 +157,15 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
     return u_norm4(mesh, _full_scalar(mesh, dofs, w)) ** 0.75
 
 
-def regularizer_magnitude(mesh, dofs, theta, h: float) -> tuple[float, float]:
+def regularizer_magnitude(mesh, dofs, theta: np.ndarray, h: float) -> tuple[float, float]:
     """Dual-norm size of the weighted quartic gradient term.
 
     Returns the estimate obtained by solving for the representer of the
     assembled residual alongside the closed-form majorant
     h * (U norm of theta)^3; the two coincide up to solver tolerance.
     """
-    th = np.asarray(getattr(theta, "values", theta), dtype=float)
-    surrogate = float(h * u_norm4(mesh, th) ** 0.75)
-    res_free, _ = assemble_p_laplacian(mesh, dofs, th)
+    surrogate = float(h * u_norm4(mesh, theta) ** 0.75)
+    res_free, _ = assemble_p_laplacian(mesh, dofs, theta)
     dual = _quartic_dual_norm(mesh, dofs, h * res_free)
     return dual, surrogate
 
@@ -191,9 +190,9 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
     mesh, dofs, mat, fric = models.mesh, models.dofs, models.mat, models.fric
     sfree = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
-    mass_s = assemble_scalar_mass(mesh, dofs).matrix
-    stiff_s = assemble_scalar_stiffness_unit(mesh, dofs).matrix
-    mass_v = assemble_vector_mass(mesh, dofs).matrix
+    mass_s = assemble_scalar_mass(mesh, dofs)
+    stiff_s = assemble_scalar_stiffness_unit(mesh, dofs)
+    mass_v = assemble_vector_mass(mesh, dofs)
     visc_op, elast_op = assemble_elastic_operators(mesh, dofs, mat)
     bound_c = potential_bound_constant(models)
     traction_cap = fric.mu_bar * fric.F_bar * (1.0 + 1e-10)
@@ -219,12 +218,12 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
             float(np.sqrt(max(tf @ (mass_s @ tf), 0.0))),
             theta_v_accum,
             h * theta_u4_accum,
-            float(np.sqrt(max(uf @ (elast_op.matrix @ uf), 0.0))),
+            float(np.sqrt(max(uf @ (elast_op @ uf), 0.0))),
             h * u4**0.75,
             joule_gap(models, state.theta, state.phi, state.t),
         )
         data[i] = row
-        visc_accum += dt * float(vf @ (visc_op.matrix @ vf))
+        visc_accum += dt * float(vf @ (visc_op @ vf))
         theta_v_accum += dt * float(tf @ (stiff_s @ tf))
         theta_u4_accum += dt * u4
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -80,8 +81,15 @@ def _cast(key: str, raw: str, cast):
         raise ConfigError(f"key '{key}': {exc}") from exc
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{raw}'")
+    return value
+
+
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split())
+    return tuple(_float(x) for x in raw.split())
 
 
 def _pop_typed(entries: dict[str, str], key: str, cast, default):
@@ -124,7 +132,7 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"key '{key}': expected two numbers")
             overrides[name] = _cast(key, raw, _floats)
         else:
-            overrides[name] = _cast(key, raw, float)
+            overrides[name] = _cast(key, raw, _float)
 
     tags = {}
     for side in SIDES:
@@ -134,7 +142,7 @@ def parse_config(path: str) -> RunConfig:
 
     solver_kwargs = {}
     for key in SOLVER_FLOAT_KEYS:
-        val = _pop_typed(entries, f"solver.{key}", float, None)
+        val = _pop_typed(entries, f"solver.{key}", _float, None)
         if val is not None:
             solver_kwargs[key] = val
     for key in SOLVER_INT_KEYS:

@@ -39,6 +39,44 @@ class SolverError(RuntimeError):
     """A nonlinear solve failed to reach its residual tolerance."""
 
 
+def damped_newton(residual, correction, x0: np.ndarray, target: float, max_iter: int,
+                  stage: str, t: float):
+    """Residual-monotone damped Newton from x0 until |residual| <= target.
+
+    residual(x) returns (res, aux) and correction(res, aux) the Newton step.
+    Each step is halved, at most 20 times, until the residual norm falls.
+    Returns (x, aux, info) at the accepted iterate; a non-finite residual,
+    max_iter steps without convergence, or a step with no descent raise
+    SolverError naming the stage and t.
+    """
+    x = x0
+    res, aux = residual(x)
+    res_norm = float(np.linalg.norm(res))
+    iterations = 0
+    while not res_norm <= target:
+        if not np.isfinite(res_norm):
+            raise SolverError(f"{stage} step at t={t:.6g}: non-finite residual {res_norm}")
+        if iterations >= max_iter:
+            raise SolverError(
+                f"{stage} step at t={t:.6g} stalled after {max_iter} iterations; "
+                f"residual {res_norm:.3e} > {target:.3e}")
+        delta = correction(res, aux)
+        alpha = 1.0
+        for _ in range(20):
+            trial = x + alpha * delta
+            res_t, aux_t = residual(trial)
+            norm_t = float(np.linalg.norm(res_t))
+            if norm_t < res_norm:
+                break
+            alpha *= 0.5
+        else:
+            raise SolverError(
+                f"{stage} line search at t={t:.6g} found no descent; residual {res_norm:.3e}")
+        x, res, aux, res_norm = trial, res_t, aux_t, norm_t
+        iterations += 1
+    return x, aux, {"iterations": iterations, "residual": res_norm, "target": target}
+
+
 @dataclass
 class RegularizedFriction:
     """Friction law with an eps-smoothed slip-rate magnitude."""
@@ -241,9 +279,8 @@ class MomentumOperators:
 
 def build_momentum_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> MomentumOperators:
     visc, elast = assemble_elastic_operators(mesh, dofs, mat)
-    mass = assemble_vector_mass(mesh, dofs)
-    contact = assemble_contact_mass(mesh, dofs)
-    return MomentumOperators(mass.matrix, visc.matrix, elast.matrix, contact.matrix)
+    return MomentumOperators(assemble_vector_mass(mesh, dofs), visc, elast,
+                             assemble_contact_mass(mesh, dofs))
 
 
 def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +330,7 @@ def _residual_map(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regulariz
                   ops: MomentumOperators, bd: BoundaryData, dt: float, t_new: float,
                   u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
                   base: sp.csr_matrix):
-    """Residual map v_free -> (res, xi_full, v_full) of the implicit step, and |load|."""
+    """Residual map v_free -> (res, (xi_full, v_full)) of the implicit step, and |load|."""
     vfree = dofs.vector_free_dofs()
     load = assemble_mech_load(mesh, dofs, bd, rfric.fric, t_new)
     coup = assemble_thermal_coupling(mesh, dofs, mat, theta_del)
@@ -303,7 +340,7 @@ def _residual_map(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regulariz
         v_full = np.zeros(2 * mesh.n_nodes)
         v_full[vfree] = v_free
         xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
-        return base @ v_free + ops.contact @ xi[vfree] - rhs_const, xi, v_full
+        return base @ v_free + ops.contact @ xi[vfree] - rhs_const, (xi, v_full)
 
     return residual, float(np.linalg.norm(load))
 
@@ -318,45 +355,21 @@ def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Reg
     temperature field. Returns (v_new, u_new, xi_full, info); the terminal
     residual satisfies |res| <= rtol (1 + |load|) or SolverError is raised.
 
-    The velocity update is damped Newton: the traction law is smooth, its
-    nodal Jacobian is exact, and steps are halved (at most 20 times) until
-    the residual norm decreases. The Jacobian is the constant step matrix,
-    factored once per (rho, dt) and kept on ops, plus a friction term on the
-    contact dofs, which each correction condenses to a dense system there.
+    The velocity update is :func:`damped_newton` with the exact Jacobian:
+    the constant step matrix, factored once per (rho, dt) and kept on ops,
+    plus the friction term on the contact dofs, which each correction
+    condenses to a dense system there.
     """
     cond = _condensed_step(ops, dofs, mat.mass_mech(), dt)
     residual, load_norm = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
                                         u_old, v_old, theta_del, cond.base)
-    target = rtol * (1.0 + load_norm)
 
-    v = v_old.copy()
-    res, xi, v_full = residual(v)
-    res_norm = float(np.linalg.norm(res))
-    iterations = 0
-    while res_norm > target:
-        if iterations >= max_iter:
-            raise SolverError(
-                f"momentum step at t={t_new:.6g} stalled after {max_iter} iterations; "
-                f"residual {res_norm:.3e} > {target:.3e}")
-        delta = cond.solve(-res, _contact_blocks(mesh, dofs, rfric, v_full, t_new, cond.sel))
-        alpha = 1.0
-        for _ in range(20):
-            trial = v + alpha * delta
-            res_t, xi_t, v_full_t = residual(trial)
-            norm_t = float(np.linalg.norm(res_t))
-            if norm_t < res_norm:
-                break
-            alpha *= 0.5
-        else:
-            raise SolverError(
-                f"momentum line search at t={t_new:.6g} found no descent; "
-                f"residual {res_norm:.3e}")
-        v, res, xi, v_full, res_norm = trial, res_t, xi_t, v_full_t, norm_t
-        iterations += 1
+    def correction(res, aux):
+        return cond.solve(-res, _contact_blocks(mesh, dofs, rfric, aux[1], t_new, cond.sel))
 
-    u_new = u_old + dt * v
-    info = {"iterations": iterations, "residual": res_norm, "target": target}
-    return v, u_new, xi, info
+    v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), rtol * (1.0 + load_norm),
+                                     max_iter, "momentum", t_new)
+    return v, u_old + dt * v, xi, info
 
 
 def momentum_residual(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
@@ -367,7 +380,7 @@ def momentum_residual(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Regul
     base = _base_matrix(ops, dofs, mat.mass_mech(), dt)
     residual, _ = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
                                 u_old, v_old, theta_del, base)
-    res, _, v_full = residual(v_free)
+    res, (_, v_full) = residual(v_free)
     sel, pos = _free_contact_dofs(dofs)
     blocks = _contact_blocks(mesh, dofs, rfric, v_full, t_new, sel)
     pairs = np.arange(pos.size).reshape(-1, 2)

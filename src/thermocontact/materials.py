@@ -65,7 +65,6 @@ class FrictionModel:
     F_bar: float
     mu_prime: Callable[[np.ndarray], np.ndarray] | None = None
     mu_antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
-    time_dependent: bool = False
 
 
 @dataclass
@@ -240,7 +239,6 @@ def default_ptc_model(overrides: dict | None = None):
         F_bar=f_const,
         mu_prime=mu_prime,
         mu_antiderivative=mu_anti,
-        time_dependent=False,
     )
 
     f0 = np.asarray(p["f0"], dtype=float)

@@ -18,6 +18,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .assembly import (
@@ -40,6 +41,7 @@ from .friction import (
     SolverError,
     build_momentum_operators,
     contact_traction_full,
+    damped_newton,
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
@@ -96,7 +98,7 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.joule_mode not in JOULE_MODES:
             raise ConfigError(f"joule_mode must be one of {JOULE_MODES}, got {self.joule_mode!r}")
-        if self.regularizer_coefficient is not None and self.regularizer_coefficient < 0.0:
+        if self.regularizer_coefficient is not None and not self.regularizer_coefficient >= 0.0:
             raise ConfigError("regularizer_coefficient must be nonnegative")
 
     @property
@@ -150,21 +152,15 @@ class DelayBuffer:
 
 
 @dataclass
-class SchemeOperators:
-    """Matrices that are constant along the run."""
-
-    mass_thermal: object
-    robin_thermal: object
-    momentum: MomentumOperators
-    rfric: RegularizedFriction
-
-
-@dataclass
 class Workspace:
+    """One run: its inputs, its state history and the operators constant along it."""
+
     models: Models
     config: SolverConfig
     buffer: DelayBuffer
-    ops: SchemeOperators
+    mass_thermal: sp.csr_matrix
+    momentum: MomentumOperators
+    rfric: RegularizedFriction
 
 
 def delay_inequality_gap(history: np.ndarray, h: float, dt: float) -> float:
@@ -214,26 +210,21 @@ def initialize(models: Models, config: SolverConfig,
     v0 = _check_initial_field("v0", v0, 2 * n, dir_vector)
 
     rfric = RegularizedFriction(models.fric, config.eps)
-    ops = SchemeOperators(
-        mass_thermal=assemble_scalar_mass(mesh, dofs).matrix,
-        robin_thermal=assemble_thermal_robin(mesh, dofs, models.bd, models.fric, t=0.0).matrix,
-        momentum=build_momentum_operators(mesh, dofs, models.mat),
-        rfric=rfric,
-    )
-
-    phi0 = _solve_electric(models, theta0, models.fric, t=0.0)
+    phi0 = _solve_electric(models, theta0, t=0.0)
     xi0 = contact_traction_full(mesh, dofs, rfric, v0, t=0.0)
     state0 = SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0)
     buffer = DelayBuffer(h=config.h, dt=config.dt, states=[state0])
-    return Workspace(models=models, config=config, buffer=buffer, ops=ops)
+    return Workspace(models=models, config=config, buffer=buffer,
+                     mass_thermal=assemble_scalar_mass(mesh, dofs),
+                     momentum=build_momentum_operators(mesh, dofs, models.mat), rfric=rfric)
 
 
-def _solve_electric(models: Models, theta_full: np.ndarray, fric: FrictionModel, t: float) -> np.ndarray:
+def _solve_electric(models: Models, theta_full: np.ndarray, t: float) -> np.ndarray:
     mesh, dofs = models.mesh, models.dofs
-    op = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, fric, t)
-    phi_free = spsolve(op.matrix, op.load, permc_spec=SYMMETRIC_ORDERING)
-    res = float(np.linalg.norm(op.matrix @ phi_free - op.load))
-    if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(op.load))):
+    matrix, load = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, models.fric, t)
+    phi_free = spsolve(matrix, load, permc_spec=SYMMETRIC_ORDERING)
+    res = float(np.linalg.norm(matrix @ phi_free - load))
+    if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(load))):
         raise SolverError(f"electric solve at t={t:.6g}: residual {res:.3e} (matrix near-singular?)")
     out = np.zeros(mesh.n_nodes)
     out[dofs.scalar_free_nodes] = phi_free
@@ -242,14 +233,7 @@ def _solve_electric(models: Models, theta_full: np.ndarray, fric: FrictionModel,
 
 def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarray:
     """Potential for a given temperature field: one SPD sparse solve."""
-    return _solve_electric(ws.models, theta_full, ws.models.fric, t)
-
-
-def _robin_matrix(ws: Workspace, t: float):
-    if ws.models.fric.time_dependent:
-        return assemble_thermal_robin(ws.models.mesh, ws.models.dofs, ws.models.bd,
-                                      ws.models.fric, t).matrix
-    return ws.ops.robin_thermal
+    return _solve_electric(ws.models, theta_full, t)
 
 
 def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState,
@@ -257,17 +241,18 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
     """Implicit Euler temperature update with delayed couplings.
 
     The conductivity is frozen at the delayed temperature, the Joule, strain
-    and friction heat sources are evaluated from the delayed state, and the
-    only nonlinearity left is the quartic gradient regularizer, handled by
-    damped Newton with its exact Jacobian.
+    and friction heat sources are evaluated from the delayed state, the heat
+    exchange follows F(x, t_new), and the only nonlinearity left is the
+    quartic gradient regularizer, handled by damped Newton with its exact
+    Jacobian.
     """
     models, cfg = ws.models, ws.config
     mesh, dofs, mat = models.mesh, models.dofs, models.mat
     free = dofs.scalar_free_nodes
     dt = cfg.dt
 
-    stiff = assemble_thermal_stiffness(mesh, dofs, mat, delayed.theta).matrix
-    robin = _robin_matrix(ws, t_new)
+    stiff = assemble_thermal_stiffness(mesh, dofs, mat, delayed.theta)
+    robin = assemble_thermal_robin(mesh, dofs, models.bd, models.fric, t_new)
     if cfg.joule_mode == "direct":
         joule = assemble_joule_load_direct(mesh, dofs, mat, models.bd, delayed.theta, delayed.phi)
     else:
@@ -279,8 +264,8 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
 
     rho_cp = mat.mass_thermal()
     pattern = dofs.scalar  # every matrix here is on it, so they add as data arrays
-    base = pattern.csr((rho_cp / dt) * ws.ops.mass_thermal.data + stiff.data + robin.data)
-    rhs = sources + (rho_cp / dt) * (ws.ops.mass_thermal @ old.theta[free])
+    base = pattern.csr((rho_cp / dt) * ws.mass_thermal.data + stiff.data + robin.data)
+    rhs = sources + (rho_cp / dt) * (ws.mass_thermal @ old.theta[free])
     c_reg = cfg.regularizer
     target = cfg.tol_temperature * (1.0 + float(np.linalg.norm(rhs)))
 
@@ -290,32 +275,12 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
         pl_res, pl_jac = assemble_p_laplacian(mesh, dofs, full)
         return base @ theta_free + c_reg * pl_res - rhs, pl_jac
 
-    theta = old.theta[free].copy()
-    res, pl_jac = residual(theta)
-    res_norm = float(np.linalg.norm(res))
-    iterations = 0
-    while res_norm > target:
-        if iterations >= cfg.max_iter_temperature:
-            raise SolverError(
-                f"temperature step at t={t_new:.6g} stalled after {iterations} iterations; "
-                f"residual {res_norm:.3e} > {target:.3e}")
+    def correction(res, pl_jac):
         jac = pattern.csr(base.data + c_reg * pl_jac.data)
-        delta = spsolve(jac, -res, permc_spec=SYMMETRIC_ORDERING)
-        alpha = 1.0
-        for _ in range(20):
-            trial = theta + alpha * delta
-            res_t, pl_jac_t = residual(trial)
-            norm_t = float(np.linalg.norm(res_t))
-            if norm_t < res_norm:
-                break
-            alpha *= 0.5
-        else:
-            raise SolverError(
-                f"temperature line search at t={t_new:.6g} found no descent; "
-                f"residual {res_norm:.3e}")
-        theta, res, pl_jac, res_norm = trial, res_t, pl_jac_t, norm_t
-        iterations += 1
+        return spsolve(jac, -res, permc_spec=SYMMETRIC_ORDERING)
 
+    theta, _, _ = damped_newton(residual, correction, old.theta[free], target,
+                                cfg.max_iter_temperature, "temperature", t_new)
     out = np.zeros(mesh.n_nodes)
     out[free] = theta
     return out
@@ -326,7 +291,7 @@ def _momentum_stage(ws: Workspace, old: SystemState, delayed: SystemState, t_new
     dofs = models.dofs
     vfree = dofs.vector_free_dofs()
     v_new, u_new, xi, _ = solve_momentum_step(
-        models.mesh, dofs, models.mat, ws.ops.rfric, ws.ops.momentum, models.bd,
+        models.mesh, dofs, models.mat, ws.rfric, ws.momentum, models.bd,
         cfg.dt, t_new, old.u[vfree], old.v[vfree], delayed.theta,
         max_iter=cfg.max_iter_momentum, rtol=cfg.tol_momentum)
     u_full = np.zeros(2 * models.mesh.n_nodes)
@@ -402,9 +367,9 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
     mesh, dofs = models.mesh, models.dofs
     free = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
-    mass = assemble_scalar_mass(mesh, dofs).matrix
-    stiff = assemble_scalar_stiffness_unit(mesh, dofs).matrix
-    vstiff = assemble_elastic_operators(mesh, dofs, models.mat)[1].matrix
+    mass = assemble_scalar_mass(mesh, dofs)
+    stiff = assemble_scalar_stiffness_unit(mesh, dofs)
+    vstiff = assemble_elastic_operators(mesh, dofs, models.mat)[1]
     dt = config.dt
 
     trajectories = []

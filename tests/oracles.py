@@ -192,6 +192,13 @@ def restrict(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[np.ix_(idx, idx)]
 
 
+def assert_symmetric(matrix: sp.spmatrix, tol: float = 1e-12) -> None:
+    d = matrix - matrix.T
+    worst = 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    if worst > tol:
+        raise AssertionError(f"operator not symmetric: max deviation {worst:.3e}")
+
+
 def scatter(conn: np.ndarray, local: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum (E, k, k) local matrices over the (E, k) dof connectivity into (n, n).
 

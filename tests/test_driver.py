@@ -126,6 +126,20 @@ class TestRunCommand:
         assert code == 0
 
 
+class TestReformulatedJoule:
+    def test_reference_config_runs(self, tmp_path):
+        text = (REPO_ROOT / "examples" / "default.cfg").read_text()
+        out = tmp_path / "out"
+        cfg = cfg_file(tmp_path, base=text + "solver.joule_mode = reformulated\n")
+        assert main(["run", "--config", cfg, "--out", str(out), "--assert"]) == 0
+        for name in ("trajectory", "diagnostics", "fields"):
+            rows = np.genfromtxt(out / f"{name}.csv", delimiter=",", skip_header=2)
+            assert rows.size and np.isfinite(rows).all()
+        # the first cascade row has no coarser level to compare with
+        rows = np.genfromtxt(out / "cascade.csv", delimiter=",", skip_header=2)
+        assert rows.shape == (3, 5) and np.isfinite(rows[1:]).all()
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -157,6 +171,10 @@ class TestConfigValueErrors:
         ("model.f0 = 0.5 abc\n", "model.f0"),
         ("model.f2 = x 0.0\n", "model.f2"),
         ("model.phi_b = x3\n", "model.phi_b"),
+        ("model.f0 = nan 0.0\n", "model.f0"),
+        ("solver.regularizer_coefficient = nan\n", "solver.regularizer_coefficient"),
+        ("model.sigma_star = nan\n", "model.sigma_star"),
+        ("model.F_value = inf\n", "model.F_value"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, extra, match):
         assert main(["check", "--config", cfg_file(tmp_path, extra)]) == 2

@@ -280,6 +280,15 @@ class TestMomentumStep:
                                 np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes),
                                 max_iter=0)
 
+    def test_non_finite_residual_raises(self, square4):
+        # a NaN residual must not pass for convergence at the initial guess
+        mesh, dofs, mat, rf, _, ops = self.setup_case(square4)
+        nf = dofs.vector_free_dofs().size
+        bd = const_bd(f0=(np.nan, 0.0))
+        with pytest.raises(SolverError, match=r"momentum step at t=0\.02: non-finite residual nan"):
+            solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02,
+                                np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes))
+
 
 class TestCondensedSolve:
     """Each Newton correction solves B + R D E^T through the factor of B."""

@@ -10,11 +10,13 @@ from conftest import const_bd, const_friction
 from oracles import restrict_scalar, scalar_mass_full, scalar_stiffness_unit_full
 from thermocontact.assembly import (
     assemble_electric_system,
+    assemble_joule_load_direct,
     assemble_scalar_mass,
     assemble_thermal_robin,
     assemble_thermal_stiffness,
     phi_b_nodal,
 )
+from thermocontact.friction import SolverError
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (
@@ -23,7 +25,6 @@ from thermocontact.scheme import (
     Models,
     SolverConfig,
     SystemState,
-    _robin_matrix,
     advance,
     advance_one,
     delay_inequality_gap,
@@ -63,6 +64,7 @@ class TestSolverConfig:
         (dict(T=0.5, h=0.05, dt=0.0125, tol_temperature=0.0), "tol_temperature"),
         (dict(T=0.5, h=0.05, dt=0.0125, max_iter_momentum=0), "max_iter_momentum"),
         (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=-1.0), "regularizer"),
+        (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=float("nan")), "regularizer"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -130,10 +132,10 @@ class TestInitialize:
         models = default_models(4)
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125))
         s0 = ws.buffer.states[0]
-        op = assemble_electric_system(models.mesh, models.dofs, models.mat, models.bd,
-                                      s0.theta, models.fric, 0.0)
-        res = op.matrix @ s0.phi[models.dofs.scalar_free_nodes] - op.load
-        assert np.linalg.norm(res) <= 1e-12 * (1 + np.linalg.norm(op.load))
+        matrix, load = assemble_electric_system(models.mesh, models.dofs, models.mat, models.bd,
+                                                s0.theta, models.fric, 0.0)
+        res = matrix @ s0.phi[models.dofs.scalar_free_nodes] - load
+        assert np.linalg.norm(res) <= 1e-12 * (1 + np.linalg.norm(load))
         assert s0.t == 0.0 and np.abs(s0.u).max() == 0.0
 
     def test_harmonic_ambient_matches_exactly(self):
@@ -174,22 +176,30 @@ class TestInitialize:
 
 class TestTimeDependentExchange:
     def test_robin_matrix_follows_time(self):
+        # F depends on t, so a step at t = 0.7 must exchange heat with
+        # h_C(F(x, 0.7)), not with h_C(F(x, 0))
         models = default_models(4)
         fric = dataclasses.replace(
-            models.fric, F_field=lambda x, t: (np.asarray(x)[..., 0] + 0.5) * (1.0 + t),
-            F_bar=3.0, time_dependent=True)
+            models.fric, F_field=lambda x, t: (np.asarray(x)[..., 0] + 0.5) * (1.0 + t), F_bar=3.0)
         models = dataclasses.replace(models, fric=fric)
-        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
-        ws = initialize(models, cfg)
-        for t in (0.0, 0.7):
-            ref = assemble_thermal_robin(models.mesh, models.dofs, models.bd, fric, t).matrix
-            assert abs(_robin_matrix(ws, t) - ref).max() == 0.0
-        assert abs(_robin_matrix(ws, 0.7) - ws.ops.robin_thermal).max() > 1e-3
-        assert np.all(np.isfinite(advance_one(ws).theta))
+        ws = initialize(models, SolverConfig(T=1.0, h=0.05, dt=0.0125, regularizer_coefficient=0.0))
+        mesh, dofs, mat = models.mesh, models.dofs, models.mat
+        free = dofs.scalar_free_nodes
+        s0 = ws.buffer.states[0]
+        theta_old = np.zeros(mesh.n_nodes)
+        theta_old[free] = np.random.default_rng(5).normal(size=free.size)
+        t = 0.7
+        got = solve_temperature_step(ws, dataclasses.replace(s0, theta=theta_old), s0, t)
 
-        static = dataclasses.replace(models, fric=dataclasses.replace(fric, time_dependent=False))
-        ws_static = initialize(static, cfg)
-        assert _robin_matrix(ws_static, 0.7) is ws_static.ops.robin_thermal
+        # v0 = 0, so the strain and friction heat sources vanish
+        rate = mat.mass_thermal() / ws.config.dt
+        mass = assemble_scalar_mass(mesh, dofs)
+        base = (rate * mass + assemble_thermal_stiffness(mesh, dofs, mat, s0.theta)
+                + assemble_thermal_robin(mesh, dofs, models.bd, fric, t))
+        rhs = (assemble_joule_load_direct(mesh, dofs, mat, models.bd, s0.theta, s0.phi)
+               + rate * (mass @ theta_old[free]))
+        ref = scipy.sparse.linalg.spsolve(base.tocsr(), rhs)
+        np.testing.assert_allclose(got[free], ref, rtol=0.0, atol=1e-12)
 
 
 class TestTemperatureStep:
@@ -216,10 +226,9 @@ class TestTemperatureStep:
         got = solve_temperature_step(ws, old, s0, ws.config.dt)
 
         dt = ws.config.dt
-        mass = assemble_scalar_mass(mesh, dofs).matrix
-        stiff = assemble_thermal_stiffness(mesh, dofs, models.mat, s0.theta).matrix
-        base = (1.0 / dt) * mass + stiff + ws.ops.robin_thermal
-        from thermocontact.assembly import assemble_joule_load_direct
+        mass = assemble_scalar_mass(mesh, dofs)
+        stiff = assemble_thermal_stiffness(mesh, dofs, models.mat, s0.theta)
+        base = (1.0 / dt) * mass + stiff + assemble_thermal_robin(mesh, dofs, models.bd, models.fric, dt)
 
         joule = assemble_joule_load_direct(mesh, dofs, models.mat, models.bd, s0.theta, s0.phi)
         rhs = joule + (1.0 / dt) * (mass @ theta_old[free])
@@ -265,6 +274,16 @@ class TestTemperatureStep:
         t_on = solve_temperature_step(ws_on, old, s0, ws_on.config.dt)
         t_off = solve_temperature_step(ws_off, old, s0, ws_off.config.dt)
         assert u_norm4(mesh, t_on) < u_norm4(mesh, t_off)
+
+    def test_non_finite_residual_raises(self):
+        # a NaN residual must not pass for convergence at the initial guess
+        models = default_models(2)
+        models = dataclasses.replace(models, mat=dataclasses.replace(
+            models.mat, k=lambda s: np.full(np.shape(s) + (2, 2), np.nan)))
+        ws = self.make_ws(models)
+        s0 = ws.buffer.states[0]
+        with pytest.raises(SolverError, match=r"temperature step at t=0\.01: non-finite residual nan"):
+            solve_temperature_step(ws, s0, s0, ws.config.dt)
 
 
 class TestAdvance:
