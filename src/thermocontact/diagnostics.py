@@ -172,10 +172,13 @@ def regularizer_magnitude(mesh, dofs, theta: np.ndarray, h: float) -> tuple[floa
 
 def joule_gap(models, theta, phi, t: float = 0.0) -> float:
     """Largest free-entry difference between the two Joule load forms."""
-    mesh, dofs, mat, bd = models.mesh, models.dofs, models.mat, models.bd
-    direct = assemble_joule_load_direct(mesh, dofs, mat, bd, theta, phi)
-    reform = assemble_joule_load_reformulated(mesh, dofs, mat, bd, theta, phi,
-                                              fric=models.fric, t=t)
+    direct = assemble_joule_load_direct(models.mesh, models.dofs, models.mat, models.bd, theta, phi)
+    return _joule_gap(models, direct, theta, phi, t)
+
+
+def _joule_gap(models, direct, theta, phi, t: float) -> float:
+    reform = assemble_joule_load_reformulated(models.mesh, models.dofs, models.mat, models.bd,
+                                              theta, phi, fric=models.fric, t=t)
     if not direct.size:
         return 0.0
     return float(np.abs(direct - reform).max())
@@ -208,6 +211,7 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
         uf = state.u[vfree]
         phi_v = float(np.sqrt(max(pf @ (stiff_s @ pf), 0.0)))
         u4 = u_norm4(mesh, state.theta)
+        joule = assemble_joule_load_direct(mesh, dofs, mat, models.bd, state.theta, state.phi)
         row = (
             state.t,
             phi_v,
@@ -220,7 +224,7 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
             h * theta_u4_accum,
             float(np.sqrt(max(uf @ (elast_op @ uf), 0.0))),
             h * u4**0.75,
-            joule_gap(models, state.theta, state.phi, state.t),
+            _joule_gap(models, joule, state.theta, state.phi, state.t),
         )
         data[i] = row
         visc_accum += dt * float(vf @ (visc_op @ vf))
@@ -236,8 +240,6 @@ def energy_report(models, trajectory, config) -> DiagnosticsReport:
             if worst > traction_cap:
                 violations.append(
                     f"traction bound exceeded at t={state.t:.6g}: {worst} > {traction_cap}")
-        joule = assemble_joule_load_direct(mesh, dofs, mat, models.bd,
-                                           state.theta, state.phi)
         fheat = assemble_frictional_heat(mesh, dofs, fric, state.v, state.t)
         for name, load in (("joule", joule), ("frictional heat", fheat)):
             if load.size and load.min() < -1e-14:

@@ -292,7 +292,7 @@ def validate_assumptions(
     hi = float(mat.M_sigma - vals.max())
     margin = min(lo, hi)
     witness = None
-    if margin < -tol * max(1.0, mat.M_sigma):
+    if not margin >= -tol * max(1.0, mat.M_sigma):  # a NaN value fails too
         bad = int(np.argmin(np.minimum(vals - mat.sigma_star, mat.M_sigma - vals)))
         witness = {"s": float(s[bad]), "sigma_el": float(vals[bad])}
     rep.checks.append(AssumptionCheck(
@@ -301,9 +301,10 @@ def validate_assumptions(
 
     s2 = s + rng.uniform(-1.0, 1.0, size=s.shape)
     quot = np.abs(np.asarray(mat.sigma_el(s)) - np.asarray(mat.sigma_el(s2))) / np.abs(s - s2)
-    worst = float(np.nanmax(quot))
+    bad = int(np.argmax(quot))  # the first NaN, if any
+    worst = float(quot[bad])
     ok = worst <= mat.sigma_lipschitz * 1.01
-    witness = None if ok else {"s1": float(s[np.nanargmax(quot)]), "s2": float(s2[np.nanargmax(quot)]), "quotient": worst}
+    witness = None if ok else {"s1": float(s[bad]), "s2": float(s2[bad]), "quotient": worst}
     rep.checks.append(AssumptionCheck(
         "A2L", "sigma_el difference quotients within declared Lipschitz constant",
         ok, mat.sigma_lipschitz * 1.01 - worst, witness))

@@ -144,13 +144,17 @@ def triangle_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return areas, grads
 
 
-def _edge_census(triangles: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    seen: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (min(i, j), max(i, j))
-            seen.setdefault(key, []).append(t)
-    return seen
+def _edge_keys(ends: np.ndarray, n: int) -> np.ndarray:
+    """One integer per undirected edge: lo * n + hi, so keys sort as (lo, hi) pairs."""
+    return ends.min(axis=1).astype(np.int64) * n + ends.max(axis=1)
+
+
+def _edge_census(triangles: np.ndarray, n: int):
+    """Sorted keys of the distinct triangle edges, their triangle counts and
+    the first triangle holding each."""
+    keys, first, counts = np.unique(_edge_keys(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), n),
+                                    return_index=True, return_counts=True)
+    return keys, counts, first // 3
 
 
 def _validate(mesh: Mesh) -> Mesh:
@@ -174,40 +178,38 @@ def _validate(mesh: Mesh) -> Mesh:
         if tag not in VALID_TAGS:
             raise MeshError(f"unknown boundary tag {tag!r}")
 
-    census = _edge_census(tri)
-    true_boundary = {k for k, owners in census.items() if len(owners) == 1}
-    tagged: dict[tuple[int, int], int] = {}
-    for e, (i, j) in enumerate(be):
-        key = (min(i, j), max(i, j))
-        if key in tagged:
-            raise MeshError(f"boundary edge {e}: duplicate of edge {tagged[key]}")
-        if key not in census:
+    keys, counts, owners = _edge_census(tri, n)
+    bkeys = _edge_keys(be, n)
+    _, first, inverse = np.unique(bkeys, return_index=True, return_inverse=True)
+    duplicate_of = first[inverse]
+    pos = np.searchsorted(keys, bkeys)
+    found = np.append(keys, -1)[pos] == bkeys
+    interior = found & (np.append(counts, 1)[pos] != 1)
+    bad = np.flatnonzero((duplicate_of != np.arange(bkeys.size)) | ~found | interior)
+    if bad.size:
+        e = int(bad[0])
+        i, j = be[e]
+        if duplicate_of[e] != e:
+            raise MeshError(f"boundary edge {e}: duplicate of edge {duplicate_of[e]}")
+        if not found[e]:
             raise MeshError(f"boundary edge {e}: ({i},{j}) is not an edge of any triangle")
-        if key not in true_boundary:
-            raise MeshError(f"boundary edge {e}: ({i},{j}) is interior (two triangles)")
-        tagged[key] = e
-    missing = true_boundary - set(tagged)
-    if missing:
-        i, j = sorted(missing)[0]
+        raise MeshError(f"boundary edge {e}: ({i},{j}) is interior (two triangles)")
+    missing = np.setdiff1d(keys[counts == 1], bkeys)
+    if missing.size:
+        i, j = divmod(int(missing[0]), n)
         raise MeshError(f"boundary edge ({i},{j}) of the triangulation carries no tag")
 
     if not np.any(mesh.edge_tags == "D"):
         raise MeshError("empty Dirichlet part")
 
-    owner = np.empty(be.shape[0], dtype=np.int64)
-    normals = np.empty((be.shape[0], 2))
-    for e, (i, j) in enumerate(be):
-        t = census[(min(i, j), max(i, j))][0]
-        owner[e] = t
-        a, b, c = tri[t]
-        third = ({a, b, c} - {i, j}).pop()
-        tvec = nodes[j] - nodes[i]
-        nu = np.array([tvec[1], -tvec[0]])
-        nu /= np.linalg.norm(nu)
-        mid = 0.5 * (nodes[i] + nodes[j])
-        if np.dot(nu, nodes[third] - mid) > 0:
-            nu = -nu
-        normals[e] = nu
+    owner = owners[pos]
+    third = nodes[tri[owner].sum(axis=1) - be.sum(axis=1)]
+    start, end = nodes[be[:, 0]], nodes[be[:, 1]]
+    tvec = end - start
+    normals = np.column_stack([tvec[:, 1], -tvec[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    outward = np.einsum("ei,ei->e", normals, third - 0.5 * (start + end)) <= 0
+    normals = np.where(outward[:, None], normals, -normals)
     mesh.edge_owner = owner
     mesh.edge_normals = normals
     mesh.areas, mesh.grads = areas, grads

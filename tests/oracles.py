@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from thermocontact.assembly import _mass_local, _tensor_stiffness_local
 from thermocontact.mesh import boundary_mass_local, edge_quadrature, scatter_load, unit_stiffness_local, xy_dofs
@@ -190,6 +191,14 @@ def dense_tangential_contact_mass(mesh) -> np.ndarray:
 
 def restrict(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[np.ix_(idx, idx)]
+
+
+class DirectSolve:
+    """Stand-in for ``scheme.LaggedFactor`` that solves every system by a fresh
+    sparse direct factorization, as the scheme did before it reused factors."""
+
+    def solve(self, matrix, b, t):
+        return spsolve(matrix.tocsc(), b)
 
 
 def assert_symmetric(matrix: sp.spmatrix, tol: float = 1e-12) -> None:

@@ -1,5 +1,6 @@
 """Config parsing, CLI exit codes, output files, reproducibility."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from thermocontact import driver
 from thermocontact.driver import main, parse_config
+from thermocontact.materials import default_ptc_model
 from thermocontact.scheme import ConfigError
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -163,6 +166,32 @@ class TestExitCodes:
         cfg = cfg_file(tmp_path, "model.beta = 1000000.0\n")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--assert"])
         assert code == 4
+
+
+class TestNonFiniteConductivity:
+    # On examples/default.cfg the largest new temperature first passes 0.05 at
+    # t = 0.0625, when the electric stage has held a factor since t = 0 and
+    # the NaN rows reach it through the lagged CG; the temperature stage then
+    # still reads the conductivity at the delayed, cooler state.
+    @pytest.mark.parametrize("above,when", [(-np.inf, "t=0:"), (0.05, "t=0.0625:")])
+    def test_exit_3_names_stage_and_time(self, tmp_path, capsys, monkeypatch, above, when):
+        def nan_model(overrides):
+            mat, fric, bd = default_ptc_model(overrides)
+            sigma = mat.sigma_el
+
+            def sigma_el(s):
+                s = np.asarray(s, dtype=float)
+                return np.where(s > above, np.nan, sigma(s))
+
+            return dataclasses.replace(mat, sigma_el=sigma_el), fric, bd
+
+        monkeypatch.setattr(driver, "default_ptc_model", nan_model)
+        text = (REPO_ROOT / "examples" / "default.cfg").read_text()
+        cfg = cfg_file(tmp_path, base=text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: electric solve at {when}")
+        assert err.count("\n") == 1
 
 
 class TestConfigValueErrors:

@@ -110,6 +110,17 @@ class TestValidator:
         assert not a2.passed
         assert a2.witness is not None
 
+    @pytest.mark.parametrize("above", [-np.inf, 0.5])
+    def test_nan_sigma_fails_a2_and_a2l(self, default_models, trace_norm_n4, above):
+        # everywhere NaN used to raise from np.nanargmax; NaN above s = 0.5 passed A2
+        mat, fric, bd = default_models
+        import dataclasses
+        sigma = mat.sigma_el
+        bad = dataclasses.replace(mat, sigma_el=lambda s: np.where(np.asarray(s) > above, np.nan, sigma(s)))
+        rep = validate_assumptions(bad, fric, bd, trace_norm_n4)
+        for check in (c for c in rep.checks if c.id in ("A2", "A2L")):
+            assert not check.passed and check.witness is not None, check.id
+
     def test_negative_traction_fails_a5(self, default_models, trace_norm_n4):
         mat, fric, bd = default_models
         import dataclasses

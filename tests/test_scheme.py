@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse.linalg
 
 from conftest import const_bd, const_friction
-from oracles import restrict_scalar, scalar_mass_full, scalar_stiffness_unit_full
+from oracles import DirectSolve, restrict_scalar, scalar_mass_full, scalar_stiffness_unit_full
+from thermocontact import friction, scheme
 from thermocontact.assembly import (
     assemble_electric_system,
     assemble_joule_load_direct,
@@ -20,8 +21,10 @@ from thermocontact.friction import SolverError
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (
+    CG_MAX_ITER,
     ConfigError,
     DelayBuffer,
+    LaggedFactor,
     Models,
     SolverConfig,
     SystemState,
@@ -284,6 +287,75 @@ class TestTemperatureStep:
         s0 = ws.buffer.states[0]
         with pytest.raises(SolverError, match=r"temperature step at t=0\.01: non-finite residual nan"):
             solve_temperature_step(ws, s0, s0, ws.config.dt)
+
+
+class TestLaggedFactor:
+    @staticmethod
+    def electric(models, theta, t=0.0):
+        return assemble_electric_system(models.mesh, models.dofs, models.mat, models.bd,
+                                        theta, models.fric, t)
+
+    def test_stale_factor_gives_direct_solution(self):
+        models = default_models(8)
+        x0, x1 = models.mesh.nodes.T
+        theta = np.zeros(models.mesh.n_nodes)
+        theta[models.dofs.scalar_free_nodes] = 0.05
+        theta *= np.sin(np.pi * x0) * (1.0 + x1)
+        solver = LaggedFactor("electric")
+        solver.solve(*self.electric(models, np.zeros_like(theta)), 0.0)
+        matrix, load = self.electric(models, theta)
+        x = solver.solve(matrix, load, 0.1)
+        assert solver.factorizations == 1 and solver.cg_iterations > 0
+        direct = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+        assert np.linalg.norm(matrix @ x - load) <= 1e-12 * (1.0 + np.linalg.norm(load))
+
+    def test_cap_triggers_refactorization(self):
+        # a mass-matrix factor preconditions the stiffness-dominated electric
+        # matrix too poorly for CG to converge within the cap
+        models = default_models(16)
+        solver = LaggedFactor("electric")
+        solver.solve(assemble_scalar_mass(models.mesh, models.dofs),
+                     np.ones(models.dofs.scalar_free_nodes.size), 0.0)
+        matrix, load = self.electric(models, np.zeros(models.mesh.n_nodes))
+        x = solver.solve(matrix, load, 0.1)
+        assert solver.factorizations == 2 and solver.cg_iterations == CG_MAX_ITER
+        direct = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_singular_matrix_names_stage_and_time(self):
+        models = default_models(2)
+        matrix = assemble_scalar_mass(models.mesh, models.dofs) * 0.0
+        with pytest.raises(SolverError, match=r"temperature solve at t=0\.25: .*singular"):
+            LaggedFactor("temperature").solve(matrix, np.ones(matrix.shape[0]), 0.25)
+
+    def test_run_matches_direct_oracle(self, monkeypatch):
+        newton = scheme.damped_newton
+        counts = []
+
+        def counted(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            counts.append((args[5], out[2]["iterations"]))
+            return out
+
+        monkeypatch.setattr(scheme, "damped_newton", counted)
+        monkeypatch.setattr(friction, "damped_newton", counted)
+        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        models = default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        runs = []
+        for direct in (False, True):
+            counts.clear()
+            ws = initialize(models, cfg)
+            if direct:  # the solve in initialize factors its own matrix, so it is direct
+                ws.temperature_solver = ws.electric_solver = DirectSolve()
+            runs.append((advance(ws), list(counts)))
+        (lagged, lagged_counts), (oracle, oracle_counts) = runs
+        assert lagged_counts == oracle_counts
+        assert len(lagged_counts) == 2 * cfg.n_steps and len(lagged) == cfg.n_steps + 1
+        for a, b in zip(lagged, oracle):
+            for name in ("theta", "phi", "u", "v", "xi"):
+                fa, fb = getattr(a, name), getattr(b, name)
+                assert np.abs(fa - fb).max() <= 1e-12 * (1.0 + np.abs(fb).max()), name
 
 
 class TestAdvance:
