@@ -31,6 +31,7 @@ from .assembly import (
     theta_at_quadrature,
     u_norm4,
 )
+from .friction import damped_newton
 from .mesh import edge_quadrature, estimate_scalar_trace_norm
 
 REPORT_COLUMNS = (
@@ -123,8 +124,9 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
                        max_iter: int = 60) -> float:
     """Dual norm of a free-dof functional against the gradient L4 norm.
 
-    Solves the quartic-gradient Euler-Lagrange equation by damped Newton;
-    the cube of the minimizer's U norm is the dual norm exactly.
+    Solves the quartic-gradient Euler-Lagrange equation by damped Newton
+    from the scaled linear representer; the cube of the minimizer's U norm
+    is the dual norm exactly.
     """
     nr = float(np.linalg.norm(r))
     if nr == 0.0:
@@ -135,25 +137,12 @@ def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
     pairing = float(r @ w)
     w *= (pairing / u4) ** (1.0 / 3.0)
 
-    def objective(w_free):
-        return 0.25 * u_norm4(mesh, _full_scalar(mesh, dofs, w_free)) - float(r @ w_free)
+    def residual(w_free):
+        res, jac = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w_free))
+        return res - r, jac
 
-    target = rtol * (1.0 + nr)
-    for _ in range(max_iter):
-        res, jac = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w))
-        res = res - r
-        if np.linalg.norm(res) <= target:
-            break
-        step = spla.spsolve(jac, -res)
-        base = objective(w)
-        scale = 1.0
-        for _ in range(25):
-            if objective(w + scale * step) < base:
-                break
-            scale *= 0.5
-        else:
-            break
-        w = w + scale * step
+    w, _, _ = damped_newton(residual, lambda res, jac: spla.spsolve(jac, -res), w,
+                            rtol * (1.0 + nr), max_iter, "regularizer dual norm", 0.0)
     return u_norm4(mesh, _full_scalar(mesh, dofs, w)) ** 0.75
 
 

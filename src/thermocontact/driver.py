@@ -241,16 +241,10 @@ def write_cascade(rc: RunConfig, report) -> None:
     _write_csv(os.path.join(rc.out_dir, "cascade.csv"), header, rows, rc.config_hash)
 
 
-def _trace_norm(models) -> float:
-    """Tangential contact trace norm; the trace operator is zero without C edges."""
-    if not models.mesh.edges_with_tag("C").size:
-        return 0.0
-    return estimate_trace_norm(models.mesh, models.dofs)
-
-
 def run_command(rc: RunConfig) -> int:
     models = build_models(rc)
-    report = validate_assumptions(models.mat, models.fric, models.bd, _trace_norm(models))
+    report = validate_assumptions(models.mat, models.fric, models.bd,
+                                  estimate_trace_norm(models.mesh, models.dofs))
     for line in report.lines():
         print(line)
     if not report.all_passed() and rc.assert_mode:
@@ -289,7 +283,7 @@ def cascade_command(rc: RunConfig) -> int:
 
 def check_command(rc: RunConfig) -> int:
     models = build_models(rc)
-    gamma = _trace_norm(models)
+    gamma = estimate_trace_norm(models.mesh, models.dofs)
     report = validate_assumptions(models.mat, models.fric, models.bd, gamma)
     for line in report.lines():
         print(line)

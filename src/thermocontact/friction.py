@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .assembly import (
     assemble_contact_mass,
@@ -224,16 +224,21 @@ def check_subgradient_pairing(mesh: Mesh, dofs: DofMap, rfric: RegularizedFricti
     return worst
 
 
-@dataclass
-class _CondensedStep:
-    """The momentum step matrix B = rho/dt M + A + dt B_el, factored once.
+@dataclass(eq=False)
+class MomentumStep:
+    """The implicit momentum step of one run, on free vector dofs.
+
+    The momentum balance reads temperature only through the delay, so its
+    step matrix B = rho/dt M + A + dt B_el is the same at every step of a
+    run. It is summed once here and factored at the first :func:`solve_momentum_step`.
 
     Friction adds R D(v) E^T to B: R holds the contact pairing columns of
-    the p free contact dofs, E^T picks those dofs out of a free vector and
-    D is the block-diagonal traction Jacobian. Its 2x2 block at free
-    contact node k acts on the tangential part only, D_k = a_k tau_k^T with
-    a_k = D_k tau_k, so D = A T^T with T the block column of the tangents.
-    With Z = B^-1 R and S = E^T Z, the Sherman-Morrison-Woodbury identity
+    the q free contact nodes' dofs, E^T picks those dofs out of a free
+    vector and D is the block-diagonal traction Jacobian. Its 2x2 block at
+    free contact node k acts on the tangential part only, D_k = a_k tau_k^T
+    with a_k = D_k tau_k, so D = A T^T with T the block column of the
+    tangents. With Z = B^-1 R and S = E^T Z, the Sherman-Morrison-Woodbury
+    identity
 
         (B + R A T^T E^T)^-1 x = y - Z A (I + T^T S A)^-1 T^T E^T y,  y = B^-1 x,
 
@@ -241,19 +246,48 @@ class _CondensedStep:
     system with one unknown per free contact node.
     """
 
-    key: tuple[float, float]  # (rho, dt)
-    base: sp.csr_matrix
-    lu: object  # scipy.sparse.linalg.SuperLU of base
-    sel: np.ndarray  # free contact nodes, as indices into dofs.contact_nodes
-    pos: np.ndarray  # their (x, y) dofs as positions in the free vector
-    tau: np.ndarray  # their unit tangents, (q, 2)
-    z: np.ndarray  # Z = B^-1 R, (n_free, 2q)
-    ts: np.ndarray  # T^T S, (q, q, 2): row k, node l, component
+    mesh: Mesh
+    dofs: DofMap
+    mat: MaterialModel
+    rfric: RegularizedFriction
+    bd: BoundaryData
+    dt: float
+    mass: sp.csr_matrix = field(init=False, repr=False)
+    visc: sp.csr_matrix = field(init=False, repr=False)
+    elast: sp.csr_matrix = field(init=False, repr=False)
+    contact: sp.csr_matrix = field(init=False, repr=False)  # zero nodal traction on D nodes
+    base: sp.csr_matrix = field(init=False, repr=False)  # B
+    sel: np.ndarray = field(init=False, repr=False)  # free contact nodes, indices into contact_nodes
+    pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
+    tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
+    lu: SuperLU | None = field(default=None, init=False, repr=False)  # of B, from the first solve
+    z: np.ndarray | None = field(default=None, init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
+    ts: np.ndarray | None = field(default=None, init=False, repr=False)  # T^T S, (q, q, 2)
+
+    def __post_init__(self):
+        mesh, dofs = self.mesh, self.dofs
+        self.visc, self.elast = assemble_elastic_operators(mesh, dofs, self.mat)
+        self.mass = assemble_vector_mass(mesh, dofs)
+        self.contact = assemble_contact_mass(mesh, dofs)
+        self.base = dofs.vector.csr(self.mat.mass_mech() / self.dt * self.mass.data
+                                    + self.visc.data + self.dt * self.elast.data)
+        # a contact node on the D part never moves, so friction acts on the free ones only
+        free = dofs.node_to_free[dofs.contact_nodes]
+        self.sel = np.flatnonzero(free >= 0)
+        self.pos = xy_dofs(free[self.sel])
+        self.tau = dofs.contact_tangent[self.sel]
 
     def solve(self, rhs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """(B + R D E^T)^-1 rhs, D = block_diag(blocks) from :func:`_contact_blocks`."""
-        y = self.lu.solve(rhs)
+        """(B + R D E^T)^-1 rhs, D = block_diag(blocks) from :meth:`blocks`."""
         q = self.tau.shape[0]
+        if self.lu is None:
+            # B is SPD, so diagonal pivots are stable and keep the symmetric ordering's fill
+            self.lu = splu(self.base.tocsc(), permc_spec=SYMMETRIC_ORDERING,
+                           options={"SymmetricMode": True})
+            self.z = self.lu.solve(self.contact[:, self.pos].toarray())
+            self.ts = np.einsum("kj,kjl->kl", self.tau,
+                                self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
+        y = self.lu.solve(rhs)
         if q == 0:
             return y
         a = np.einsum("kij,kj->ki", blocks, self.tau)
@@ -261,94 +295,37 @@ class _CondensedStep:
         w = np.linalg.solve(lhs, np.einsum("kj,kj->k", self.tau, y[self.pos].reshape(q, 2)))
         return y - self.z @ (a * w[:, None]).ravel()
 
+    def blocks(self, v_full: np.ndarray, t: float) -> np.ndarray:
+        """(q, 2, 2) derivative of the nodal traction at the free contact nodes."""
+        dofs = self.dofs
+        vt = nodal_tangential(dofs, v_full)[self.sel]
+        F = np.asarray(self.rfric.fric.F_field(self.mesh.nodes[dofs.contact_nodes[self.sel]], t),
+                       dtype=float)
+        nu = dofs.contact_normal[self.sel]
+        proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
+        return np.einsum("mij,mjk->mik", self.rfric.traction_jacobian(vt, F), proj)
 
-@dataclass
-class MomentumOperators:
-    """Constant matrices of the momentum equation on free vector dofs.
+    def residual_map(self, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
+                     theta_del: np.ndarray):
+        """Residual map v_free -> (res, (xi_full, v_full)) of the step to t_new, and |load|."""
+        mesh, dofs, dt = self.mesh, self.dofs, self.dt
+        vfree = dofs.vector_free_dofs()
+        load = assemble_mech_load(mesh, dofs, self.bd, self.rfric.fric, t_new)
+        coup = assemble_thermal_coupling(mesh, dofs, self.mat, theta_del)
+        rhs_const = (load - coup + self.mat.mass_mech() / dt * (self.mass @ v_old)
+                     - self.elast @ u_old)
 
-    ``condensed`` caches the factored step matrix for the (rho, dt) of the
-    last :func:`solve_momentum_step` call on this instance.
-    """
+        def residual(v_free):
+            v_full = np.zeros(2 * mesh.n_nodes)
+            v_full[vfree] = v_free
+            xi = contact_traction_full(mesh, dofs, self.rfric, v_full, t_new)
+            return self.base @ v_free + self.contact @ xi[vfree] - rhs_const, (xi, v_full)
 
-    mass: sp.csr_matrix
-    visc: sp.csr_matrix
-    elast: sp.csr_matrix
-    contact: sp.csr_matrix  # contact pairing on free dofs; the nodal traction is zero on D nodes
-    condensed: _CondensedStep | None = field(default=None, init=False, repr=False, compare=False)
-
-
-def build_momentum_operators(mesh: Mesh, dofs: DofMap, mat: MaterialModel) -> MomentumOperators:
-    visc, elast = assemble_elastic_operators(mesh, dofs, mat)
-    return MomentumOperators(assemble_vector_mass(mesh, dofs), visc, elast,
-                             assemble_contact_mass(mesh, dofs))
-
-
-def _free_contact_dofs(dofs: DofMap) -> tuple[np.ndarray, np.ndarray]:
-    """Free contact nodes and their interleaved (x, y) dofs.
-
-    Returns the nodes as indices into ``dofs.contact_nodes``, then their dofs
-    as positions in the free vector. A contact node on the D part never
-    moves, so the traction Jacobian acts on these dofs only.
-    """
-    free = dofs.node_to_free[dofs.contact_nodes]
-    sel = np.flatnonzero(free >= 0)
-    return sel, xy_dofs(free[sel])
+        return residual, float(np.linalg.norm(load))
 
 
-def _contact_blocks(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
-                    v_full: np.ndarray, t: float, sel: np.ndarray) -> np.ndarray:
-    """(q, 2, 2) derivative of the nodal traction at the contact nodes sel."""
-    vt = nodal_tangential(dofs, v_full)[sel]
-    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes[sel]], t), dtype=float)
-    nu = dofs.contact_normal[sel]
-    proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
-    return np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
-
-
-def _base_matrix(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float) -> sp.csr_matrix:
-    return dofs.vector.csr(rho / dt * ops.mass.data + ops.visc.data + dt * ops.elast.data)
-
-
-def _condensed_step(ops: MomentumOperators, dofs: DofMap, rho: float, dt: float) -> _CondensedStep:
-    """The factored step matrix for (rho, dt), built on first use and kept on ops."""
-    key = (rho, dt)
-    cond = ops.condensed
-    if cond is None or cond.key != key:
-        base = _base_matrix(ops, dofs, rho, dt)
-        # B is SPD, so diagonal pivots are stable and keep the symmetric ordering's fill
-        lu = splu(base.tocsc(), permc_spec=SYMMETRIC_ORDERING, options={"SymmetricMode": True})
-        sel, pos = _free_contact_dofs(dofs)
-        z = lu.solve(ops.contact[:, pos].toarray())
-        tau = dofs.contact_tangent[sel]
-        q = tau.shape[0]
-        ts = np.einsum("kj,kjl->kl", tau, z[pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
-        cond = ops.condensed = _CondensedStep(key, base, lu, sel, pos, tau, z, ts)
-    return cond
-
-
-def _residual_map(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
-                  ops: MomentumOperators, bd: BoundaryData, dt: float, t_new: float,
-                  u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
-                  base: sp.csr_matrix):
-    """Residual map v_free -> (res, (xi_full, v_full)) of the implicit step, and |load|."""
-    vfree = dofs.vector_free_dofs()
-    load = assemble_mech_load(mesh, dofs, bd, rfric.fric, t_new)
-    coup = assemble_thermal_coupling(mesh, dofs, mat, theta_del)
-    rhs_const = load - coup + mat.mass_mech() / dt * (ops.mass @ v_old) - ops.elast @ u_old
-
-    def residual(v_free):
-        v_full = np.zeros(2 * mesh.n_nodes)
-        v_full[vfree] = v_free
-        xi = contact_traction_full(mesh, dofs, rfric, v_full, t_new)
-        return base @ v_free + ops.contact @ xi[vfree] - rhs_const, (xi, v_full)
-
-    return residual, float(np.linalg.norm(load))
-
-
-def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
-                        ops: MomentumOperators, bd: BoundaryData, dt: float, t_new: float,
-                        u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
-                        max_iter: int = 50, rtol: float = 1e-10):
+def solve_momentum_step(step: MomentumStep, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
+                        theta_del: np.ndarray, max_iter: int = 50, rtol: float = 1e-10):
     """One implicit Euler step of the momentum balance with nodal friction.
 
     u_old and v_old live on free vector dofs; theta_del is the full delayed
@@ -356,35 +333,28 @@ def solve_momentum_step(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: Reg
     residual satisfies |res| <= rtol (1 + |load|) or SolverError is raised.
 
     The velocity update is :func:`damped_newton` with the exact Jacobian:
-    the constant step matrix, factored once per (rho, dt) and kept on ops,
-    plus the friction term on the contact dofs, which each correction
-    condenses to a dense system there.
+    the run's step matrix, through its factor, plus the friction term on the
+    contact dofs, which each correction condenses to a dense system there.
     """
-    cond = _condensed_step(ops, dofs, mat.mass_mech(), dt)
-    residual, load_norm = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
-                                        u_old, v_old, theta_del, cond.base)
+    residual, load_norm = step.residual_map(t_new, u_old, v_old, theta_del)
 
     def correction(res, aux):
-        return cond.solve(-res, _contact_blocks(mesh, dofs, rfric, aux[1], t_new, cond.sel))
+        return step.solve(-res, step.blocks(aux[1], t_new))
 
     v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), rtol * (1.0 + load_norm),
                                      max_iter, "momentum", t_new)
-    return v, u_old + dt * v, xi, info
+    return v, u_old + step.dt * v, xi, info
 
 
-def momentum_residual(mesh: Mesh, dofs: DofMap, mat: MaterialModel, rfric: RegularizedFriction,
-                      ops: MomentumOperators, bd: BoundaryData, dt: float, t_new: float,
-                      u_old: np.ndarray, v_old: np.ndarray, theta_del: np.ndarray,
-                      v_free: np.ndarray):
+def momentum_residual(step: MomentumStep, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
+                      theta_del: np.ndarray, v_free: np.ndarray):
     """Residual and exact Jacobian of the implicit step at a trial velocity."""
-    base = _base_matrix(ops, dofs, mat.mass_mech(), dt)
-    residual, _ = _residual_map(mesh, dofs, mat, rfric, ops, bd, dt, t_new,
-                                u_old, v_old, theta_del, base)
+    residual, _ = step.residual_map(t_new, u_old, v_old, theta_del)
     res, (_, v_full) = residual(v_free)
-    sel, pos = _free_contact_dofs(dofs)
-    blocks = _contact_blocks(mesh, dofs, rfric, v_full, t_new, sel)
+    pos = step.pos
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()
     cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
-    d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
-    return res, (base + ops.contact[:, pos] @ d_et).tocsr()
+    d_et = sp.csr_matrix((step.blocks(v_full, t_new).ravel(), (rows, cols)),
+                         shape=(pos.size, v_free.size))
+    return res, (step.base + step.contact[:, pos] @ d_et).tocsr()

@@ -318,15 +318,16 @@ def validate_assumptions(
     nrm = np.einsum("ni,ni->n", xi, xi)
     for cid, desc, slack in (("A3", "k ellipticity >= delta", forms - mat.delta * nrm),
                              ("A3U", "k bounded by declared upper constant", mat.k_upper * nrm - forms)):
-        i = int(np.argmin(slack))
+        i = int(np.argmin(slack))  # the first NaN, if any
         witness = None
-        if slack[i] < -tol * nrm[i]:
+        if not slack[i] >= -tol * nrm[i]:  # a NaN value fails too
             witness = {"s": float(s_k[i]), "xi": xi[i].tolist(), "form": float(forms[i])}
         rep.checks.append(AssumptionCheck(cid, desc, witness is None, float(slack[i]), witness))
 
     s_k2 = s_k + rng.uniform(-1.0, 1.0, size=s_k.shape)
     diff = k_s - np.asarray(mat.k(s_k2), dtype=float)
-    worst_k = float(np.nanmax(np.linalg.norm(diff, axis=(1, 2)) / np.abs(s_k - s_k2)))
+    quot_k = np.linalg.norm(diff, axis=(1, 2)) / np.abs(s_k - s_k2)
+    worst_k = float(quot_k[np.argmax(quot_k)])  # the first NaN, if any
     ok = worst_k <= mat.k_lipschitz * 1.01
     rep.checks.append(AssumptionCheck(
         "A3L", "k difference quotients within declared Lipschitz constant",

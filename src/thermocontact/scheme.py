@@ -36,10 +36,9 @@ from .assembly import (
     u_norm4,
 )
 from .friction import (
-    MomentumOperators,
+    MomentumStep,
     RegularizedFriction,
     SolverError,
-    build_momentum_operators,
     contact_traction_full,
     damped_newton,
     solve_momentum_step,
@@ -224,8 +223,7 @@ class Workspace:
     config: SolverConfig
     buffer: DelayBuffer
     mass_thermal: sp.csr_matrix
-    momentum: MomentumOperators
-    rfric: RegularizedFriction
+    momentum: MomentumStep
     temperature_solver: LaggedFactor
     electric_solver: LaggedFactor
 
@@ -277,33 +275,29 @@ def initialize(models: Models, config: SolverConfig,
     v0 = _check_initial_field("v0", v0, 2 * n, dir_vector)
 
     rfric = RegularizedFriction(models.fric, config.eps)
-    electric = LaggedFactor("electric")
-    phi0 = _solve_electric(models, electric, theta0, t=0.0)
+    ws = Workspace(models=models, config=config, buffer=DelayBuffer(h=config.h, dt=config.dt),
+                   mass_thermal=assemble_scalar_mass(mesh, dofs),
+                   momentum=MomentumStep(mesh, dofs, models.mat, rfric, models.bd, config.dt),
+                   temperature_solver=LaggedFactor("temperature"),
+                   electric_solver=LaggedFactor("electric"))
+    phi0 = solve_electric(ws, theta0, t=0.0)
     xi0 = contact_traction_full(mesh, dofs, rfric, v0, t=0.0)
-    state0 = SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0)
-    buffer = DelayBuffer(h=config.h, dt=config.dt, states=[state0])
-    return Workspace(models=models, config=config, buffer=buffer,
-                     mass_thermal=assemble_scalar_mass(mesh, dofs),
-                     momentum=build_momentum_operators(mesh, dofs, models.mat), rfric=rfric,
-                     temperature_solver=LaggedFactor("temperature"), electric_solver=electric)
+    ws.buffer.push(SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0))
+    return ws
 
 
-def _solve_electric(models: Models, solver: LaggedFactor, theta_full: np.ndarray,
-                    t: float) -> np.ndarray:
+def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarray:
+    """Potential for a given temperature field: one SPD solve on the stage's lagged factor."""
+    models = ws.models
     mesh, dofs = models.mesh, models.dofs
     matrix, load = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, models.fric, t)
-    phi_free = solver.solve(matrix, load, t)
+    phi_free = ws.electric_solver.solve(matrix, load, t)
     res = float(np.linalg.norm(matrix @ phi_free - load))
     if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(load))):
         raise SolverError(f"electric solve at t={t:.6g}: residual {res:.3e} (matrix near-singular?)")
     out = np.zeros(mesh.n_nodes)
     out[dofs.scalar_free_nodes] = phi_free
     return out
-
-
-def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarray:
-    """Potential for a given temperature field: one SPD solve on the stage's lagged factor."""
-    return _solve_electric(ws.models, ws.electric_solver, theta_full, t)
 
 
 def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState,
@@ -357,28 +351,20 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
 
 
 def _momentum_stage(ws: Workspace, old: SystemState, delayed: SystemState, t_new: float):
-    models, cfg = ws.models, ws.config
-    dofs = models.dofs
-    vfree = dofs.vector_free_dofs()
+    cfg = ws.config
+    vfree = ws.models.dofs.vector_free_dofs()
     v_new, u_new, xi, _ = solve_momentum_step(
-        models.mesh, dofs, models.mat, ws.rfric, ws.momentum, models.bd,
-        cfg.dt, t_new, old.u[vfree], old.v[vfree], delayed.theta,
+        ws.momentum, t_new, old.u[vfree], old.v[vfree], delayed.theta,
         max_iter=cfg.max_iter_momentum, rtol=cfg.tol_momentum)
-    u_full = np.zeros(2 * models.mesh.n_nodes)
+    u_full = np.zeros(2 * ws.models.mesh.n_nodes)
     v_full = np.zeros_like(u_full)
     u_full[vfree] = u_new
     v_full[vfree] = v_new
     return v_full, u_full, xi
 
 
-def advance_one(ws: Workspace, pre_momentum_hook=None) -> SystemState:
-    """One grid step: temperature, then potential, then velocity.
-
-    pre_momentum_hook, if given, is called with (theta_new, phi_new) after
-    the scalar solves and before the momentum solve; instrumentation tests
-    use it to poison the current-time temperature and verify the momentum
-    stage reads temperature only through the delay.
-    """
+def advance_one(ws: Workspace) -> SystemState:
+    """One grid step: temperature, then potential, then velocity."""
     buf = ws.buffer
     n_new = len(buf.states)
     t_new = n_new * ws.config.dt
@@ -387,8 +373,6 @@ def advance_one(ws: Workspace, pre_momentum_hook=None) -> SystemState:
 
     theta_new = solve_temperature_step(ws, old, delayed, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
-    if pre_momentum_hook is not None:
-        pre_momentum_hook(theta_new, phi_new)
     v_new, u_new, xi_new = _momentum_stage(ws, old, delayed, t_new)
 
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)

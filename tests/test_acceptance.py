@@ -35,8 +35,8 @@ from thermocontact.diagnostics import (
 )
 from thermocontact.driver import main
 from thermocontact.friction import (
+    MomentumStep,
     RegularizedFriction,
-    build_momentum_operators,
     check_subgradient_properties,
     momentum_residual,
 )
@@ -365,7 +365,7 @@ def test_10_jacobians_match_finite_differences():
 
     mat, fric, bd = default_ptc_model(DEFAULT_OVERRIDES)
     rfric = RegularizedFriction(fric, eps=1e-3)
-    ops = build_momentum_operators(mesh, dofs, mat)
+    momentum = MomentumStep(mesh, dofs, mat, rfric, bd, 0.0125)
     vfree = dofs.vector_free_dofs()
     u_old = np.zeros(vfree.size)
     v_old = np.zeros(vfree.size)
@@ -373,18 +373,15 @@ def test_10_jacobians_match_finite_differences():
     worst_m = 0.0
     for _ in range(3):
         v = 0.1 * rng.normal(size=vfree.size)
-        _, jac = momentum_residual(mesh, dofs, mat, rfric, ops, bd, 0.0125, 0.0125,
-                                   u_old, v_old, theta_del, v)
+        _, jac = momentum_residual(momentum, 0.0125, u_old, v_old, theta_del, v)
         jac = np.asarray(jac.todense()) if hasattr(jac, "todense") else np.asarray(jac)
         step = 1e-7
         for k in range(vfree.size):
             vp, vm = v.copy(), v.copy()
             vp[k] += step
             vm[k] -= step
-            rp, _ = momentum_residual(mesh, dofs, mat, rfric, ops, bd, 0.0125, 0.0125,
-                                      u_old, v_old, theta_del, vp)
-            rm, _ = momentum_residual(mesh, dofs, mat, rfric, ops, bd, 0.0125, 0.0125,
-                                      u_old, v_old, theta_del, vm)
+            rp, _ = momentum_residual(momentum, 0.0125, u_old, v_old, theta_del, vp)
+            rm, _ = momentum_residual(momentum, 0.0125, u_old, v_old, theta_del, vm)
             fd = (rp - rm) / (2.0 * step)
             worst_m = max(worst_m, float(
                 (np.abs(fd - jac[:, k]) / (1.0 + np.abs(jac[:, k]))).max()))

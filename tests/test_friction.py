@@ -9,12 +9,9 @@ import scipy.sparse.linalg
 from conftest import const_bd, const_friction
 from oracles import contact_lumped_weights
 from thermocontact.friction import (
-    _condensed_step,
-    _contact_blocks,
-    MomentumOperators,
+    MomentumStep,
     RegularizedFriction,
     SolverError,
-    build_momentum_operators,
     check_subgradient_pairing,
     check_subgradient_properties,
     contact_traction_full,
@@ -176,47 +173,48 @@ class TestMomentumStep:
             fric = dataclasses.replace(
                 fric, F_field=lambda x, t: np.full(np.asarray(x).shape[:-1], F0), F_bar=F0)
         rf = RegularizedFriction(fric, eps=1e-8)
-        ops = build_momentum_operators(mesh, dofs, mat)
-        return mesh, dofs, mat, rf, bd, ops
+        return mesh, dofs, mat, rf, bd
 
     def test_frictionless_matches_direct_solve(self, square4):
-        mesh, dofs, mat, rf, bd, ops = self.setup_case(square4, F0=0.0)
+        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.0)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(8)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes) * 0.1
         dt = 0.02
-        v, u, xi, info = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
+        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
+        v, u, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
         assert np.abs(xi).max() == 0.0
         from thermocontact.assembly import assemble_mech_load, assemble_thermal_coupling
 
         load = assemble_mech_load(mesh, dofs, bd, rf.fric, dt)
         coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
-        base = (mat.mass_mech() / dt) * ops.mass + ops.visc + dt * ops.elast
-        rhs = load - coup + (mat.mass_mech() / dt) * (ops.mass @ v0) - ops.elast @ u0
+        base = (mat.mass_mech() / dt) * step.mass + step.visc + dt * step.elast
+        rhs = load - coup + (mat.mass_mech() / dt) * (step.mass @ v0) - step.elast @ u0
         ref = scipy.sparse.linalg.spsolve(base.tocsr(), rhs)
         np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(u, u0 + dt * v, rtol=0.0, atol=0.0)
         assert info["iterations"] == 1
 
     def test_frictional_step_properties(self, square4):
-        mesh, dofs, mat, rf, bd, ops = self.setup_case(square4, F0=0.1)
+        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.1)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(9)
         u0 = np.zeros(nf)
         v0 = rng.normal(size=nf) * 0.1
         theta = rng.normal(size=mesh.n_nodes) * 0.1
         dt = 0.02
-        v, u, xi, info = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
-        res, _ = momentum_residual(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta, v)
+        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
+        v, u, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
+        res, _ = momentum_residual(step, dt, u0, v0, theta, v)
         assert np.linalg.norm(res) <= info["target"]
         on = xi.reshape(-1, 2)[dofs.contact_nodes]
         F = rf.fric.F_field(mesh.nodes[dofs.contact_nodes], dt)
         assert (np.linalg.norm(on, axis=1) - rf.fric.mu_bar * F).max() <= 1e-12
 
     def test_unforced_energy_decays(self, square4):
-        mesh, dofs, mat, rf, bd, ops = self.setup_case(square4, F0=0.0)
+        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.0)
         bd = const_bd(f0=(0.0, 0.0))
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(10)
@@ -224,13 +222,14 @@ class TestMomentumStep:
         v = rng.normal(size=nf) * 0.1
         theta = np.zeros(mesh.n_nodes)
         dt = 0.05
+        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
 
         def energy(u, v):
-            return 0.5 * mat.mass_mech() * (v @ ops.mass @ v) + 0.5 * (u @ ops.elast @ u)
+            return 0.5 * mat.mass_mech() * (v @ step.mass @ v) + 0.5 * (u @ step.elast @ u)
 
         e = energy(u, v)
         for n in range(5):
-            v, u, _, _ = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, (n + 1) * dt, u, v, theta)
+            v, u, _, _ = solve_momentum_step(step, (n + 1) * dt, u, v, theta)
             e_new = energy(u, v)
             assert e_new <= e + 1e-12
             e = e_new
@@ -240,7 +239,6 @@ class TestMomentumStep:
         mat, fric, _ = default_ptc_model()
         bd = const_bd(f0=(0.5, 0.0))
         rf = RegularizedFriction(fric, eps=1e-3)
-        ops = build_momentum_operators(mesh, dofs, mat)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(11)
         u0 = rng.normal(size=nf) * 0.01
@@ -248,7 +246,7 @@ class TestMomentumStep:
         theta = rng.normal(size=mesh.n_nodes) * 0.1
         vtrial = rng.normal(size=nf) * 0.1
         dt = 0.02
-        args = (mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
+        args = (MomentumStep(mesh, dofs, mat, rf, bd, dt), dt, u0, v0, theta)
         _, jac = momentum_residual(*args, vtrial)
         jac = jac.toarray()
         eps = 1e-6
@@ -262,47 +260,48 @@ class TestMomentumStep:
             assert np.abs(fd - jac[:, col]).max() < 1e-5
 
     def test_deterministic(self, square4):
-        mesh, dofs, mat, rf, bd, ops = self.setup_case(square4)
+        mesh, dofs, mat, rf, bd = self.setup_case(square4)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(12)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes)
-        out1 = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02, u0, v0, theta)
-        out2 = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02, u0, v0, theta)
+        step = MomentumStep(mesh, dofs, mat, rf, bd, 0.02)
+        out1 = solve_momentum_step(step, 0.02, u0, v0, theta)
+        out2 = solve_momentum_step(step, 0.02, u0, v0, theta)
         assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[2], out2[2])
 
     def test_iteration_budget_enforced(self, square4):
-        mesh, dofs, mat, rf, bd, ops = self.setup_case(square4)
+        mesh, dofs, mat, rf, bd = self.setup_case(square4)
         nf = dofs.vector_free_dofs().size
         with pytest.raises(SolverError, match="residual"):
-            solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02,
+            solve_momentum_step(MomentumStep(mesh, dofs, mat, rf, bd, 0.02), 0.02,
                                 np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes),
                                 max_iter=0)
 
     def test_non_finite_residual_raises(self, square4):
         # a NaN residual must not pass for convergence at the initial guess
-        mesh, dofs, mat, rf, _, ops = self.setup_case(square4)
+        mesh, dofs, mat, rf, _ = self.setup_case(square4)
         nf = dofs.vector_free_dofs().size
         bd = const_bd(f0=(np.nan, 0.0))
         with pytest.raises(SolverError, match=r"momentum step at t=0\.02: non-finite residual nan"):
-            solve_momentum_step(mesh, dofs, mat, rf, ops, bd, 0.02, 0.02,
+            solve_momentum_step(MomentumStep(mesh, dofs, mat, rf, bd, 0.02), 0.02,
                                 np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes))
 
 
 class TestCondensedSolve:
     """Each Newton correction solves B + R D E^T through the factor of B."""
 
-    def setup_case(self, mesh, dofs):
+    def setup_case(self, mesh, dofs, dt):
         mat, fric, _ = default_ptc_model()
         rf = RegularizedFriction(fric, eps=1e-8)
-        ops = build_momentum_operators(mesh, dofs, mat)
-        return mat, rf, const_bd(f0=(0.5, 0.0)), ops
+        return mat, rf, MomentumStep(mesh, dofs, mat, rf, const_bd(f0=(0.5, 0.0)), dt)
 
     @pytest.mark.parametrize("slip", ["stick", "slip", "mixed"])
     def test_correction_matches_direct_solve(self, square4, slip):
         mesh, dofs = square4
-        mat, rf, bd, ops = self.setup_case(mesh, dofs)
+        dt = 0.02
+        mat, rf, step = self.setup_case(mesh, dofs, dt)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(30)
         u0 = rng.normal(size=nf) * 0.01
@@ -316,51 +315,52 @@ class TestCondensedSolve:
                  "slip": np.full(free.size, 1.0),
                  "mixed": np.where(np.arange(free.size) % 2, 1e-3 * rf.eps, 1.0)}[slip]
         v[2 * free] = scale * rng.choice([-1.0, 1.0], size=free.size)
-        dt = 0.02
-        res, jac = momentum_residual(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta, v)
+        res, jac = momentum_residual(step, dt, u0, v0, theta, v)
         ref = scipy.sparse.linalg.spsolve(jac.tocsc(), -res)
 
-        cond = _condensed_step(ops, dofs, mat.mass_mech(), dt)
         v_full = np.zeros(2 * mesh.n_nodes)
         v_full[dofs.vector_free_dofs()] = v
-        got = cond.solve(-res, _contact_blocks(mesh, dofs, rf, v_full, dt, cond.sel))
-        assert cond.pos.size == 2 * free.size > 0
+        got = step.solve(-res, step.blocks(v_full, dt))
+        assert step.pos.size == 2 * free.size > 0
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_factor_follows_dt(self, square4):
+    def test_steps_with_own_dt_match_direct_solve(self, square4):
+        # two steps on one mesh: each factors its own B and solves its own Jacobian
         mesh, dofs = square4
-        mat, rf, bd, ops = self.setup_case(mesh, dofs)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(31)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.1
         theta = rng.normal(size=mesh.n_nodes) * 0.1
-        for dt in (0.02, 0.005, 0.02):
-            shared = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
-            fresh_ops = build_momentum_operators(mesh, dofs, mat)
-            fresh = solve_momentum_step(mesh, dofs, mat, rf, fresh_ops, bd, dt, dt, u0, v0, theta)
-            assert ops.condensed.key == (mat.mass_mech(), dt)
-            np.testing.assert_allclose(shared[0], fresh[0], rtol=0.0, atol=1e-14)
-            assert shared[3]["iterations"] == fresh[3]["iterations"]
+        v = rng.normal(size=nf) * 0.1
+        v_full = np.zeros(2 * mesh.n_nodes)
+        v_full[dofs.vector_free_dofs()] = v
+        for dt in (0.02, 0.005):
+            _, _, step = self.setup_case(mesh, dofs, dt)
+            res, jac = momentum_residual(step, dt, u0, v0, theta, v)
+            ref = scipy.sparse.linalg.spsolve(jac.tocsc(), -res)
+            got = step.solve(-res, step.blocks(v_full, dt))
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_contact_free_matches_direct_solve(self):
         mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"})
         dofs = build_dof_maps(mesh)
-        mat, rf, bd, ops = self.setup_case(mesh, dofs)
+        dt = 0.02
+        mat, rf, step = self.setup_case(mesh, dofs, dt)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(32)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes) * 0.1
-        dt = 0.02
-        v, _, xi, info = solve_momentum_step(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta)
-        _, jac = momentum_residual(mesh, dofs, mat, rf, ops, bd, dt, dt, u0, v0, theta, v)
+        v, _, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
+        _, jac = momentum_residual(step, dt, u0, v0, theta, v)
         from thermocontact.assembly import assemble_mech_load, assemble_thermal_coupling
 
-        load = assemble_mech_load(mesh, dofs, bd, rf.fric, dt)
+        load = assemble_mech_load(mesh, dofs, step.bd, rf.fric, dt)
         coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
-        rhs = load - coup + (mat.mass_mech() / dt) * (ops.mass @ v0) - ops.elast @ u0
+        rhs = load - coup + (mat.mass_mech() / dt) * (step.mass @ v0) - step.elast @ u0
         ref = scipy.sparse.linalg.spsolve(jac.tocsc(), rhs)
-        assert ops.condensed.pos.size == 0 and np.abs(xi).max() == 0.0
+        assert step.pos.size == 0 and np.abs(xi).max() == 0.0
         np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-10)
         assert info["iterations"] == 1
+

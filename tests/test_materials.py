@@ -121,6 +121,17 @@ class TestValidator:
         for check in (c for c in rep.checks if c.id in ("A2", "A2L")):
             assert not check.passed and check.witness is not None, check.id
 
+    @pytest.mark.parametrize("above", [-np.inf, 0.5])
+    def test_nan_k_fails_a3_checks(self, default_models, trace_norm_n4, above):
+        # a NaN conductivity used to pass A3, A3U and A3L
+        mat, fric, bd = default_models
+        import dataclasses
+        k = mat.k
+        nan_above = lambda s: np.where((np.asarray(s) > above)[..., None, None], np.nan, k(s))
+        rep = validate_assumptions(dataclasses.replace(mat, k=nan_above), fric, bd, trace_norm_n4)
+        for check in (c for c in rep.checks if c.id in ("A3", "A3U", "A3L")):
+            assert not check.passed and check.witness is not None, check.id
+
     def test_negative_traction_fails_a5(self, default_models, trace_norm_n4):
         mat, fric, bd = default_models
         import dataclasses

@@ -386,7 +386,7 @@ class TestAdvance:
                            (sa.phi, sb.phi), (sa.xi, sb.xi)):
                 assert np.array_equal(fa, fb)
 
-    def test_momentum_ignores_current_temperature(self):
+    def test_momentum_ignores_current_temperature(self, monkeypatch):
         # poison the freshly computed temperature before the momentum stage;
         # the velocity must be unchanged because momentum reads only the delay
         def setup():
@@ -398,11 +398,29 @@ class TestAdvance:
 
         ws_a, ws_b = setup(), setup()
         sa = advance_one(ws_a)
-        sb = advance_one(ws_b, pre_momentum_hook=lambda theta, phi: theta.fill(np.nan))
+        solve_electric = scheme.solve_electric
+
+        def poisoned(ws, theta, t):
+            phi = solve_electric(ws, theta, t)
+            theta.fill(np.nan)
+            return phi
+
+        monkeypatch.setattr(scheme, "solve_electric", poisoned)
+        sb = advance_one(ws_b)
         assert np.isnan(sb.theta).all()
         assert np.array_equal(sa.v, sb.v)
         assert np.array_equal(sa.u, sb.u)
         assert np.array_equal(sa.xi, sb.xi)
+
+    def test_run_factors_momentum_matrix_once(self):
+        ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0)}),
+                        SolverConfig(T=0.2, h=0.05, dt=0.025))
+        assert ws.momentum.lu is None  # B is factored at the first momentum solve
+        advance_one(ws)
+        lu = ws.momentum.lu
+        assert lu is not None
+        advance(ws)
+        assert len(ws.buffer.states) == 9 and ws.momentum.lu is lu
 
     def test_delay_inequality_on_real_run(self):
         models = default_models(2, overrides={"f0": (0.5, 0.0)})
