@@ -10,6 +10,21 @@ into the fixed free-dof patterns of the DofMap (``dofs.scalar``,
 ``dofs.vector``), so every scalar operator shares one sparsity and every
 vector operator another. Load vectors are returned on free dofs.
 
+The kernels called at every step contract nothing per element. They go
+through three operators built once per mesh, read-only like the rest of the
+cached geometry:
+
+- ``mesh.grad`` (2T x N) takes a nodal field to its element gradients, and
+  its transpose ``mesh.grad_t`` tests per-element vectors against the basis
+  gradients. The p-Laplacian residual, the electric load, the velocity heat
+  (``grad @ v.reshape(-1, 2)``), the thermal coupling, and the Joule loads
+  use them.
+- ``dofs.scalar.form`` (nnz x 4T) takes a per-element 2 x 2 coefficient of a
+  gradient form to the data array of its free-dof matrix. The thermal
+  stiffness, the electric matrix and the p-Laplacian Jacobian use it.
+- ``mesh.midpoints`` (T, 3, 2) holds the triangle quadrature points, at which
+  the body force of the mechanical load is evaluated.
+
 Quadrature is the 3-point midpoint rule on triangles and 2-point Gauss on
 edges: exact for every constant-coefficient P1 form that appears here;
 temperature-dependent coefficients are evaluated at the quadrature points
@@ -48,6 +63,8 @@ MIDPOINT_BASIS = np.array([
 ])
 # P1 mass on the reference triangle, per unit area
 MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+# positions of the row-major entries of a 2 x 2 matrix in its transpose
+TRANSPOSED = [0, 2, 1, 3]
 
 
 def _on_points(fn, points: np.ndarray, *args) -> np.ndarray:
@@ -94,22 +111,21 @@ def assemble_vector_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
     return dofs.vector.csr(dofs.vector.sum_triangles(blocked(_mass_local(mesh), np.eye(2))))
 
 
-def _stiffness_local(mesh: Mesh, kq: np.ndarray) -> np.ndarray:
-    """(T, 3, 3) gradient form with a (T, 3, 2, 2) coefficient matrix per quad point.
-
-    Entry [test a, trial b] integrates grad(a)^T k^T grad(b): the quadrature
-    mean of k^T, contracted against the mesh's gradient products.
-    """
-    kt = kq.sum(axis=1).transpose(0, 2, 1).reshape(-1, 4) / 3.0
-    return np.einsum("tk,tkm->tm", kt, mesh.grad_products).reshape(-1, 3, 3)
+def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """(T, 2) constant gradient of a nodal P1 field on each triangle."""
+    return (mesh.grad @ values).reshape(-1, 2)
 
 
 def assemble_thermal_stiffness(mesh: Mesh, dofs: DofMap, mat: MaterialModel,
                                theta_eval: np.ndarray) -> sp.csr_matrix:
-    """Conductivity form with k evaluated at the given temperature field."""
-    tq = theta_at_quadrature(mesh, theta_eval)
-    local = _stiffness_local(mesh, np.asarray(mat.k(tq), dtype=float))
-    return dofs.scalar.csr(dofs.scalar.sum_triangles(local))
+    """Conductivity form with k evaluated at the given temperature field.
+
+    Entry [test a, trial b] integrates grad(a)^T k^T grad(b), so the
+    element coefficient of the gradient form is the quadrature mean of k^T.
+    """
+    kq = np.asarray(mat.k(theta_at_quadrature(mesh, theta_eval)), dtype=float).reshape(-1, 3, 4)
+    kt = (kq[:, 0] + kq[:, 1] + kq[:, 2])[:, TRANSPOSED] / 3.0
+    return dofs.scalar.csr(dofs.scalar.form @ kt.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +168,15 @@ def assemble_electric_system(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd: B
     matrix @ phi = load makes the total potential phi + phi_b satisfy the
     discrete balance.
     """
-    tri = mesh.triangles
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta)), dtype=float)
-    elem = _stiffness_local(mesh, sq[:, :, None, None] * np.eye(2))
+    s_bar = sq.sum(axis=1) / 3.0
     quad, edge = _robin_local(mesh, bd.H_N, bd.H_C, fric, t)
     phib = phi_b_nodal(mesh, bd)
-    applied = (scatter_load(tri, np.einsum("tab,tb->ta", elem, phib[tri]), mesh.n_nodes)
+    applied = (mesh.grad_t @ ((mesh.areas * s_bar)[:, None] * element_gradients(mesh, phib)).ravel()
                + scatter_load(quad.conn, np.einsum("eab,eb->ea", edge, phib[quad.conn]), mesh.n_nodes))
     p = dofs.scalar
-    return p.csr(p.sum_triangles(elem) + p.sum_edges(quad, edge)), -applied[dofs.scalar_free_nodes]
+    data = p.form @ np.outer(s_bar, [1.0, 0.0, 0.0, 1.0]).ravel() + p.sum_edges(quad, edge)
+    return p.csr(data), -applied[dofs.scalar_free_nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +190,8 @@ def assemble_joule_load_direct(mesh: Mesh, dofs: DofMap, mat: MaterialModel, bd:
     Pointwise nonnegative integrand; entries are nonnegative up to roundoff.
     """
     phi_tot = phi_del + phi_b_nodal(mesh, bd)
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    g = np.einsum("ta,tia->ti", phi_tot[tri], grads)
+    tri, areas = mesh.triangles, mesh.areas
+    g = element_gradients(mesh, phi_tot)
     c = np.einsum("ti,ti->t", g, g)
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta_del)), dtype=float)
     elem = (areas / 3.0)[:, None] * c[:, None] * (sq @ MIDPOINT_BASIS)
@@ -193,11 +209,11 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
     direct form is a consistency diagnostic.
     """
     phib = phi_b_nodal(mesh, bd)
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
+    tri, areas = mesh.triangles, mesh.areas
 
     sq = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, theta_del)), dtype=float)  # (T, 3)
-    g_phi = np.einsum("ta,tia->ti", phi_del[tri], grads)
-    g_phib = np.einsum("ta,tia->ti", phib[tri], grads)
+    g_phi = element_gradients(mesh, phi_del)
+    g_phib = element_gradients(mesh, phib)
     phi_q = phi_del[tri] @ MIDPOINT_BASIS.T  # (T, 3) values at quad points
 
     # + sigma (grad phi . grad phi_b) w  and  + sigma |grad phi_b|^2 w
@@ -205,11 +221,8 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
     elem = (areas / 3.0)[:, None] * cross[:, None] * (sq @ MIDPOINT_BASIS)
 
     # - sigma phi (grad phi + grad phi_b) . grad w
-    gsum = g_phi + g_phib
-    dirw = np.einsum("ti,tia->ta", gsum, grads)  # (T, 3): (grad phi + grad phi_b) . grad w_a
     coeff = (areas / 3.0) * np.einsum("tq,tq->t", sq, phi_q)
-    elem -= coeff[:, None] * dirw
-    out = scatter_load(tri, elem, mesh.n_nodes)
+    out = scatter_load(tri, elem, mesh.n_nodes) - mesh.grad_t @ (coeff[:, None] * (g_phi + g_phib)).ravel()
 
     # boundary: - H (phi^2 + phi phi_b) w on the N and C parts
     quad = edge_quadrature(mesh, ("N", "C"))
@@ -221,12 +234,10 @@ def assemble_joule_load_reformulated(mesh: Mesh, dofs: DofMap, mat: MaterialMode
 
 def assemble_velocity_heat(mesh: Mesh, dofs: DofMap, mat: MaterialModel, v: np.ndarray) -> np.ndarray:
     """Heat production of straining: -m_ij theta_ref dv_i/dx_j against w."""
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    v_loc = v.reshape(-1, 2)[tri]  # (T, 3, 2)
-    gv = np.einsum("tai,tja->tij", v_loc, grads)  # dv_i/dx_j
-    scal = np.einsum("ij,tij->t", mat.m_tensor, gv)
-    elem = -(mat.theta_ref * scal * areas / 3.0)[:, None] * np.ones((1, 3))
-    return scatter_load(tri, elem, mesh.n_nodes)[dofs.scalar_free_nodes]
+    gv = (mesh.grad @ v.reshape(-1, 2)).reshape(-1, 4)  # dv_i/dx_j at [t, 2 j + i]
+    scal = gv @ mat.m_tensor.T.ravel()
+    elem = np.repeat(-(mat.theta_ref / 3.0) * scal * mesh.areas, 3)
+    return scatter_load(mesh.triangles, elem, mesh.n_nodes)[dofs.scalar_free_nodes]
 
 
 def assemble_thermal_coupling(mesh: Mesh, dofs: DofMap, mat: MaterialModel, theta: np.ndarray) -> np.ndarray:
@@ -234,11 +245,9 @@ def assemble_thermal_coupling(mesh: Mesh, dofs: DofMap, mat: MaterialModel, thet
 
     Adjoint to the velocity-heat form up to the factor theta_ref.
     """
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    theta_bar = theta[tri].mean(axis=1)  # exact mean over the element for P1
-    mg = np.einsum("ij,tjb->tib", mat.m_tensor, grads)
-    elem = -(areas * theta_bar)[:, None, None] * mg.transpose(0, 2, 1)  # (T, 3, 2): node b, comp i
-    return scatter_load(xy_dofs(tri), elem, 2 * mesh.n_nodes)[dofs.vector_free_dofs()]
+    theta_bar = theta[mesh.triangles].mean(axis=1)  # exact mean over the element for P1
+    stress = np.outer(-mesh.areas * theta_bar, mat.m_tensor.T)  # [t, 2 j + i] = -area theta m_ij
+    return (mesh.grad_t @ stress.reshape(-1, 2)).ravel()[dofs.vector_free_dofs()]
 
 
 def contact_slip(mesh: Mesh, fric: FrictionModel, v_full: np.ndarray, t: float):
@@ -295,13 +304,12 @@ def assemble_contact_mass(mesh: Mesh, dofs: DofMap) -> sp.csr_matrix:
 
 def assemble_mech_load(mesh: Mesh, dofs: DofMap, bd: BoundaryData, fric: FrictionModel, t: float = 0.0) -> np.ndarray:
     """Body force + surface traction - prescribed normal contact traction."""
-    tri, areas = mesh.triangles, mesh.areas
+    tri = mesh.triangles
     n2 = 2 * mesh.n_nodes
 
     # volume: f_0 . eta with the midpoint rule
-    points = np.einsum("qa,tai->tqi", MIDPOINT_BASIS, mesh.nodes[tri])
-    f0 = _on_points(bd.f_0, points, t)  # (T, 3, 2)
-    volume = np.einsum("t,tqi,qa->tai", areas / 3.0, f0, MIDPOINT_BASIS)
+    f0 = _on_points(bd.f_0, mesh.midpoints, t)  # (T, 3, 2)
+    volume = (mesh.areas / 3.0)[:, None, None] * (MIDPOINT_BASIS.T @ f0)
 
     # boundary: f_2 . eta on the N part, -F eta_nu on the C part
     quad = edge_quadrature(mesh, ("N", "C"))
@@ -327,20 +335,17 @@ def assemble_p_laplacian(mesh: Mesh, dofs: DofMap, theta: np.ndarray) -> tuple[n
     area * G^T (|g|^2 I + 2 g g^T) G with g the element gradient; no
     quadrature error enters.
     """
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    g = np.einsum("ta,tia->ti", theta[tri], grads)
+    g = element_gradients(mesh, theta)
     g2 = np.einsum("ti,ti->t", g, g)
-    res_elem = areas[:, None] * np.einsum("ti,tia->ta", g2[:, None] * g, grads)
-    res = scatter_load(tri, res_elem, mesh.n_nodes)
-
-    jac_core = g2[:, None, None] * np.eye(2)[None] + 2.0 * np.einsum("ti,tj->tij", g, g)
-    elem = np.einsum("tk,tkm->tm", jac_core.reshape(-1, 4), mesh.grad_products)
-    return res[dofs.scalar_free_nodes], dofs.scalar.csr(dofs.scalar.sum_triangles(elem))
+    res = mesh.grad_t @ ((mesh.areas * g2)[:, None] * g).ravel()
+    jac_core = 2.0 * g[:, [0, 0, 1, 1]] * g[:, [0, 1, 0, 1]]  # 2 g g^T, row-major
+    jac_core[:, 0] += g2
+    jac_core[:, 3] += g2
+    return res[dofs.scalar_free_nodes], dofs.scalar.csr(dofs.scalar.form @ jac_core.ravel())
 
 
 def u_norm4(mesh: Mesh, theta: np.ndarray) -> float:
     """Fourth power of the gradient-L4 norm, exact for P1 fields."""
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    g = np.einsum("ta,tia->ti", theta[tri], grads)
+    g = element_gradients(mesh, theta)
     g2 = np.einsum("ti,ti->t", g, g)
-    return float(np.sum(areas * g2 * g2))
+    return float(np.sum(mesh.areas * g2 * g2))

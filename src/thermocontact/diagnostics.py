@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     MIDPOINT_BASIS,
@@ -22,16 +21,15 @@ from .assembly import (
     assemble_frictional_heat,
     assemble_joule_load_direct,
     assemble_joule_load_reformulated,
-    assemble_p_laplacian,
     assemble_scalar_mass,
     assemble_scalar_stiffness_unit,
     assemble_vector_mass,
+    element_gradients,
     h1_norm,
     phi_b_nodal,
     theta_at_quadrature,
     u_norm4,
 )
-from .friction import damped_newton
 from .mesh import edge_quadrature, estimate_scalar_trace_norm
 
 REPORT_COLUMNS = (
@@ -106,57 +104,12 @@ def weighted_gradient_integral(models, state) -> float:
     squared-gradient integral of the total potential."""
     mesh, mat, bd = models.mesh, models.mat, models.bd
     total = np.asarray(state.phi, dtype=float) + phi_b_nodal(mesh, bd)
-    tri, areas, grads = mesh.triangles, mesh.areas, mesh.grads
-    g = np.einsum("ta,tia->ti", total[tri], grads)
+    tri, areas = mesh.triangles, mesh.areas
+    g = element_gradients(mesh, total)
     g2 = np.einsum("ti,ti->t", g, g)
     vals_q = total[tri] @ MIDPOINT_BASIS.T
     sigma_q = np.asarray(mat.sigma_el(theta_at_quadrature(mesh, state.theta)), dtype=float)
     return float(np.sum(areas / 3.0 * np.sum(sigma_q * vals_q**2, axis=1) * g2))
-
-
-def _full_scalar(mesh, dofs, w_free: np.ndarray) -> np.ndarray:
-    out = np.zeros(mesh.n_nodes)
-    out[dofs.scalar_free_nodes] = w_free
-    return out
-
-
-def _quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12,
-                       max_iter: int = 60) -> float:
-    """Dual norm of a free-dof functional against the gradient L4 norm.
-
-    Solves the quartic-gradient Euler-Lagrange equation by damped Newton
-    from the scaled linear representer; the cube of the minimizer's U norm
-    is the dual norm exactly.
-    """
-    nr = float(np.linalg.norm(r))
-    if nr == 0.0:
-        return 0.0
-    k_free = assemble_scalar_stiffness_unit(mesh, dofs)
-    w = spla.spsolve(k_free, r)
-    u4 = u_norm4(mesh, _full_scalar(mesh, dofs, w))
-    pairing = float(r @ w)
-    w *= (pairing / u4) ** (1.0 / 3.0)
-
-    def residual(w_free):
-        res, jac = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w_free))
-        return res - r, jac
-
-    w, _, _ = damped_newton(residual, lambda res, jac: spla.spsolve(jac, -res), w,
-                            rtol * (1.0 + nr), max_iter, "regularizer dual norm", 0.0)
-    return u_norm4(mesh, _full_scalar(mesh, dofs, w)) ** 0.75
-
-
-def regularizer_magnitude(mesh, dofs, theta: np.ndarray, h: float) -> tuple[float, float]:
-    """Dual-norm size of the weighted quartic gradient term.
-
-    Returns the estimate obtained by solving for the representer of the
-    assembled residual alongside the closed-form majorant
-    h * (U norm of theta)^3; the two coincide up to solver tolerance.
-    """
-    surrogate = float(h * u_norm4(mesh, theta) ** 0.75)
-    res_free, _ = assemble_p_laplacian(mesh, dofs, theta)
-    dual = _quartic_dual_norm(mesh, dofs, h * res_free)
-    return dual, surrogate
 
 
 def joule_gap(models, theta, phi, t: float = 0.0) -> float:

@@ -47,7 +47,18 @@ class Mesh:
         Triangle areas and P1 basis gradients (see :func:`triangle_geometry`).
     grad_products : (T, 4, 9) float array
         ``area * grads[:, i, a] * grads[:, j, b]`` at ``[:, 2 i + j, 3 a + b]``;
-        every gradient form contracts its coefficient against it.
+        the per-element gradient forms are contracted against it.
+    grad : (2T, N) CSR matrix
+        Element gradients: row ``2 t + i`` holds ``grads[t, i, :]`` at the
+        columns ``triangles[t]``, so ``grad @ values`` is the (2T,) array of
+        the constant P1 gradients of a nodal field, and ``grad @ v.reshape(-1, 2)``
+        the (2T, 2) array of ``d v_k / d x_i`` at ``[2 t + i, k]``.
+    grad_t : (N, 2T) CSR matrix
+        The transpose of ``grad``: tests a (2T[, 2]) array of per-element
+        vectors against the basis gradients and sums over the elements.
+    midpoints : (T, 3, 2) float array
+        Coordinates of the three midpoint quadrature points of each
+        triangle (m01, m12, m20).
 
     The mesh builders end in :func:`_validate`, which fills the derived
     arrays and makes every array read-only, so the geometry and the edge
@@ -64,6 +75,9 @@ class Mesh:
     areas: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     grads: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     grad_products: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    grad: sp.csr_matrix = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    grad_t: sp.csr_matrix = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    midpoints: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     _quadratures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -215,9 +229,21 @@ def _validate(mesh: Mesh) -> Mesh:
     mesh.areas, mesh.grads = areas, grads
     products = areas[:, None, None, None, None] * grads[:, :, None, :, None] * grads[:, None, :, None, :]
     mesh.grad_products = products.reshape(-1, 4, 9)
-    for arr in (nodes, tri, be, mesh.edge_tags, normals, owner, areas, grads, mesh.grad_products):
+    n_tri = tri.shape[0]
+    mesh.grad = sp.csr_matrix((grads.ravel(), np.repeat(tri, 2, axis=0).ravel(), np.arange(0, 6 * n_tri + 1, 3)),
+                              shape=(2 * n_tri, n), copy=True)
+    mesh.grad.sort_indices()
+    mesh.grad_t = mesh.grad.T.tocsr()
+    mesh.midpoints = 0.5 * (nodes[tri] + nodes[tri[:, [1, 2, 0]]])
+    for arr in (nodes, tri, be, mesh.edge_tags, normals, owner, areas, grads, mesh.grad_products,
+                mesh.midpoints, *_csr_arrays(mesh.grad), *_csr_arrays(mesh.grad_t)):
         arr.setflags(write=False)
     return mesh
+
+
+def _csr_arrays(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data, indices and indptr arrays of a CSR matrix."""
+    return matrix.data, matrix.indices, matrix.indptr
 
 
 def load_mesh(path: str) -> Mesh:
@@ -375,7 +401,8 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
         contact_nodes=contact,
         contact_normal=nu,
         contact_tangent=tau,
-        scalar=_free_pattern(mesh.triangles, mesh.boundary_edges, node_to_free, free.size),
+        scalar=_free_pattern(mesh.triangles, mesh.boundary_edges, node_to_free, free.size,
+                             mesh.grad_products),
         vector=_free_pattern(xy_dofs(mesh.triangles), xy_dofs(mesh.boundary_edges),
                              vector_to_free, 2 * free.size),
     )
@@ -416,6 +443,11 @@ class FreePattern:
     nnz and is dropped. Every boundary edge is a triangle edge, so edge
     entries land in the same pattern, and matrices assembled here add as
     their data arrays.
+
+    ``form`` (scalar pattern only) is the (nnz, 4T) CSR matrix that takes a
+    per-element coefficient ``kt`` (T, 4) of a gradient form to its data
+    array: ``form @ kt.ravel()`` sums ``kt[t, 2 i + j] * area * grad_i(a) *
+    grad_j(b)`` over the triangles into the slot of every entry [a, b].
     """
 
     n: int
@@ -423,6 +455,7 @@ class FreePattern:
     indices: np.ndarray
     tri: np.ndarray
     edge: np.ndarray
+    form: sp.csr_matrix | None = None
 
     def _sum(self, slots: np.ndarray, local: np.ndarray) -> np.ndarray:
         nnz = self.indices.size
@@ -441,8 +474,13 @@ class FreePattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-def _free_pattern(tri_conn: np.ndarray, edge_conn: np.ndarray, index: np.ndarray, n: int) -> FreePattern:
-    """Pattern of the triangle connectivity on the n dofs that index maps to 0..n-1."""
+def _free_pattern(tri_conn: np.ndarray, edge_conn: np.ndarray, index: np.ndarray, n: int,
+                  grad_products: np.ndarray | None = None) -> FreePattern:
+    """Pattern of the triangle connectivity on the n dofs that index maps to 0..n-1.
+
+    With the mesh's (T, 4, 9) ``grad_products`` it also builds the pattern's
+    gradient ``form``.
+    """
     tri_keys = _entry_keys(tri_conn, index, n)
     keys = np.sort(tri_keys[tri_keys >= 0])
     keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # unique; np.unique took 8x as long here
@@ -451,9 +489,17 @@ def _free_pattern(tri_conn: np.ndarray, edge_conn: np.ndarray, index: np.ndarray
         return np.where(entry_keys >= 0, np.searchsorted(keys, entry_keys), keys.size)
 
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    out = FreePattern(n, indptr, (keys % n).astype(np.int32),
-                      slots(tri_keys), slots(_entry_keys(edge_conn, index, n)))
-    for arr in (out.indptr, out.indices, out.tri, out.edge):
+    tri_slots = slots(tri_keys)
+    form = None
+    if grad_products is not None:
+        n_coef = 4 * grad_products.shape[0]
+        rows = np.broadcast_to(tri_slots[:, None, :], grad_products.shape)
+        cols = np.broadcast_to(np.arange(n_coef).reshape(-1, 4, 1), grad_products.shape)
+        keep = rows < keys.size
+        form = sp.csr_matrix((grad_products[keep], (rows[keep], cols[keep])), shape=(keys.size, n_coef))
+    out = FreePattern(n, indptr, (keys % n).astype(np.int32), tri_slots,
+                      slots(_entry_keys(edge_conn, index, n)), form)
+    for arr in (out.indptr, out.indices, out.tri, out.edge, *(_csr_arrays(form) if form is not None else ())):
         arr.setflags(write=False)
     return out
 

@@ -15,7 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from thermocontact.assembly import _mass_local, _tensor_stiffness_local
+from thermocontact.assembly import (
+    _mass_local,
+    _tensor_stiffness_local,
+    assemble_p_laplacian,
+    assemble_scalar_stiffness_unit,
+    u_norm4,
+)
+from thermocontact.friction import damped_newton
 from thermocontact.mesh import boundary_mass_local, edge_quadrature, scatter_load, unit_stiffness_local, xy_dofs
 
 
@@ -189,6 +196,66 @@ def dense_tangential_contact_mass(mesh) -> np.ndarray:
     return out
 
 
+def dense_p_laplacian_residual(mesh, theta: np.ndarray) -> np.ndarray:
+    """Full (N,) residual of the |grad|^2-weighted gradient form at theta.
+
+    Per element: area * G^T (|g|^2 g) with g the constant gradient of theta.
+    """
+    out = np.zeros(mesh.n_nodes)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        _, grads = p1_basis(p)
+        g = grads @ theta[tri]
+        out[tri] += tri_area(p) * grads.T @ ((g @ g) * g)
+    return out
+
+
+def dense_velocity_heat(mesh, m_tensor: np.ndarray, theta_ref: float, v: np.ndarray) -> np.ndarray:
+    """Full (N,) load of -m_ij theta_ref dv_i/dx_j tested against each scalar basis function."""
+    out = np.zeros(mesh.n_nodes)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        coeffs, grads = p1_basis(p)
+        dv = v.reshape(-1, 2)[tri].T @ grads.T  # dv[i, j] = dv_i/dx_j
+        rate = -theta_ref * float(np.sum(m_tensor * dv))
+        for q, wq in zip(*tri_quad(p)):
+            out[tri] += wq * rate * (coeffs.T @ np.array([1.0, q[0], q[1]]))
+    return out
+
+
+def dense_thermal_coupling(mesh, m_tensor: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Full (2N,) load of -m_ij theta d(eta_i)/dx_j over the interleaved vector basis eta."""
+    out = np.zeros(2 * mesh.n_nodes)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        _, grads = p1_basis(p)
+        integral = sum(wq * eval_p1(p, theta[tri], q) for q, wq in zip(*tri_quad(p)))
+        for b in range(3):
+            for i in range(2):
+                out[2 * tri[b] + i] -= integral * (m_tensor[i] @ grads[:, b])
+    return out
+
+
+def dense_mech_load(mesh, bd, fric, t: float) -> np.ndarray:
+    """Full (2N,) mechanical load at time t: f_0 by the midpoint rule, f_2 on N
+    edges and -F nu on C edges by two-point Gauss, point by point."""
+    out = np.zeros(2 * mesh.n_nodes)
+    for tri in mesh.triangles:
+        p = mesh.nodes[tri]
+        coeffs, _ = p1_basis(p)
+        for q, wq in zip(*tri_quad(p)):
+            force = np.asarray(bd.f_0(q[None, :], t), dtype=float)[0]
+            for a, phi in zip(tri, coeffs.T @ np.array([1.0, q[0], q[1]])):
+                out[2 * a:2 * a + 2] += wq * phi * force
+    for i, j, q, wq, vals, nu in edge_gauss_points(mesh, ("N",)):
+        traction = np.asarray(bd.f_2(q[None, :], t), dtype=float)[0]
+        out[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]] += wq * np.kron(vals, traction)
+    for i, j, q, wq, vals, nu in edge_gauss_points(mesh, ("C",)):
+        traction = -float(np.asarray(fric.F_field(q[None, :], t))[0]) * nu
+        out[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]] += wq * np.kron(vals, traction)
+    return out
+
+
 def restrict(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return mat[np.ix_(idx, idx)]
 
@@ -291,3 +358,45 @@ def dense_p_laplacian_jacobian(mesh, theta: np.ndarray) -> np.ndarray:
         core = (g @ g) * np.eye(2) + 2.0 * np.outer(g, g)
         out[np.ix_(tri, tri)] += tri_area(p) * grads.T @ core @ grads
     return out
+
+
+def _full_scalar(mesh, dofs, w_free: np.ndarray) -> np.ndarray:
+    out = np.zeros(mesh.n_nodes)
+    out[dofs.scalar_free_nodes] = w_free
+    return out
+
+
+def quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12, max_iter: int = 60) -> float:
+    """Dual norm of a free-dof functional against the gradient L4 norm.
+
+    Solves the quartic-gradient Euler-Lagrange equation by damped Newton
+    from the scaled linear representer; the cube of the minimizer's U norm
+    is the dual norm exactly.
+    """
+    nr = float(np.linalg.norm(r))
+    if nr == 0.0:
+        return 0.0
+    w = spsolve(assemble_scalar_stiffness_unit(mesh, dofs), r)
+    u4 = u_norm4(mesh, _full_scalar(mesh, dofs, w))
+    w *= (float(r @ w) / u4) ** (1.0 / 3.0)
+
+    def residual(w_free):
+        res, jac = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w_free))
+        return res - r, jac
+
+    w, _, _ = damped_newton(residual, lambda res, jac: spsolve(jac, -res), w,
+                            rtol * (1.0 + nr), max_iter, "regularizer dual norm", 0.0)
+    return u_norm4(mesh, _full_scalar(mesh, dofs, w)) ** 0.75
+
+
+def regularizer_magnitude(mesh, dofs, theta: np.ndarray, h: float) -> tuple[float, float]:
+    """Dual-norm size of the weighted quartic gradient term.
+
+    Returns the estimate obtained by solving for the representer of the
+    assembled residual alongside the closed-form majorant
+    h * (U norm of theta)^3 that the diagnostics report; the two coincide up
+    to solver tolerance.
+    """
+    surrogate = float(h * u_norm4(mesh, theta) ** 0.75)
+    res_free, _ = assemble_p_laplacian(mesh, dofs, theta)
+    return quartic_dual_norm(mesh, dofs, h * res_free), surrogate

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import const_bd
-from oracles import dense_scalar_mass, dense_scalar_stiffness
+from oracles import dense_scalar_mass, dense_scalar_stiffness, regularizer_magnitude
 from thermocontact.diagnostics import (
     energy_report,
     joule_gap,
     potential_bound,
     potential_bound_constant,
-    regularizer_magnitude,
     weighted_gradient_integral,
 )
 from thermocontact.materials import default_ptc_model

@@ -10,12 +10,15 @@ from thermocontact.assembly import (
     assemble_contact_mass,
     assemble_elastic_operators,
     assemble_electric_system,
+    assemble_mech_load,
     assemble_p_laplacian,
     assemble_scalar_mass,
     assemble_scalar_stiffness_unit,
+    assemble_thermal_coupling,
     assemble_thermal_robin,
     assemble_thermal_stiffness,
     assemble_vector_mass,
+    assemble_velocity_heat,
     phi_b_nodal,
 )
 from thermocontact.driver import main
@@ -23,7 +26,8 @@ from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, load_mesh
 
 MESH_ARRAYS = ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normals", "edge_owner",
-               "areas", "grads", "grad_products")
+               "areas", "grads", "grad_products", "midpoints")
+SPARSE_ARRAYS = ("data", "indices", "indptr")
 QUAD_ARRAYS = ("ids", "conn", "tags", "points", "weights", "normals")
 PATTERN_ARRAYS = ("indptr", "indices", "tri", "edge")
 QUAD_TAGS = (("C",), ("N",), ("N", "C"))
@@ -70,6 +74,27 @@ def assert_matches(got, ref):
     np.testing.assert_allclose(got.toarray(), ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
+def assert_load_matches(got, ref):
+    """got equals the nonzero ref to 1e-12 relative to the largest entry of ref."""
+    assert np.abs(ref).max() > 0.0
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def anisotropic_k(s):
+    """Conductivity with temperature-dependent, unequal off-diagonal entries: k != k^T."""
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape + (2, 2))
+    out[..., 0, 0] = 1.5 + 0.5 * np.tanh(s)
+    out[..., 0, 1] = 0.4 + 0.3 * np.sin(s)
+    out[..., 1, 0] = -0.2 + 0.1 * s * s / (1.0 + s * s)
+    out[..., 1, 1] = 1.0 + 0.2 * np.cos(s)
+    return out
+
+
+# thermal expansion coupling with m != m^T and m_00 != m_11
+SKEW_M = np.array([[1.3, 0.4], [-0.7, 0.6]])
+
+
 class TestOperatorsAgainstOracles:
     def test_masses_and_unit_stiffness(self, case):
         mesh, dofs = case
@@ -90,6 +115,16 @@ class TestOperatorsAgainstOracles:
         ref = oracles.dense_scalar_stiffness(mesh, kfun=mat.k, theta=theta)
         assert_matches(assemble_thermal_stiffness(mesh, dofs, mat, theta),
                        oracles.restrict(ref, dofs.scalar_free_nodes))
+
+    def test_anisotropic_thermal_stiffness(self, case):
+        mesh, dofs = case
+        mat, _, _ = default_ptc_model()
+        mat = dataclasses.replace(mat, k=anisotropic_k)
+        theta = np.random.default_rng(5).normal(size=mesh.n_nodes)
+        ref = oracles.dense_scalar_stiffness(mesh, kfun=anisotropic_k, theta=theta)
+        got = assemble_thermal_stiffness(mesh, dofs, mat, theta)
+        assert_matches(got, oracles.restrict(ref, dofs.scalar_free_nodes))
+        assert np.abs((got - got.T).toarray()).max() > 1e-3  # the transpose convention is tested
 
     def test_electric_system(self, case):
         mesh, dofs = case
@@ -124,6 +159,43 @@ class TestOperatorsAgainstOracles:
         _, jac = assemble_p_laplacian(mesh, dofs, theta)
         assert_matches(jac, oracles.restrict(oracles.dense_p_laplacian_jacobian(mesh, theta),
                                              dofs.scalar_free_nodes))
+
+    def test_p_laplacian_residual(self, case):
+        mesh, dofs = case
+        theta = np.zeros(mesh.n_nodes)
+        theta[dofs.scalar_free_nodes] = np.random.default_rng(6).normal(size=dofs.n_free_scalar)
+        res, _ = assemble_p_laplacian(mesh, dofs, theta)
+        assert_load_matches(res, oracles.dense_p_laplacian_residual(mesh, theta)[dofs.scalar_free_nodes])
+
+    def test_velocity_heat(self, case):
+        mesh, dofs = case
+        mat, _, _ = default_ptc_model()
+        mat = dataclasses.replace(mat, m_tensor=SKEW_M)
+        v = np.random.default_rng(7).normal(size=2 * mesh.n_nodes)
+        ref = oracles.dense_velocity_heat(mesh, SKEW_M, mat.theta_ref, v)
+        assert_load_matches(assemble_velocity_heat(mesh, dofs, mat, v), ref[dofs.scalar_free_nodes])
+
+    def test_thermal_coupling(self, case):
+        mesh, dofs = case
+        mat, _, _ = default_ptc_model()
+        mat = dataclasses.replace(mat, m_tensor=SKEW_M)
+        theta = np.random.default_rng(8).normal(size=mesh.n_nodes)
+        ref = oracles.dense_thermal_coupling(mesh, SKEW_M, theta)
+        assert_load_matches(assemble_thermal_coupling(mesh, dofs, mat, theta), ref[dofs.vector_free_dofs()])
+
+    def test_mech_load_with_moving_body_force(self, case):
+        mesh, dofs = case
+        _, fric, bd = default_ptc_model({"f2": (0.2, -0.3)})
+        fric = dataclasses.replace(fric, F_field=moving_traction, F_bar=3.0)
+
+        def f_0(x, t):
+            x = np.asarray(x)
+            return np.stack([np.sin(3.0 * x[..., 0] + t), x[..., 1] ** 2 - t * x[..., 0]], axis=-1)
+
+        bd = dataclasses.replace(bd, f_0=f_0)
+        for t in (0.0, 0.7):
+            ref = oracles.dense_mech_load(mesh, bd, fric, t)
+            assert_load_matches(assemble_mech_load(mesh, dofs, bd, fric, t), ref[dofs.vector_free_dofs()])
 
     def test_elastic_operators(self, case):
         mesh, dofs = case
@@ -164,7 +236,8 @@ def frozen_arrays(mesh, dofs):
     quads = [edge_quadrature(mesh, tags) for tags in QUAD_TAGS]
     return ([getattr(mesh, name) for name in MESH_ARRAYS]
             + [getattr(q, name) for q in quads for name in QUAD_ARRAYS]
-            + [getattr(p, name) for p in (dofs.scalar, dofs.vector) for name in PATTERN_ARRAYS])
+            + [getattr(p, name) for p in (dofs.scalar, dofs.vector) for name in PATTERN_ARRAYS]
+            + [getattr(op, name) for op in (mesh.grad, mesh.grad_t, dofs.scalar.form) for name in SPARSE_ARRAYS])
 
 
 class TestCachedMeshData:
