@@ -327,21 +327,30 @@ def assemble_mech_load(mesh: Mesh, dofs: DofMap, bd: BoundaryData, fric: Frictio
 # 4-Laplacian regularizer
 
 
-def assemble_p_laplacian(mesh: Mesh, dofs: DofMap, theta: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Residual and exact Jacobian of the |grad|^2-weighted gradient form.
+def assemble_p_laplacian(mesh: Mesh, dofs: DofMap, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual of the |grad|^2-weighted gradient form, and the (T, 2) element gradients.
 
     P1 gradients are piecewise constant, so per element the residual is
-    area * G^T (|g|^2 g) and the Jacobian block is
-    area * G^T (|g|^2 I + 2 g g^T) G with g the element gradient; no
-    quadrature error enters.
+    area * G^T (|g|^2 g) with g the element gradient; no quadrature error
+    enters. The gradients are what :func:`assemble_p_laplacian_jacobian`
+    needs at the same theta.
     """
     g = element_gradients(mesh, theta)
     g2 = np.einsum("ti,ti->t", g, g)
     res = mesh.grad_t @ ((mesh.areas * g2)[:, None] * g).ravel()
+    return res[dofs.scalar_free_nodes], g
+
+
+def assemble_p_laplacian_jacobian(dofs: DofMap, g: np.ndarray) -> sp.csr_matrix:
+    """Exact Jacobian of :func:`assemble_p_laplacian` from its element gradients g.
+
+    Per element the block is area * G^T (|g|^2 I + 2 g g^T) G.
+    """
+    g2 = np.einsum("ti,ti->t", g, g)
     jac_core = 2.0 * g[:, [0, 0, 1, 1]] * g[:, [0, 1, 0, 1]]  # 2 g g^T, row-major
     jac_core[:, 0] += g2
     jac_core[:, 3] += g2
-    return res[dofs.scalar_free_nodes], dofs.scalar.csr(dofs.scalar.form @ jac_core.ravel())
+    return dofs.scalar.csr(dofs.scalar.form @ jac_core.ravel())
 
 
 def u_norm4(mesh: Mesh, theta: np.ndarray) -> float:

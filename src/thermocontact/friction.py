@@ -29,7 +29,6 @@ from .assembly import (
     assemble_mech_load,
     assemble_thermal_coupling,
     assemble_vector_mass,
-    contact_slip,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
 from .mesh import SYMMETRIC_ORDERING, DofMap, Mesh, xy_dofs
@@ -43,9 +42,11 @@ def damped_newton(residual, correction, x0: np.ndarray, target: float, max_iter:
                   stage: str, t: float):
     """Residual-monotone damped Newton from x0 until |residual| <= target.
 
-    residual(x) returns (res, aux) and correction(res, aux) the Newton step.
-    Each step is halved, at most 20 times, until the residual norm falls.
-    Returns (x, aux, info) at the accepted iterate; a non-finite residual,
+    residual(x) returns (res, aux), where aux is the state at x that the
+    residual computed on the way (element gradients, nodal tractions), and
+    correction(res, aux) builds the Jacobian from it and returns the Newton
+    step, so a line-search trial costs no Jacobian. Each step is halved, at
+    most 20 times, until the residual norm falls. Returns (x, aux, info) at the accepted iterate; a non-finite residual,
     max_iter steps without convergence, or a step with no descent raise
     SolverError naming the stage and t.
     """
@@ -116,18 +117,6 @@ class RegularizedFriction:
         core = (dmu / r**2 - mu / r**3)[:, None, None] * outer + (mu / r)[:, None, None] * eye
         return F[:, None, None] * core
 
-    def potential(self, r: np.ndarray) -> np.ndarray:
-        """Antiderivative of mu, evaluated at slip rates r >= 0."""
-        r = np.asarray(r, dtype=float)
-        if self.fric.mu_antiderivative is not None:
-            return np.asarray(self.fric.mu_antiderivative(r), dtype=float)
-        import scipy.integrate  # only this fallback needs it; importing it slows every start
-
-        flat = np.ravel(r)
-        out = np.array([scipy.integrate.quad(lambda s: float(self.fric.mu(s)), 0.0, float(x))[0]
-                        for x in flat])
-        return out.reshape(np.shape(r))
-
 
 def nodal_tangential(dofs: DofMap, v_full: np.ndarray) -> np.ndarray:
     """(m, 2) tangential parts of a full velocity vector at the contact nodes."""
@@ -149,79 +138,6 @@ def contact_traction_full(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
     out[2 * idx] = xi[:, 0]
     out[2 * idx + 1] = xi[:, 1]
     return out
-
-
-def friction_functional(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
-                        v_full: np.ndarray, t: float = 0.0) -> float:
-    """Contact integral of F times the slip-rate potential of |v_tau|."""
-    quad, slip, F = contact_slip(mesh, rfric.fric, v_full, t)
-    return float(np.sum(quad.weights * F * rfric.potential(slip)))
-
-
-def check_subgradient_properties(rfric: RegularizedFriction, n_pairs: int = 10_000,
-                                 seed: int = 0) -> dict:
-    """Sampled worst cases of the traction bound and the monotonicity estimate.
-
-    Draws slip-velocity pairs across magnitudes from well below the smoothing
-    scale to order ten; half the pairs are collinear or nearly collinear,
-    where a slip-weakening coefficient stresses the monotonicity constant
-    hardest. Returns the largest observed violations (negative or tiny
-    positive values mean the property holds).
-    """
-    rng = np.random.default_rng(seed)
-    eps = rfric.eps
-    scales = 10.0 ** rng.uniform(np.log10(eps) - 1.0, 1.0, size=(n_pairs, 2))
-    dirs = rng.normal(size=(n_pairs, 2, 2))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    quarter = n_pairs // 4
-    dirs[:quarter, 1] = dirs[:quarter, 0]
-    near = dirs[quarter:2 * quarter, 0] + 0.05 * rng.normal(size=(quarter, 2))
-    dirs[quarter:2 * quarter, 1] = near / np.linalg.norm(near, axis=1, keepdims=True)
-    v1 = scales[:, 0, None] * dirs[:, 0]
-    v2 = scales[:, 1, None] * dirs[:, 1]
-    F = rng.uniform(0.0, 1.0, size=n_pairs) * rfric.fric.F_bar * 2.0
-
-    xi1 = rfric.traction(v1, F)
-    xi2 = rfric.traction(v2, F)
-    norm1 = np.linalg.norm(xi1, axis=1)
-    bound_violation = float((norm1 - rfric.fric.mu_bar * F).max())
-
-    dv = v1 - v2
-    pair = np.einsum("mi,mi->m", xi1 - xi2, dv)
-    slack = pair + F * rfric.fric.d_mu * np.einsum("mi,mi->m", dv, dv)
-    return {
-        "bound_violation": bound_violation,
-        "monotonicity_violation": float((-slack).max()),
-        "n_pairs": int(n_pairs),
-    }
-
-
-def check_subgradient_pairing(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
-                              lumped_weights: np.ndarray, n_pairs: int = 100,
-                              seed: int = 0, t: float = 0.0) -> float:
-    """Monotonicity estimate in the lumped contact inner product.
-
-    The nodal property transfers to any positively weighted sum, so the
-    worst violation over random velocity pairs should sit at roundoff.
-    """
-    rng = np.random.default_rng(seed)
-    m = dofs.contact_nodes.size
-    if m == 0:
-        return 0.0
-    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes], t), dtype=float)
-    worst = -np.inf
-    for _ in range(n_pairs):
-        v1 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
-        v2 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
-        nu = dofs.contact_normal
-        vt1 = v1 - np.einsum("mi,mi->m", v1, nu)[:, None] * nu
-        vt2 = v2 - np.einsum("mi,mi->m", v2, nu)[:, None] * nu
-        dxi = rfric.traction(vt1, F) - rfric.traction(vt2, F)
-        dv = vt1 - vt2
-        lhs = float(np.sum(lumped_weights * np.einsum("mi,mi->m", dxi, dv)))
-        rhs = -rfric.fric.d_mu * float(np.sum(lumped_weights * F * np.einsum("mi,mi->m", dv, dv)))
-        worst = max(worst, rhs - lhs)
-    return worst
 
 
 @dataclass(eq=False)
@@ -344,17 +260,3 @@ def solve_momentum_step(step: MomentumStep, t_new: float, u_old: np.ndarray, v_o
     v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), rtol * (1.0 + load_norm),
                                      max_iter, "momentum", t_new)
     return v, u_old + step.dt * v, xi, info
-
-
-def momentum_residual(step: MomentumStep, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
-                      theta_del: np.ndarray, v_free: np.ndarray):
-    """Residual and exact Jacobian of the implicit step at a trial velocity."""
-    residual, _ = step.residual_map(t_new, u_old, v_old, theta_del)
-    res, (_, v_full) = residual(v_free)
-    pos = step.pos
-    pairs = np.arange(pos.size).reshape(-1, 2)
-    rows = np.repeat(pairs, 2, axis=1).ravel()
-    cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
-    d_et = sp.csr_matrix((step.blocks(v_full, t_new).ravel(), (rows, cols)),
-                         shape=(pos.size, v_free.size))
-    return res, (step.base + step.contact[:, pos] @ d_et).tocsr()

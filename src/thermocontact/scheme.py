@@ -5,7 +5,9 @@ every coupling coefficient and source frozen at the delayed state, the
 electric balance at the just-computed temperature, and the momentum balance
 with the delayed temperature. The delay makes each stage well posed on its
 own: within a step no stage reads a quantity computed later in the same
-step, and the delayed lookups on [0, delay] return the initial state.
+step. The delay is h = k dt with k = ``SolverConfig.delay_steps``, and step n
+reads its couplings from ``ws.states[max(n - k, 0)]``, so on [0, h] that is
+the initial state.
 
 The temperature equation carries the quartic gradient regularizer weighted
 by the delay length itself (overridable for experiments); its contribution
@@ -15,7 +17,7 @@ must vanish as the delay is refined, which the cascade report measures.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +30,7 @@ from .assembly import (
     assemble_joule_load_direct,
     assemble_joule_load_reformulated,
     assemble_p_laplacian,
+    assemble_p_laplacian_jacobian,
     assemble_scalar_mass,
     assemble_scalar_stiffness_unit,
     assemble_thermal_robin,
@@ -92,7 +95,7 @@ class SolverConfig:
         if not (0.0 < self.dt <= self.h < self.T):
             raise ConfigError(
                 f"time grid must satisfy 0 < dt <= h < T, got dt={self.dt}, h={self.h}, T={self.T}")
-        k = round(self.h / self.dt)
+        k = self.delay_steps
         if k < 1 or abs(k * self.dt - self.h) > 1e-9 * self.h:
             raise ConfigError(f"delay h={self.h} is not an integer multiple of dt={self.dt}")
         if not self.eps > 0.0:
@@ -131,31 +134,6 @@ class SystemState:
     theta: np.ndarray
     phi: np.ndarray  # shifted potential: total minus the ambient interpolant
     xi: np.ndarray
-
-
-@dataclass
-class DelayBuffer:
-    """Grid-time state history with exact two-branch delayed lookup."""
-
-    h: float
-    dt: float
-    states: list[SystemState] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:
-        return round(self.h / self.dt)
-
-    def push(self, state: SystemState) -> None:
-        self.states.append(state)
-
-    def delayed(self, t: float) -> SystemState:
-        """State at max(t - h, 0); t must be a reached grid time."""
-        i = round(t / self.dt)
-        if abs(i * self.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a grid time for dt={self.dt}")
-        if i >= len(self.states):
-            raise ValueError(f"t={t} beyond stored history (have {len(self.states)} states)")
-        return self.states[max(i - self.k, 0)]
 
 
 @dataclass
@@ -217,37 +195,19 @@ class LaggedFactor:
 
 @dataclass
 class Workspace:
-    """One run: its inputs, its state history and the operators constant along it."""
+    """One run: its inputs, its state history and the operators constant along it.
+
+    ``states[n]`` is the state at the grid time n dt; ``advance_one`` appends
+    one and reads the delayed one from this list.
+    """
 
     models: Models
     config: SolverConfig
-    buffer: DelayBuffer
+    states: list[SystemState]
     mass_thermal: sp.csr_matrix
     momentum: MomentumStep
     temperature_solver: LaggedFactor
     electric_solver: LaggedFactor
-
-
-def delay_inequality_gap(history: np.ndarray, h: float, dt: float) -> float:
-    """Slack of the delayed-history norm bound; nonpositive up to roundoff.
-
-    For samples g_0..g_n at spacing dt and delay h = k dt, the delayed
-    sequence satisfies sum dt |g_delayed(t_i)|^2 <= h |g_0|^2 + sum dt |g_i|^2,
-    because the delayed sum repeats g_0 exactly k+1 times and drops the k
-    final samples. Returns lhs - rhs.
-    """
-    values = np.atleast_2d(np.asarray(history, dtype=float))
-    if values.shape[0] < 1:
-        raise ValueError("history must hold at least the initial sample")
-    k = round(h / dt)
-    if k < 1 or abs(k * dt - h) > 1e-9 * h:
-        raise ValueError("delay must be an integer multiple of dt")
-    sq = np.einsum("nm,nm->n", values, values)
-    n = values.shape[0] - 1
-    delayed_idx = np.maximum(np.arange(n + 1) - k, 0)
-    lhs = dt * float(sq[delayed_idx].sum())
-    rhs = h * float(sq[0]) + dt * float(sq.sum())
-    return lhs - rhs
 
 
 def _check_initial_field(name: str, values: np.ndarray, size: int, zero_idx: np.ndarray) -> np.ndarray:
@@ -264,7 +224,7 @@ def _check_initial_field(name: str, values: np.ndarray, size: int, zero_idx: np.
 def initialize(models: Models, config: SolverConfig,
                u0: np.ndarray | None = None, v0: np.ndarray | None = None,
                theta0: np.ndarray | None = None) -> Workspace:
-    """Validate the setup, solve for the initial potential, seed the buffer."""
+    """Validate the setup, solve for the initial potential, seed the state history."""
     config.validate()
     mesh, dofs = models.mesh, models.dofs
     n = mesh.n_nodes
@@ -275,14 +235,14 @@ def initialize(models: Models, config: SolverConfig,
     v0 = _check_initial_field("v0", v0, 2 * n, dir_vector)
 
     rfric = RegularizedFriction(models.fric, config.eps)
-    ws = Workspace(models=models, config=config, buffer=DelayBuffer(h=config.h, dt=config.dt),
+    ws = Workspace(models=models, config=config, states=[],
                    mass_thermal=assemble_scalar_mass(mesh, dofs),
                    momentum=MomentumStep(mesh, dofs, models.mat, rfric, models.bd, config.dt),
                    temperature_solver=LaggedFactor("temperature"),
                    electric_solver=LaggedFactor("electric"))
     phi0 = solve_electric(ws, theta0, t=0.0)
     xi0 = contact_traction_full(mesh, dofs, rfric, v0, t=0.0)
-    ws.buffer.push(SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0))
+    ws.states.append(SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0))
     return ws
 
 
@@ -336,11 +296,11 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
     def residual(theta_free):
         full = np.zeros(mesh.n_nodes)
         full[free] = theta_free
-        pl_res, pl_jac = assemble_p_laplacian(mesh, dofs, full)
-        return base @ theta_free + c_reg * pl_res - rhs, pl_jac
+        pl_res, g = assemble_p_laplacian(mesh, dofs, full)
+        return base @ theta_free + c_reg * pl_res - rhs, g
 
-    def correction(res, pl_jac):
-        jac = pattern.csr(base.data + c_reg * pl_jac.data)
+    def correction(res, g):
+        jac = pattern.csr(base.data + c_reg * assemble_p_laplacian_jacobian(dofs, g).data)
         return ws.temperature_solver.solve(jac, -res, t_new)
 
     theta, _, _ = damped_newton(residual, correction, old.theta[free], target,
@@ -365,26 +325,25 @@ def _momentum_stage(ws: Workspace, old: SystemState, delayed: SystemState, t_new
 
 def advance_one(ws: Workspace) -> SystemState:
     """One grid step: temperature, then potential, then velocity."""
-    buf = ws.buffer
-    n_new = len(buf.states)
+    n_new = len(ws.states)
     t_new = n_new * ws.config.dt
-    old = buf.states[-1]
-    delayed = buf.states[max(n_new - buf.k, 0)]
+    old = ws.states[-1]
+    delayed = ws.states[max(n_new - ws.config.delay_steps, 0)]
 
     theta_new = solve_temperature_step(ws, old, delayed, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
     v_new, u_new, xi_new = _momentum_stage(ws, old, delayed, t_new)
 
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
-    buf.push(state)
+    ws.states.append(state)
     return state
 
 
 def advance(ws: Workspace) -> list[SystemState]:
     """Run the staggered loop to the horizon; returns the full trajectory."""
-    while len(ws.buffer.states) - 1 < ws.config.n_steps:
+    while len(ws.states) - 1 < ws.config.n_steps:
         advance_one(ws)
-    return ws.buffer.states
+    return ws.states
 
 
 @dataclass
@@ -413,10 +372,9 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
         raise ConfigError("cascade requires at least one level")
     if any(b >= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("cascade levels must be strictly decreasing")
-    for lev in levels:
-        k = round(lev / config.dt)
-        if k < 1 or abs(k * config.dt - lev) > 1e-9 * lev:
-            raise ConfigError(f"cascade level {lev} is not an integer multiple of dt={config.dt}")
+    level_configs = [dataclasses.replace(config, h=lev, cascade_levels=()) for lev in levels]
+    for cfg in level_configs:
+        cfg.validate()
 
     mesh, dofs = models.mesh, models.dofs
     free = dofs.scalar_free_nodes
@@ -428,8 +386,7 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
 
     trajectories = []
     regularizer = []
-    for lev in levels:
-        cfg = dataclasses.replace(config, h=lev, cascade_levels=())
+    for lev, cfg in zip(levels, level_configs):
         ws = initialize(models, cfg)
         states = advance(ws)
         theta = np.stack([s.theta[free] for s in states])

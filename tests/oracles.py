@@ -6,12 +6,16 @@ sharing no code with the package's assembly routines. The sparse
 references after it restrict full (N x N) or (2N x 2N) matrices, built by
 :func:`scatter` from the package's element matrices, to the free dofs by
 fancy indexing: the path the package's free-dof patterns replace, kept to
-check them against. The remaining helpers are quantities only tests use.
+check them against. The remaining helpers are quantities only tests use:
+the dual norm of the regularizer, the sampled friction-law properties, the
+friction functional, the assembled momentum Jacobian and the delayed-history
+inequality.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.integrate
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
@@ -19,7 +23,9 @@ from thermocontact.assembly import (
     _mass_local,
     _tensor_stiffness_local,
     assemble_p_laplacian,
+    assemble_p_laplacian_jacobian,
     assemble_scalar_stiffness_unit,
+    contact_slip,
     u_norm4,
 )
 from thermocontact.friction import damped_newton
@@ -381,10 +387,11 @@ def quartic_dual_norm(mesh, dofs, r: np.ndarray, rtol: float = 1e-12, max_iter: 
     w *= (float(r @ w) / u4) ** (1.0 / 3.0)
 
     def residual(w_free):
-        res, jac = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w_free))
-        return res - r, jac
+        res, g = assemble_p_laplacian(mesh, dofs, _full_scalar(mesh, dofs, w_free))
+        return res - r, g
 
-    w, _, _ = damped_newton(residual, lambda res, jac: spsolve(jac, -res), w,
+    w, _, _ = damped_newton(residual,
+                            lambda res, g: spsolve(assemble_p_laplacian_jacobian(dofs, g), -res), w,
                             rtol * (1.0 + nr), max_iter, "regularizer dual norm", 0.0)
     return u_norm4(mesh, _full_scalar(mesh, dofs, w)) ** 0.75
 
@@ -400,3 +407,120 @@ def regularizer_magnitude(mesh, dofs, theta: np.ndarray, h: float) -> tuple[floa
     surrogate = float(h * u_norm4(mesh, theta) ** 0.75)
     res_free, _ = assemble_p_laplacian(mesh, dofs, theta)
     return quartic_dual_norm(mesh, dofs, h * res_free), surrogate
+
+
+def slip_potential(rfric, r: np.ndarray) -> np.ndarray:
+    """Antiderivative of mu at slip rates r >= 0; by quadrature if the model gives none."""
+    r = np.asarray(r, dtype=float)
+    if rfric.fric.mu_antiderivative is not None:
+        return np.asarray(rfric.fric.mu_antiderivative(r), dtype=float)
+    flat = np.ravel(r)
+    out = np.array([scipy.integrate.quad(lambda s: float(rfric.fric.mu(s)), 0.0, float(x))[0]
+                    for x in flat])
+    return out.reshape(np.shape(r))
+
+
+def friction_functional(mesh, dofs, rfric, v_full: np.ndarray, t: float = 0.0) -> float:
+    """Contact integral of F times the slip-rate potential of |v_tau|."""
+    quad, slip, F = contact_slip(mesh, rfric.fric, v_full, t)
+    return float(np.sum(quad.weights * F * slip_potential(rfric, slip)))
+
+
+def check_subgradient_properties(rfric, n_pairs: int = 10_000, seed: int = 0) -> dict:
+    """Sampled worst cases of the traction bound and the monotonicity estimate.
+
+    Draws slip-velocity pairs across magnitudes from well below the smoothing
+    scale to order ten; half the pairs are collinear or nearly collinear,
+    where a slip-weakening coefficient stresses the monotonicity constant
+    hardest. Returns the largest observed violations (negative or tiny
+    positive values mean the property holds).
+    """
+    rng = np.random.default_rng(seed)
+    eps = rfric.eps
+    scales = 10.0 ** rng.uniform(np.log10(eps) - 1.0, 1.0, size=(n_pairs, 2))
+    dirs = rng.normal(size=(n_pairs, 2, 2))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    quarter = n_pairs // 4
+    dirs[:quarter, 1] = dirs[:quarter, 0]
+    near = dirs[quarter:2 * quarter, 0] + 0.05 * rng.normal(size=(quarter, 2))
+    dirs[quarter:2 * quarter, 1] = near / np.linalg.norm(near, axis=1, keepdims=True)
+    v1 = scales[:, 0, None] * dirs[:, 0]
+    v2 = scales[:, 1, None] * dirs[:, 1]
+    F = rng.uniform(0.0, 1.0, size=n_pairs) * rfric.fric.F_bar * 2.0
+
+    xi1 = rfric.traction(v1, F)
+    xi2 = rfric.traction(v2, F)
+    norm1 = np.linalg.norm(xi1, axis=1)
+    bound_violation = float((norm1 - rfric.fric.mu_bar * F).max())
+
+    dv = v1 - v2
+    pair = np.einsum("mi,mi->m", xi1 - xi2, dv)
+    slack = pair + F * rfric.fric.d_mu * np.einsum("mi,mi->m", dv, dv)
+    return {
+        "bound_violation": bound_violation,
+        "monotonicity_violation": float((-slack).max()),
+        "n_pairs": int(n_pairs),
+    }
+
+
+def check_subgradient_pairing(mesh, dofs, rfric, lumped_weights: np.ndarray, n_pairs: int = 100,
+                              seed: int = 0, t: float = 0.0) -> float:
+    """Monotonicity estimate in the lumped contact inner product.
+
+    The nodal property transfers to any positively weighted sum, so the
+    worst violation over random velocity pairs should sit at roundoff.
+    """
+    rng = np.random.default_rng(seed)
+    m = dofs.contact_nodes.size
+    if m == 0:
+        return 0.0
+    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes], t), dtype=float)
+    worst = -np.inf
+    for _ in range(n_pairs):
+        v1 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
+        v2 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
+        nu = dofs.contact_normal
+        vt1 = v1 - np.einsum("mi,mi->m", v1, nu)[:, None] * nu
+        vt2 = v2 - np.einsum("mi,mi->m", v2, nu)[:, None] * nu
+        dxi = rfric.traction(vt1, F) - rfric.traction(vt2, F)
+        dv = vt1 - vt2
+        lhs = float(np.sum(lumped_weights * np.einsum("mi,mi->m", dxi, dv)))
+        rhs = -rfric.fric.d_mu * float(np.sum(lumped_weights * F * np.einsum("mi,mi->m", dv, dv)))
+        worst = max(worst, rhs - lhs)
+    return worst
+
+
+def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
+                      theta_del: np.ndarray, v_free: np.ndarray):
+    """Residual and exact Jacobian of the implicit step at a trial velocity."""
+    residual, _ = step.residual_map(t_new, u_old, v_old, theta_del)
+    res, (_, v_full) = residual(v_free)
+    pos = step.pos
+    pairs = np.arange(pos.size).reshape(-1, 2)
+    rows = np.repeat(pairs, 2, axis=1).ravel()
+    cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
+    d_et = sp.csr_matrix((step.blocks(v_full, t_new).ravel(), (rows, cols)),
+                         shape=(pos.size, v_free.size))
+    return res, (step.base + step.contact[:, pos] @ d_et).tocsr()
+
+
+def delay_inequality_gap(history: np.ndarray, h: float, dt: float) -> float:
+    """Slack of the delayed-history norm bound; nonpositive up to roundoff.
+
+    For samples g_0..g_n at spacing dt and delay h = k dt, the delayed
+    sequence satisfies sum dt |g_delayed(t_i)|^2 <= h |g_0|^2 + sum dt |g_i|^2,
+    because the delayed sum repeats g_0 exactly k+1 times and drops the k
+    final samples. Returns lhs - rhs.
+    """
+    values = np.atleast_2d(np.asarray(history, dtype=float))
+    if values.shape[0] < 1:
+        raise ValueError("history must hold at least the initial sample")
+    k = round(h / dt)
+    if k < 1 or abs(k * dt - h) > 1e-9 * h:
+        raise ValueError("delay must be an integer multiple of dt")
+    sq = np.einsum("nm,nm->n", values, values)
+    n = values.shape[0] - 1
+    delayed_idx = np.maximum(np.arange(n + 1) - k, 0)
+    lhs = dt * float(sq[delayed_idx].sum())
+    rhs = h * float(sq[0]) + dt * float(sq.sum())
+    return lhs - rhs

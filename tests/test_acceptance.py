@@ -13,11 +13,14 @@ import pytest
 
 from conftest import const_bd
 from oracles import (
+    check_subgradient_properties,
+    delay_inequality_gap,
     dense_boundary_mass,
     dense_scalar_mass,
     dense_scalar_stiffness,
     dense_vector_mass,
     dense_vector_stiffness,
+    momentum_residual,
     p1_basis,
     restrict,
     restrict_scalar,
@@ -26,6 +29,7 @@ from oracles import (
 from thermocontact.assembly import (
     MIDPOINT_BASIS,
     assemble_p_laplacian,
+    assemble_p_laplacian_jacobian,
     phi_b_nodal,
 )
 from thermocontact.diagnostics import (
@@ -34,12 +38,7 @@ from thermocontact.diagnostics import (
     potential_bound_constant,
 )
 from thermocontact.driver import main
-from thermocontact.friction import (
-    MomentumStep,
-    RegularizedFriction,
-    check_subgradient_properties,
-    momentum_residual,
-)
+from thermocontact.friction import MomentumStep, RegularizedFriction
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (
@@ -47,7 +46,6 @@ from thermocontact.scheme import (
     SolverConfig,
     advance,
     advance_one,
-    delay_inequality_gap,
     initialize,
     run_cascade,
 )
@@ -137,7 +135,7 @@ def test_01_manufactured_potential_convergence():
             assert abs(sq - 1.0 / 9.0) < 1e-13
             del total
         ws = initialize(models, DEFAULT_CFG)
-        phi_total = ws.buffer.states[0].phi + phi_b_nodal(mesh, bd)
+        phi_total = ws.states[0].phi + phi_b_nodal(mesh, bd)
         errors.append(_product_errors(mesh, phi_total))
     l2_orders = [np.log2(errors[i][0] / errors[i + 1][0]) for i in range(2)]
     en_orders = [np.log2(errors[i][1] / errors[i + 1][1]) for i in range(2)]
@@ -269,7 +267,7 @@ def test_08_joule_forms_gap_shrinks():
         theta = mesh.nodes[:, 0] * (1.0 - mesh.nodes[:, 0])
         theta[dofs.dirichlet_nodes] = 0.0
         ws = initialize(models, DEFAULT_CFG, theta0=theta)
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         gaps.append(joule_gap(models, s0.theta, s0.phi, 0.0))
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
     print("ACCEPTANCE 08 PASS Joule-form gap decreases monotonically: "
@@ -349,7 +347,7 @@ def test_10_jacobians_match_finite_differences():
     for _ in range(5):
         theta = np.zeros(mesh.n_nodes)
         theta[dofs.scalar_free_nodes] = rng.normal(size=dofs.scalar_free_nodes.size)
-        _, jac = assemble_p_laplacian(mesh, dofs, theta)
+        jac = assemble_p_laplacian_jacobian(dofs, assemble_p_laplacian(mesh, dofs, theta)[1])
         jac = jac.toarray()
         step = 1e-6
         for k in range(dofs.scalar_free_nodes.size):

@@ -40,7 +40,7 @@ class TestPotentialBound:
     def test_zero_ambient_collapses(self):
         models = quiet_models(2)
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.025))
-        lhs, rhs = potential_bound(models, ws.buffer.states[0])
+        lhs, rhs = potential_bound(models, ws.states[0])
         assert lhs == 0.0 and rhs == 0.0
 
     def test_holds_for_random_temperatures(self):
@@ -147,7 +147,7 @@ class TestJouleGap:
     def test_finite_on_default_initial_solve(self):
         models = default_models(4)
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.025))
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         gap = joule_gap(models, s0.theta, s0.phi, 0.0)
         assert np.isfinite(gap) and gap >= 0.0
 

@@ -12,6 +12,7 @@ from thermocontact.assembly import (
     assemble_electric_system,
     assemble_mech_load,
     assemble_p_laplacian,
+    assemble_p_laplacian_jacobian,
     assemble_scalar_mass,
     assemble_scalar_stiffness_unit,
     assemble_thermal_coupling,
@@ -156,7 +157,7 @@ class TestOperatorsAgainstOracles:
         mesh, dofs = case
         theta = np.zeros(mesh.n_nodes)
         theta[dofs.scalar_free_nodes] = np.random.default_rng(3).normal(size=dofs.n_free_scalar)
-        _, jac = assemble_p_laplacian(mesh, dofs, theta)
+        jac = assemble_p_laplacian_jacobian(dofs, assemble_p_laplacian(mesh, dofs, theta)[1])
         assert_matches(jac, oracles.restrict(oracles.dense_p_laplacian_jacobian(mesh, theta),
                                              dofs.scalar_free_nodes))
 

@@ -7,7 +7,13 @@ import pytest
 import scipy.sparse.linalg
 
 from conftest import const_bd, const_friction
-from oracles import DirectSolve, restrict_scalar, scalar_mass_full, scalar_stiffness_unit_full
+from oracles import (
+    DirectSolve,
+    delay_inequality_gap,
+    restrict_scalar,
+    scalar_mass_full,
+    scalar_stiffness_unit_full,
+)
 from thermocontact import friction, scheme
 from thermocontact.assembly import (
     assemble_electric_system,
@@ -23,14 +29,12 @@ from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (
     CG_MAX_ITER,
     ConfigError,
-    DelayBuffer,
     LaggedFactor,
     Models,
     SolverConfig,
     SystemState,
     advance,
     advance_one,
-    delay_inequality_gap,
     initialize,
     run_cascade,
     solve_temperature_step,
@@ -81,27 +85,25 @@ class TestSolverConfig:
         assert dataclasses.replace(cfg, regularizer_coefficient=0.0).regularizer == 0.0
 
 
-def toy_state(t, value):
-    arr = np.full(3, value)
-    return SystemState(t=t, u=arr, v=arr, theta=arr, phi=arr, xi=arr)
+class TestDelayedLookup:
+    def test_stepper_reads_delayed_state(self, monkeypatch):
+        ws = initialize(default_models(2, overrides={"f0": (0.5, 0.0)}),
+                        SolverConfig(T=0.3, h=0.1, dt=0.025))
+        k = ws.config.delay_steps
+        assert k == 4
+        solve = scheme.solve_temperature_step
+        seen = []
 
+        def spy(ws, old, delayed, t_new):
+            seen.append((old, delayed))
+            return solve(ws, old, delayed, t_new)
 
-class TestDelayBuffer:
-    def test_two_branch_lookup(self):
-        buf = DelayBuffer(h=0.25, dt=0.05)
-        for i in range(11):
-            buf.push(toy_state(i * 0.05, float(i)))
-        assert buf.delayed(0.1) is buf.states[0]
-        assert buf.delayed(0.25) is buf.states[0]
-        assert buf.delayed(0.5) is buf.states[5]
-
-    def test_rejects_offgrid_and_future(self):
-        buf = DelayBuffer(h=0.1, dt=0.05)
-        buf.push(toy_state(0.0, 0.0))
-        with pytest.raises(ValueError, match="grid time"):
-            buf.delayed(0.071)
-        with pytest.raises(ValueError, match="beyond"):
-            buf.delayed(0.05)
+        monkeypatch.setattr(scheme, "solve_temperature_step", spy)
+        advance(ws)
+        assert len(seen) == ws.config.n_steps == 12
+        for n, (old, delayed) in enumerate(seen, start=1):
+            assert delayed is ws.states[max(n - k, 0)]
+            assert old is ws.states[n - 1]
 
 
 class TestDelayInequality:
@@ -134,7 +136,7 @@ class TestInitialize:
     def test_initial_potential_residual(self):
         models = default_models(4)
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125))
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         matrix, load = assemble_electric_system(models.mesh, models.dofs, models.mat, models.bd,
                                                 s0.theta, models.fric, 0.0)
         res = matrix @ s0.phi[models.dofs.scalar_free_nodes] - load
@@ -151,7 +153,7 @@ class TestInitialize:
         models = dataclasses.replace(
             models, bd=dataclasses.replace(models.bd, H_N=0.0, H_C=zero))
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125))
-        assert np.abs(ws.buffer.states[0].phi).max() < 1e-12
+        assert np.abs(ws.states[0].phi).max() < 1e-12
 
     def test_rejects_bad_initial_data(self):
         models = default_models(2)
@@ -173,7 +175,7 @@ class TestInitialize:
         free = models.dofs.vector_free_dofs()
         v0[free] = 0.3
         ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), v0=v0)
-        xi = ws.buffer.states[0].xi.reshape(-1, 2)[models.dofs.contact_nodes]
+        xi = ws.states[0].xi.reshape(-1, 2)[models.dofs.contact_nodes]
         assert np.linalg.norm(xi, axis=1).max() > 0.0
 
 
@@ -188,7 +190,7 @@ class TestTimeDependentExchange:
         ws = initialize(models, SolverConfig(T=1.0, h=0.05, dt=0.0125, regularizer_coefficient=0.0))
         mesh, dofs, mat = models.mesh, models.dofs, models.mat
         free = dofs.scalar_free_nodes
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = np.random.default_rng(5).normal(size=free.size)
         t = 0.7
@@ -212,7 +214,7 @@ class TestTemperatureStep:
 
     def test_zero_sources_zero_fixed_point(self):
         ws = self.make_ws(quiet_models(2))
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         theta = solve_temperature_step(ws, s0, s0, ws.config.dt)
         assert np.abs(theta).max() == 0.0
 
@@ -224,7 +226,7 @@ class TestTemperatureStep:
         rng = np.random.default_rng(2)
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = rng.normal(size=free.size)
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         old = dataclasses.replace(s0, theta=theta_old)
         got = solve_temperature_step(ws, old, s0, ws.config.dt)
 
@@ -247,7 +249,7 @@ class TestTemperatureStep:
         ws = self.make_ws(models, regularizer_coefficient=0.0)
         mesh, dofs = models.mesh, models.dofs
         free = dofs.scalar_free_nodes
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
 
         state = s0
         dt = ws.config.dt
@@ -270,7 +272,7 @@ class TestTemperatureStep:
         free = dofs.scalar_free_nodes
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = 5.0 * np.sin(np.arange(free.size))
-        s0 = ws_on.buffer.states[0]
+        s0 = ws_on.states[0]
         old = dataclasses.replace(s0, theta=theta_old)
         from thermocontact.assembly import u_norm4
 
@@ -278,13 +280,35 @@ class TestTemperatureStep:
         t_off = solve_temperature_step(ws_off, old, s0, ws_off.config.dt)
         assert u_norm4(mesh, t_on) < u_norm4(mesh, t_off)
 
+    def test_one_jacobian_per_newton_correction(self, monkeypatch):
+        counts = {"residual": 0, "jacobian": 0, "solve": 0}
+
+        def counted(fn, name):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(scheme, "assemble_p_laplacian",
+                            counted(scheme.assemble_p_laplacian, "residual"))
+        monkeypatch.setattr(scheme, "assemble_p_laplacian_jacobian",
+                            counted(scheme.assemble_p_laplacian_jacobian, "jacobian"))
+        ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"}),
+                        SolverConfig(T=0.1, h=0.025, dt=0.0125))
+        monkeypatch.setattr(ws.temperature_solver, "solve",
+                            counted(ws.temperature_solver.solve, "solve"))
+        advance(ws)
+        assert counts["solve"] > 0
+        assert counts["jacobian"] == counts["solve"]
+        assert counts["residual"] > counts["solve"]
+
     def test_non_finite_residual_raises(self):
         # a NaN residual must not pass for convergence at the initial guess
         models = default_models(2)
         models = dataclasses.replace(models, mat=dataclasses.replace(
             models.mat, k=lambda s: np.full(np.shape(s) + (2, 2), np.nan)))
         ws = self.make_ws(models)
-        s0 = ws.buffer.states[0]
+        s0 = ws.states[0]
         with pytest.raises(SolverError, match=r"temperature step at t=0\.01: non-finite residual nan"):
             solve_temperature_step(ws, s0, s0, ws.config.dt)
 
@@ -420,7 +444,7 @@ class TestAdvance:
         lu = ws.momentum.lu
         assert lu is not None
         advance(ws)
-        assert len(ws.buffer.states) == 9 and ws.momentum.lu is lu
+        assert len(ws.states) == 9 and ws.momentum.lu is lu
 
     def test_delay_inequality_on_real_run(self):
         models = default_models(2, overrides={"f0": (0.5, 0.0)})
