@@ -112,7 +112,11 @@ def parse_config(path: str) -> RunConfig:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    entries = _parse_entries(blob.decode("utf-8"))
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config '{path}' is not UTF-8 text: {exc}") from None
+    entries = _parse_entries(text)
 
     overrides = {}
     for key in list(entries):

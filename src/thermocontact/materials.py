@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass
@@ -159,6 +158,12 @@ PHI_B_FORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from e = exp(-|x|), which neither overflows nor loses the tails."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def default_ptc_model(overrides: dict | None = None):
     """Reference thermistor scenario with a falling conductivity curve.
 
@@ -186,7 +191,7 @@ def default_ptc_model(overrides: dict | None = None):
     k_amp = float(p["k_amp"])
 
     def sigma_el(s):
-        return sigma_star + (m_sigma - sigma_star) * expit(-kappa * (np.asarray(s, dtype=float) - s_c))
+        return sigma_star + (m_sigma - sigma_star) * _logistic(-kappa * (np.asarray(s, dtype=float) - s_c))
 
     def k(s):
         s = np.asarray(s, dtype=float)

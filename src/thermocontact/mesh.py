@@ -253,8 +253,12 @@ def load_mesh(path: str) -> Mesh:
     T lines ``i j k`` (0-based, counterclockwise); E lines ``i j TAG`` with
     TAG in {D, N, C}. Whitespace-separated; ``#`` starts a comment.
     """
-    with open(path) as f:
-        raw = f.read()
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        raw = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"mesh file '{path}' is not UTF-8 text: {exc}") from None
     tokens: list[str] = []
     lines_of: list[int] = []
     for ln, line in enumerate(raw.splitlines(), start=1):

@@ -95,6 +95,8 @@ class SolverConfig:
         if not (0.0 < self.dt <= self.h < self.T):
             raise ConfigError(
                 f"time grid must satisfy 0 < dt <= h < T, got dt={self.dt}, h={self.h}, T={self.T}")
+        if not np.isfinite(self.T / self.dt):
+            raise ConfigError(f"time grid T/dt overflows, got dt={self.dt}, T={self.T}")
         k = self.delay_steps
         if k < 1 or abs(k * self.dt - self.h) > 1e-9 * self.h:
             raise ConfigError(f"delay h={self.h} is not an integer multiple of dt={self.dt}")

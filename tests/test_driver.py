@@ -212,6 +212,24 @@ class TestConfigValueErrors:
         assert err.count("\n") == 1
 
 
+class TestNonUtf8Input:
+    def check_one_line(self, cfg, capsys, match):
+        assert main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
+        assert err.count("\n") == 1
+
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(BASE.encode() + b"# r\xe9sistance\n")
+        self.check_one_line(str(path), capsys, "not UTF-8")
+
+    def test_mesh_file(self, tmp_path, capsys):
+        (tmp_path / "latin1.mesh").write_bytes(b"# r\xe9seau\nnodes 3 triangles 1 edges 3\n")
+        cfg = cfg_file(tmp_path, f"mesh.file = {tmp_path / 'latin1.mesh'}\n")
+        self.check_one_line(cfg, capsys, "not UTF-8")
+
+
 def contact_free_default_cfg(tmp_path):
     text = (REPO_ROOT / "examples" / "default.cfg").read_text()
     assert "mesh.bottom = C" in text
@@ -230,10 +248,11 @@ class TestContactFree:
         assert (out / "trajectory.csv").exists() and (out / "cascade.csv").exists()
 
 
-def test_driver_import_leaves_out_scipy_integrate():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_driver_import_leaves_out(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")])
-    code = "import sys, thermocontact.driver; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, thermocontact.driver; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

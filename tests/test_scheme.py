@@ -66,6 +66,7 @@ class TestSolverConfig:
         (dict(T=0.5, h=0.05, dt=0.1), "0 < dt <= h < T"),
         (dict(T=0.05, h=0.05, dt=0.0125), "0 < dt <= h < T"),
         (dict(T=0.5, h=0.05, dt=0.015), "integer multiple"),
+        (dict(T=1e308, h=1e300, dt=5e-324), "overflows"),
         (dict(T=0.5, h=0.05, dt=0.0125, eps=0.0), "eps"),
         (dict(T=0.5, h=0.05, dt=0.0125, joule_mode="exact"), "joule_mode"),
         (dict(T=0.5, h=0.05, dt=0.0125, tol_temperature=0.0), "tol_temperature"),
