@@ -159,9 +159,9 @@ PHI_B_FORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) from e = exp(-|x|), which neither overflows nor loses the tails."""
+    """1 / (1 + exp(-x)) as (1 or e) / (1 + e) with e = exp(-|x|): no overflow, no lost tail."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def default_ptc_model(overrides: dict | None = None):
