@@ -43,7 +43,7 @@ def cfg_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(blob=blobs)
 def test_parse_config_returns_config_or_raises_config_error(cfg_path, blob):
     cfg_path.write_bytes(blob)
