@@ -66,13 +66,13 @@ class TestSolverConfig:
         (dict(T=0.5, h=0.05, dt=0.1), "0 < dt <= h < T"),
         (dict(T=0.05, h=0.05, dt=0.0125), "0 < dt <= h < T"),
         (dict(T=0.5, h=0.05, dt=0.015), "integer multiple"),
-        (dict(T=1e308, h=1e300, dt=5e-324), "overflows"),
         (dict(T=0.5, h=0.05, dt=0.0125, eps=0.0), "eps"),
         (dict(T=0.5, h=0.05, dt=0.0125, joule_mode="exact"), "joule_mode"),
         (dict(T=0.5, h=0.05, dt=0.0125, tol_temperature=0.0), "tol_temperature"),
         (dict(T=0.5, h=0.05, dt=0.0125, max_iter_momentum=0), "max_iter_momentum"),
         (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=-1.0), "regularizer"),
         (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=float("nan")), "regularizer"),
+        (dict(T=1e308, h=1e300, dt=5e-324), "overflows"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
