@@ -17,13 +17,10 @@ import numpy as np
 
 from .assembly import (
     MIDPOINT_BASIS,
-    assemble_elastic_operators,
     assemble_frictional_heat,
     assemble_joule_load_direct,
     assemble_joule_load_reformulated,
-    assemble_scalar_mass,
     assemble_scalar_stiffness_unit,
-    assemble_vector_mass,
     element_gradients,
     h1_norm,
     phi_b_nodal,
@@ -69,7 +66,7 @@ def _boundary_l2(mesh, part: str, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(quad.weights * quad.interpolate(values) ** 2)))
 
 
-def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:
+def potential_bound_constant(models) -> float:
     """Data-only bound on the V norm of the shifted potential.
 
     Combines the conductivity bounds, the exchange coefficients, and the
@@ -86,7 +83,7 @@ def potential_bound_constant(models, trace_tol: float = 1e-10) -> float:
     if l2_n == 0.0 and l2_c == 0.0:
         gamma = 0.0
     else:
-        gamma = estimate_scalar_trace_norm(mesh, dofs, tol=trace_tol)
+        gamma = estimate_scalar_trace_norm(mesh, dofs)
     num = mat.M_sigma * h1 + bd.H_N * l2_n * gamma + bd.H_C_bar * l2_c * gamma
     return num / mat.sigma_star
 
@@ -126,27 +123,29 @@ def _joule_gap(models, direct, theta, phi, t: float) -> float:
     return float(np.abs(direct - reform).max())
 
 
-def energy_report(models, trajectory, config) -> DiagnosticsReport:
-    """Scalar diagnostics for every state of a trajectory.
+def energy_report(ws) -> DiagnosticsReport:
+    """Scalar diagnostics for every state of a run's :class:`~thermocontact.scheme.Workspace`.
 
-    Checks the potential bound, the nodal traction bound, and the sign of
-    the heat sources at each step; failures become violation entries.
+    The mass, viscosity and elasticity forms are the run's own, read from
+    the workspace. Checks the potential bound, the nodal traction bound,
+    and the sign of the heat sources at each step; failures become
+    violation entries.
     """
+    models, config = ws.models, ws.config
     mesh, dofs, mat, fric = models.mesh, models.dofs, models.mat, models.fric
     sfree = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
-    mass_s = assemble_scalar_mass(mesh, dofs)
+    mass_s = ws.mass_thermal
     stiff_s = assemble_scalar_stiffness_unit(mesh, dofs)
-    mass_v = assemble_vector_mass(mesh, dofs)
-    visc_op, elast_op = assemble_elastic_operators(mesh, dofs, mat)
+    mass_v, visc_op, elast_op = ws.momentum.mass, ws.momentum.visc, ws.momentum.elast
     bound_c = potential_bound_constant(models)
     traction_cap = fric.mu_bar * fric.F_bar * (1.0 + 1e-10)
 
     dt, h = config.dt, config.h
-    data = np.zeros((len(trajectory), len(REPORT_COLUMNS)))
+    data = np.zeros((len(ws.states), len(REPORT_COLUMNS)))
     violations: list[str] = []
     visc_accum = theta_v_accum = theta_u4_accum = 0.0
-    for i, state in enumerate(trajectory):
+    for i, state in enumerate(ws.states):
         pf = state.phi[sfree]
         tf = state.theta[sfree]
         vf = state.v[vfree]

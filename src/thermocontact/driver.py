@@ -261,7 +261,7 @@ def run_command(rc: RunConfig) -> int:
     write_trajectory(rc, models.mesh, states)
     write_fields(rc, models.mesh, states[-1])
     if rc.diagnostics:
-        report = energy_report(models, states, rc.solver)
+        report = energy_report(ws)
         write_diagnostics(rc, report)
         for violation in report.violations:
             print(f"violation: {violation}", file=sys.stderr)

@@ -221,42 +221,41 @@ class MomentumStep:
         proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
         return np.einsum("mij,mjk->mik", self.rfric.traction_jacobian(vt, F), proj)
 
-    def residual_map(self, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
-                     theta_del: np.ndarray):
-        """Residual map v_free -> (res, (xi_full, v_full)) of the step to t_new, and |load|."""
-        mesh, dofs, dt = self.mesh, self.dofs, self.dt
-        vfree = dofs.vector_free_dofs()
-        load = assemble_mech_load(mesh, dofs, self.bd, self.rfric.fric, t_new)
-        coup = assemble_thermal_coupling(mesh, dofs, self.mat, theta_del)
-        rhs_const = (load - coup + self.mat.mass_mech() / dt * (self.mass @ v_old)
-                     - self.elast @ u_old)
 
-        def residual(v_free):
-            v_full = np.zeros(2 * mesh.n_nodes)
-            v_full[vfree] = v_free
-            xi = contact_traction_full(mesh, dofs, self.rfric, v_full, t_new)
-            return self.base @ v_free + self.contact @ xi[vfree] - rhs_const, (xi, v_full)
-
-        return residual, float(np.linalg.norm(load))
-
-
-def solve_momentum_step(step: MomentumStep, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
-                        theta_del: np.ndarray, max_iter: int = 50, rtol: float = 1e-10):
+def solve_momentum_step(ws, old, delayed, t_new: float):
     """One implicit Euler step of the momentum balance with nodal friction.
 
-    u_old and v_old live on free vector dofs; theta_del is the full delayed
-    temperature field. Returns (v_new, u_new, xi_full, info); the terminal
-    residual satisfies |res| <= rtol (1 + |load|) or SolverError is raised.
+    ``ws`` is the run's :class:`~thermocontact.scheme.Workspace`; the step
+    reads its displacement and velocity from the state ``old`` and its
+    temperature from ``delayed``. Returns the full fields (v_new, u_new,
+    xi_new) and the Newton info; the terminal residual satisfies
+    |res| <= tol_momentum (1 + |load|), or SolverError is raised.
 
     The velocity update is :func:`damped_newton` with the exact Jacobian:
     the run's step matrix, through its factor, plus the friction term on the
     contact dofs, which each correction condenses to a dense system there.
     """
-    residual, load_norm = step.residual_map(t_new, u_old, v_old, theta_del)
+    step, cfg = ws.momentum, ws.config
+    mesh, dofs, mat = step.mesh, step.dofs, step.mat
+    vfree = dofs.vector_free_dofs()
+    u_old = old.u[vfree]
+    v_old = old.v[vfree]
+    load = assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
+    coup = assemble_thermal_coupling(mesh, dofs, mat, delayed.theta)
+    rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
+
+    def residual(v_free):
+        v_full = np.zeros(2 * mesh.n_nodes)
+        v_full[vfree] = v_free
+        xi = contact_traction_full(mesh, dofs, step.rfric, v_full, t_new)
+        return step.base @ v_free + step.contact @ xi[vfree] - rhs, (xi, v_full)
 
     def correction(res, aux):
         return step.solve(-res, step.blocks(aux[1], t_new))
 
-    v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), rtol * (1.0 + load_norm),
-                                     max_iter, "momentum", t_new)
-    return v, u_old + step.dt * v, xi, info
+    target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
+    v, (xi, v_full), info = damped_newton(residual, correction, v_old.copy(), target,
+                                          cfg.max_iter_momentum, "momentum", t_new)
+    u_full = np.zeros_like(v_full)
+    u_full[vfree] = u_old + step.dt * v
+    return v_full, u_full, xi, info

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
 from .assembly import (
-    assemble_elastic_operators,
     assemble_electric_system,
     assemble_frictional_heat,
     assemble_joule_load_direct,
@@ -112,6 +111,14 @@ class SolverConfig:
             raise ConfigError(f"joule_mode must be one of {JOULE_MODES}, got {self.joule_mode!r}")
         if self.regularizer_coefficient is not None and not self.regularizer_coefficient >= 0.0:
             raise ConfigError("regularizer_coefficient must be nonnegative")
+        levels = self.cascade_levels
+        if any(b >= a for a, b in zip(levels, levels[1:])):
+            raise ConfigError("cascade levels must be strictly decreasing")
+        for lev in levels:
+            try:
+                dataclasses.replace(self, h=lev, cascade_levels=()).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"cascade level {lev}: {exc}") from None
 
     @property
     def delay_steps(self) -> int:
@@ -312,19 +319,6 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
     return out
 
 
-def _momentum_stage(ws: Workspace, old: SystemState, delayed: SystemState, t_new: float):
-    cfg = ws.config
-    vfree = ws.models.dofs.vector_free_dofs()
-    v_new, u_new, xi, _ = solve_momentum_step(
-        ws.momentum, t_new, old.u[vfree], old.v[vfree], delayed.theta,
-        max_iter=cfg.max_iter_momentum, rtol=cfg.tol_momentum)
-    u_full = np.zeros(2 * ws.models.mesh.n_nodes)
-    v_full = np.zeros_like(u_full)
-    u_full[vfree] = u_new
-    v_full[vfree] = v_new
-    return v_full, u_full, xi
-
-
 def advance_one(ws: Workspace) -> SystemState:
     """One grid step: temperature, then potential, then velocity."""
     n_new = len(ws.states)
@@ -334,7 +328,7 @@ def advance_one(ws: Workspace) -> SystemState:
 
     theta_new = solve_temperature_step(ws, old, delayed, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
-    v_new, u_new, xi_new = _momentum_stage(ws, old, delayed, t_new)
+    v_new, u_new, xi_new, _ = solve_momentum_step(ws, old, delayed, t_new)
 
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
     ws.states.append(state)
@@ -372,24 +366,18 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
     levels = list(config.cascade_levels)
     if not levels:
         raise ConfigError("cascade requires at least one level")
-    if any(b >= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("cascade levels must be strictly decreasing")
-    level_configs = [dataclasses.replace(config, h=lev, cascade_levels=()) for lev in levels]
-    for cfg in level_configs:
-        cfg.validate()
+    config.validate()
 
     mesh, dofs = models.mesh, models.dofs
     free = dofs.scalar_free_nodes
     vfree = dofs.vector_free_dofs()
-    mass = assemble_scalar_mass(mesh, dofs)
     stiff = assemble_scalar_stiffness_unit(mesh, dofs)
-    vstiff = assemble_elastic_operators(mesh, dofs, models.mat)[1]
     dt = config.dt
 
     trajectories = []
     regularizer = []
-    for lev, cfg in zip(levels, level_configs):
-        ws = initialize(models, cfg)
+    for lev in levels:
+        ws = initialize(models, dataclasses.replace(config, h=lev, cascade_levels=()))
         states = advance(ws)
         theta = np.stack([s.theta[free] for s in states])
         phi = np.stack([s.phi[free] for s in states])
@@ -403,6 +391,8 @@ def run_cascade(models: Models, config: SolverConfig) -> CascadeReport:
         total = sum(dt * float(d @ (matrix @ d)) for d in diff[:-1])
         return float(np.sqrt(total))
 
+    # the operators of the norms do not depend on the delay
+    mass, vstiff = ws.mass_thermal, ws.momentum.elast
     theta_cauchy, phi_cauchy, v_cauchy = [], [], []
     for (ta, pa, va), (tb, pb, vb) in zip(trajectories, trajectories[1:]):
         theta_cauchy.append(cauchy(ta, tb, mass))

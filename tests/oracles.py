@@ -22,13 +22,15 @@ from scipy.sparse.linalg import spsolve
 from thermocontact.assembly import (
     _mass_local,
     _tensor_stiffness_local,
+    assemble_mech_load,
     assemble_p_laplacian,
     assemble_p_laplacian_jacobian,
     assemble_scalar_stiffness_unit,
+    assemble_thermal_coupling,
     contact_slip,
     u_norm4,
 )
-from thermocontact.friction import damped_newton
+from thermocontact.friction import contact_traction_full, damped_newton
 from thermocontact.mesh import boundary_mass_local, edge_quadrature, scatter_load, unit_stiffness_local, xy_dofs
 
 
@@ -492,9 +494,21 @@ def check_subgradient_pairing(mesh, dofs, rfric, lumped_weights: np.ndarray, n_p
 
 def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
                       theta_del: np.ndarray, v_free: np.ndarray):
-    """Residual and exact Jacobian of the implicit step at a trial velocity."""
-    residual, _ = step.residual_map(t_new, u_old, v_old, theta_del)
-    res, (_, v_full) = residual(v_free)
+    """Residual and exact Jacobian of the implicit step at a trial velocity.
+
+    All vectors but theta_del live on free vector dofs. The residual
+    B v + R xi(v) - rhs is formed here from the step's matrices, the load
+    assemblers and the nodal traction, apart from the solver's own closure.
+    """
+    mesh, dofs, mat = step.mesh, step.dofs, step.mat
+    vfree = dofs.vector_free_dofs()
+    v_full = np.zeros(2 * mesh.n_nodes)
+    v_full[vfree] = v_free
+    xi = contact_traction_full(mesh, dofs, step.rfric, v_full, t_new)
+    rhs = (assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
+           - assemble_thermal_coupling(mesh, dofs, mat, theta_del)
+           + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old)
+    res = step.base @ v_free + step.contact @ xi[vfree] - rhs
     pos = step.pos
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()

@@ -156,8 +156,9 @@ class TestEnergyReport:
     def test_zero_trajectory_all_zero(self):
         models = quiet_models(2)
         cfg = SolverConfig(T=0.2, h=0.05, dt=0.025)
-        states = advance(initialize(models, cfg))
-        report = energy_report(models, states, cfg)
+        ws = initialize(models, cfg)
+        states = advance(ws)
+        report = energy_report(ws)
         assert report.ok()
         np.testing.assert_allclose(report.column("t"),
                                    [s.t for s in states], rtol=0, atol=0)
@@ -167,8 +168,9 @@ class TestEnergyReport:
     def test_default_run_clean_and_monotone(self):
         models = default_models(4, overrides={"f0": (0.5, 0.0)})
         cfg = SolverConfig(T=0.2, h=0.05, dt=0.025)
-        states = advance(initialize(models, cfg))
-        report = energy_report(models, states, cfg)
+        ws = initialize(models, cfg)
+        advance(ws)
+        report = energy_report(ws)
         assert report.ok(), report.violations
         assert np.isfinite(report.data).all()
         for name in ("viscous_dissipation", "theta_v_sq_accum", "theta_u4_accum"):
@@ -178,19 +180,21 @@ class TestEnergyReport:
     def test_flags_inflated_traction(self):
         models = default_models(2)
         cfg = SolverConfig(T=0.1, h=0.05, dt=0.05)
-        states = advance(initialize(models, cfg))
-        bad_xi = states[-1].xi.copy()
+        ws = initialize(models, cfg)
+        advance(ws)
+        bad_xi = ws.states[-1].xi.copy()
         bad_xi[2 * models.dofs.contact_nodes[0]] = 10.0 * models.fric.mu_bar * models.fric.F_bar
-        states[-1] = dataclasses.replace(states[-1], xi=bad_xi)
-        report = energy_report(models, states, cfg)
+        ws.states[-1] = dataclasses.replace(ws.states[-1], xi=bad_xi)
+        report = energy_report(ws)
         assert any("traction bound" in v for v in report.violations)
 
     def test_flags_potential_bound_breach(self):
         models = default_models(2)
         cfg = SolverConfig(T=0.1, h=0.05, dt=0.05)
-        states = advance(initialize(models, cfg))
-        bad_phi = states[-1].phi.copy()
+        ws = initialize(models, cfg)
+        advance(ws)
+        bad_phi = ws.states[-1].phi.copy()
         bad_phi[models.dofs.scalar_free_nodes] += 1e6
-        states[-1] = dataclasses.replace(states[-1], phi=bad_phi)
-        report = energy_report(models, states, cfg)
+        ws.states[-1] = dataclasses.replace(ws.states[-1], phi=bad_phi)
+        report = energy_report(ws)
         assert any("potential bound" in v for v in report.violations)

@@ -230,6 +230,33 @@ class TestNonUtf8Input:
         self.check_one_line(cfg, capsys, "not UTF-8")
 
 
+class TestRejectedBeforeRun:
+    """Configs that cannot run fail in parsing or set-up, before any output is written."""
+
+    EDITS = {
+        # every node of a 1x1 square lies on the held left and right sides
+        "no_free_node": ("mesh.n = 8", "mesh.n = 1", "no free node"),
+        "level_off_grid": ("solver.cascade_levels = 0.1 0.05 0.025",
+                           "solver.cascade_levels = 0.1 0.03", "cascade level 0.03"),
+        "levels_increasing": ("solver.cascade_levels = 0.1 0.05 0.025",
+                              "solver.cascade_levels = 0.05 0.1", "strictly decreasing"),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_exit_2_with_one_line_and_no_output(self, tmp_path, capsys, command, edit):
+        old, new, match = self.EDITS[edit]
+        text = (REPO_ROOT / "examples" / "default.cfg").read_text()
+        assert old in text
+        out = tmp_path / "out"
+        cfg = cfg_file(tmp_path, base=text.replace(old, new))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 def contact_free_default_cfg(tmp_path):
     text = (REPO_ROOT / "examples" / "default.cfg").read_text()
     assert "mesh.bottom = C" in text

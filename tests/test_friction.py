@@ -25,6 +25,7 @@ from thermocontact.friction import (
 )
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
+from thermocontact.scheme import Models, SolverConfig, initialize
 
 
 @pytest.fixture(scope="module")
@@ -167,73 +168,95 @@ class TestFrictionFunctional:
         assert abs(a - b) < 1e-10 * (1 + abs(a))
 
 
+def momentum_run(mesh, dofs, mat, fric, bd, dt, u0=None, v0=None, **solver):
+    """Workspace of a run whose initial state carries the free-dof fields u0 and v0."""
+    vfree = dofs.vector_free_dofs()
+    full = []
+    for values in (u0, v0):
+        out = np.zeros(2 * mesh.n_nodes)
+        if values is not None:
+            out[vfree] = values
+        full.append(out)
+    solver = {"eps": 1e-8, **solver}
+    ws = initialize(Models(mesh, dofs, mat, fric, bd), SolverConfig(T=10 * dt, h=dt, dt=dt, **solver),
+                    u0=full[0], v0=full[1])
+    return ws, vfree
+
+
+def delayed_theta(ws, theta):
+    """The initial state with the given temperature, as the delayed state of a step."""
+    return dataclasses.replace(ws.states[0], theta=theta)
+
+
 class TestMomentumStep:
-    def setup_case(self, square4, F0=0.1):
+    def setup_case(self, square4, F0=0.1, bd=None):
         mesh, dofs = square4
         mat, fric, _ = default_ptc_model()
-        bd = const_bd(f0=(0.5, 0.0))
+        bd = const_bd(f0=(0.5, 0.0)) if bd is None else bd
         if F0 != fric.F_bar:
             fric = dataclasses.replace(
                 fric, F_field=lambda x, t: np.full(np.asarray(x).shape[:-1], F0), F_bar=F0)
-        rf = RegularizedFriction(fric, eps=1e-8)
-        return mesh, dofs, mat, rf, bd
+        return mesh, dofs, mat, fric, bd
 
     def test_frictionless_matches_direct_solve(self, square4):
-        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.0)
+        mesh, dofs, mat, fric, bd = self.setup_case(square4, F0=0.0)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(8)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes) * 0.1
         dt = 0.02
-        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
-        v, u, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
+        ws, vfree = momentum_run(mesh, dofs, mat, fric, bd, dt, u0, v0)
+        v, u, xi, info = solve_momentum_step(ws, ws.states[0], delayed_theta(ws, theta), dt)
         assert np.abs(xi).max() == 0.0
         from thermocontact.assembly import assemble_mech_load, assemble_thermal_coupling
 
-        load = assemble_mech_load(mesh, dofs, bd, rf.fric, dt)
+        step = ws.momentum
+        load = assemble_mech_load(mesh, dofs, bd, fric, dt)
         coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
         base = (mat.mass_mech() / dt) * step.mass + step.visc + dt * step.elast
         rhs = load - coup + (mat.mass_mech() / dt) * (step.mass @ v0) - step.elast @ u0
         ref = scipy.sparse.linalg.spsolve(base.tocsr(), rhs)
-        np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(u, u0 + dt * v, rtol=0.0, atol=0.0)
+        np.testing.assert_allclose(v[vfree], ref, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(u[vfree], u0 + dt * v[vfree], rtol=0.0, atol=0.0)
+        assert np.abs(np.delete(np.stack([u, v]), vfree, axis=1)).max() == 0.0
         assert info["iterations"] == 1
 
     def test_frictional_step_properties(self, square4):
-        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.1)
+        mesh, dofs, mat, fric, bd = self.setup_case(square4, F0=0.1)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(9)
         u0 = np.zeros(nf)
         v0 = rng.normal(size=nf) * 0.1
         theta = rng.normal(size=mesh.n_nodes) * 0.1
         dt = 0.02
-        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
-        v, u, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
-        res, _ = momentum_residual(step, dt, u0, v0, theta, v)
+        ws, vfree = momentum_run(mesh, dofs, mat, fric, bd, dt, u0, v0)
+        v, u, xi, info = solve_momentum_step(ws, ws.states[0], delayed_theta(ws, theta), dt)
+        res, _ = momentum_residual(ws.momentum, dt, u0, v0, theta, v[vfree])
         assert np.linalg.norm(res) <= info["target"]
         on = xi.reshape(-1, 2)[dofs.contact_nodes]
-        F = rf.fric.F_field(mesh.nodes[dofs.contact_nodes], dt)
-        assert (np.linalg.norm(on, axis=1) - rf.fric.mu_bar * F).max() <= 1e-12
+        F = fric.F_field(mesh.nodes[dofs.contact_nodes], dt)
+        assert (np.linalg.norm(on, axis=1) - fric.mu_bar * F).max() <= 1e-12
 
     def test_unforced_energy_decays(self, square4):
-        mesh, dofs, mat, rf, bd = self.setup_case(square4, F0=0.0)
-        bd = const_bd(f0=(0.0, 0.0))
+        mesh, dofs, mat, fric, bd = self.setup_case(square4, F0=0.0, bd=const_bd(f0=(0.0, 0.0)))
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(10)
-        u = rng.normal(size=nf) * 0.1
-        v = rng.normal(size=nf) * 0.1
-        theta = np.zeros(mesh.n_nodes)
         dt = 0.05
-        step = MomentumStep(mesh, dofs, mat, rf, bd, dt)
+        ws, vfree = momentum_run(mesh, dofs, mat, fric, bd, dt,
+                                 rng.normal(size=nf) * 0.1, rng.normal(size=nf) * 0.1)
+        step = ws.momentum
 
-        def energy(u, v):
+        def energy(state):
+            u, v = state.u[vfree], state.v[vfree]
             return 0.5 * mat.mass_mech() * (v @ step.mass @ v) + 0.5 * (u @ step.elast @ u)
 
-        e = energy(u, v)
+        state = ws.states[0]
+        e = energy(state)
         for n in range(5):
-            v, u, _, _ = solve_momentum_step(step, (n + 1) * dt, u, v, theta)
-            e_new = energy(u, v)
+            v, u, _, _ = solve_momentum_step(ws, state, ws.states[0], (n + 1) * dt)
+            state = dataclasses.replace(state, u=u, v=v)
+            e_new = energy(state)
             assert e_new <= e + 1e-12
             e = e_new
 
@@ -263,33 +286,29 @@ class TestMomentumStep:
             assert np.abs(fd - jac[:, col]).max() < 1e-5
 
     def test_deterministic(self, square4):
-        mesh, dofs, mat, rf, bd = self.setup_case(square4)
+        mesh, dofs, mat, fric, bd = self.setup_case(square4)
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(12)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes)
-        step = MomentumStep(mesh, dofs, mat, rf, bd, 0.02)
-        out1 = solve_momentum_step(step, 0.02, u0, v0, theta)
-        out2 = solve_momentum_step(step, 0.02, u0, v0, theta)
+        ws, _ = momentum_run(mesh, dofs, mat, fric, bd, 0.02, u0, v0)
+        out1 = solve_momentum_step(ws, ws.states[0], delayed_theta(ws, theta), 0.02)
+        out2 = solve_momentum_step(ws, ws.states[0], delayed_theta(ws, theta), 0.02)
         assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[2], out2[2])
 
     def test_iteration_budget_enforced(self, square4):
-        mesh, dofs, mat, rf, bd = self.setup_case(square4)
-        nf = dofs.vector_free_dofs().size
-        with pytest.raises(SolverError, match="residual"):
-            solve_momentum_step(MomentumStep(mesh, dofs, mat, rf, bd, 0.02), 0.02,
-                                np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes),
-                                max_iter=0)
+        mesh, dofs, mat, fric, bd = self.setup_case(square4)
+        ws, _ = momentum_run(mesh, dofs, mat, fric, bd, 0.02, max_iter_momentum=1)
+        with pytest.raises(SolverError, match="stalled after 1 iterations; residual"):
+            solve_momentum_step(ws, ws.states[0], ws.states[0], 0.02)
 
     def test_non_finite_residual_raises(self, square4):
         # a NaN residual must not pass for convergence at the initial guess
-        mesh, dofs, mat, rf, _ = self.setup_case(square4)
-        nf = dofs.vector_free_dofs().size
-        bd = const_bd(f0=(np.nan, 0.0))
+        mesh, dofs, mat, fric, bd = self.setup_case(square4, bd=const_bd(f0=(np.nan, 0.0)))
+        ws, _ = momentum_run(mesh, dofs, mat, fric, bd, 0.02)
         with pytest.raises(SolverError, match=r"momentum step at t=0\.02: non-finite residual nan"):
-            solve_momentum_step(MomentumStep(mesh, dofs, mat, rf, bd, 0.02), 0.02,
-                                np.zeros(nf), np.zeros(nf), np.zeros(mesh.n_nodes))
+            solve_momentum_step(ws, ws.states[0], ws.states[0], 0.02)
 
 
 class TestCondensedSolve:
@@ -349,17 +368,20 @@ class TestCondensedSolve:
         mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"})
         dofs = build_dof_maps(mesh)
         dt = 0.02
-        mat, rf, step = self.setup_case(mesh, dofs, dt)
+        mat, fric, _ = default_ptc_model()
         nf = dofs.vector_free_dofs().size
         rng = np.random.default_rng(32)
         u0 = rng.normal(size=nf) * 0.01
         v0 = rng.normal(size=nf) * 0.01
         theta = rng.normal(size=mesh.n_nodes) * 0.1
-        v, _, xi, info = solve_momentum_step(step, dt, u0, v0, theta)
+        ws, vfree = momentum_run(mesh, dofs, mat, fric, const_bd(f0=(0.5, 0.0)), dt, u0, v0)
+        step = ws.momentum
+        v, _, xi, info = solve_momentum_step(ws, ws.states[0], delayed_theta(ws, theta), dt)
+        v = v[vfree]
         _, jac = momentum_residual(step, dt, u0, v0, theta, v)
         from thermocontact.assembly import assemble_mech_load, assemble_thermal_coupling
 
-        load = assemble_mech_load(mesh, dofs, step.bd, rf.fric, dt)
+        load = assemble_mech_load(mesh, dofs, step.bd, fric, dt)
         coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
         rhs = load - coup + (mat.mass_mech() / dt) * (step.mass @ v0) - step.elast @ u0
         ref = scipy.sparse.linalg.spsolve(jac.tocsc(), rhs)

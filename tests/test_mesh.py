@@ -126,6 +126,11 @@ class TestDofMaps:
         assert dofs.n_free_scalar == 2
         assert dofs.n_free_vector == 4
 
+    def test_no_free_node_rejected(self):
+        mesh = build_unit_square_mesh(1, {"left": "D", "right": "D", "bottom": "C", "top": "N"})
+        with pytest.raises(MeshError, match="no free node"):
+            build_dof_maps(mesh)
+
     def test_all_dirichlet_center_free(self):
         tags = {s: "D" for s in ("left", "right", "bottom", "top")}
         mesh = build_unit_square_mesh(2, tags)
@@ -186,7 +191,25 @@ class TestTraceNorm:
         bmat = oracles.restrict(oracles.dense_tangential_contact_mass(mesh), free)
         kmat = oracles.restrict(oracles.dense_componentwise_vector_stiffness(mesh), free)
         lam = scipy.linalg.eigh(bmat, kmat, eigvals_only=True)[-1]
-        assert value == pytest.approx(np.sqrt(lam), rel=1e-6)
+        assert value == pytest.approx(np.sqrt(lam), rel=1e-12)
+
+    def test_one_free_node_matches_dense(self):
+        # the free node (1, 1) touches the C (right) and N (top) sides: a 2x2
+        # vector pencil and a 1x1 scalar one
+        mesh = build_unit_square_mesh(1, {"left": "D", "bottom": "D", "right": "C", "top": "N"})
+        dofs = build_dof_maps(mesh)
+        assert dofs.n_free_scalar == 1
+        free = dofs.vector_free_dofs()
+        bmat = oracles.restrict(oracles.dense_tangential_contact_mass(mesh), free)
+        kmat = oracles.restrict(oracles.dense_componentwise_vector_stiffness(mesh), free)
+        lam = scipy.linalg.eigh(bmat, kmat, eigvals_only=True)[-1]
+        assert estimate_trace_norm(mesh, dofs) == pytest.approx(np.sqrt(lam), rel=1e-12)
+
+        f = dofs.scalar_free_nodes
+        bmat = oracles.restrict(oracles.dense_boundary_mass(mesh, ("N", "C")), f)
+        kmat = oracles.restrict(oracles.dense_scalar_stiffness(mesh), f)
+        lam = scipy.linalg.eigh(bmat, kmat, eigvals_only=True)[-1]
+        assert estimate_scalar_trace_norm(mesh, dofs) == pytest.approx(np.sqrt(lam), rel=1e-12)
 
     def test_refinement_monotone_bounded(self):
         vals = []
@@ -207,7 +230,7 @@ class TestTraceNorm:
         bmat = oracles.restrict(oracles.dense_boundary_mass(mesh, parts), f)
         kmat = oracles.restrict(oracles.dense_scalar_stiffness(mesh), f)
         lam = scipy.linalg.eigh(bmat, kmat, eigvals_only=True)[-1]
-        assert value == pytest.approx(np.sqrt(max(lam, 0.0)), rel=1e-6)
+        assert value == pytest.approx(np.sqrt(max(lam, 0.0)), rel=1e-12)
 
     def test_scalar_trace_empty_parts(self):
         mesh = build_unit_square_mesh(2)

@@ -73,6 +73,9 @@ class TestSolverConfig:
         (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=-1.0), "regularizer"),
         (dict(T=0.5, h=0.05, dt=0.0125, regularizer_coefficient=float("nan")), "regularizer"),
         (dict(T=1e308, h=1e300, dt=5e-324), "overflows"),
+        (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.1, 0.03)), "cascade level 0.03: .*integer multiple"),
+        (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.05, 0.1)), "strictly decreasing"),
+        (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.5,)), "cascade level 0.5: .*h < T"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
