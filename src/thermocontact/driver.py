@@ -36,8 +36,6 @@ from .mesh import (
 from .scheme import ConfigError, Models, SolverConfig, advance, initialize, run_cascade
 
 SIDES = ("left", "right", "bottom", "top")
-TUPLE_OVERRIDES = ("f0", "f2")
-STRING_OVERRIDES = ("phi_b",)
 SOLVER_FLOAT_KEYS = ("T", "h", "dt", "eps", "tol_temperature", "tol_momentum",
                      "regularizer_coefficient")
 SOLVER_INT_KEYS = ("max_iter_temperature", "max_iter_momentum")
@@ -126,13 +124,13 @@ def parse_config(path: str) -> RunConfig:
         if name not in DEFAULTS:
             raise ConfigError(f"unknown model override '{name}'")
         raw = entries.pop(key)
-        if name in STRING_OVERRIDES:
+        default = DEFAULTS[name]  # its type is the override's kind
+        if isinstance(default, str):  # the one string is the phi_b form
             if raw not in PHI_B_FORMS:
                 raise ConfigError(f"key '{key}': unknown form '{raw}'; options: {sorted(PHI_B_FORMS)}")
             overrides[name] = raw
-        elif name in TUPLE_OVERRIDES:
-            parts = raw.split()
-            if len(parts) != 2:
+        elif isinstance(default, tuple):  # a vector in the plane
+            if len(raw.split()) != len(default):
                 raise ConfigError(f"key '{key}': expected two numbers")
             overrides[name] = _cast(key, raw, _floats)
         else:

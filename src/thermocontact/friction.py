@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import SuperLU
 
 from .assembly import (
     assemble_contact_mass,
@@ -31,7 +31,7 @@ from .assembly import (
     assemble_vector_mass,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import SYMMETRIC_ORDERING, DofMap, Mesh, xy_dofs
+from .mesh import DofMap, Mesh, factor_spd, xy_dofs
 
 
 class SolverError(RuntimeError):
@@ -197,9 +197,7 @@ class MomentumStep:
         """(B + R D E^T)^-1 rhs, D = block_diag(blocks) from :meth:`blocks`."""
         q = self.tau.shape[0]
         if self.lu is None:
-            # B is SPD, so diagonal pivots are stable and keep the symmetric ordering's fill
-            self.lu = splu(self.base.tocsc(), permc_spec=SYMMETRIC_ORDERING,
-                           options={"SymmetricMode": True})
+            self.lu = factor_spd(self.base)
             self.z = self.lu.solve(self.contact[:, self.pos].toarray())
             self.ts = np.einsum("kj,kjl->kl", self.tau,
                                 self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 VALID_TAGS = ("D", "N", "C")
-# SuperLU column ordering for the SPD systems assembled on the free-dof
-# patterns: minimum degree on A^T + A, which is the pattern itself
-SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 
 
 class MeshError(ValueError):
@@ -215,6 +213,14 @@ def _validate(mesh: Mesh) -> Mesh:
 
     if not np.any(mesh.edge_tags == "D"):
         raise MeshError("empty Dirichlet part")
+    # the free-dof operators are singular on a connected piece that the D part does not hold
+    links = sp.coo_matrix((np.ones(tri.size), (tri.ravel(), tri[:, [1, 2, 0]].ravel())), shape=(n, n))
+    n_pieces, piece = connected_components(links, directed=False)
+    held = np.zeros(n_pieces, dtype=bool)
+    held[piece[be[mesh.edge_tags == "D"].ravel()]] = True
+    floating = np.flatnonzero(~held[piece])
+    if floating.size:
+        raise MeshError(f"the piece of the mesh holding node {floating[0]} touches no D edge")
 
     owner = owners[pos]
     third = nodes[tri[owner].sum(axis=1) - be.sum(axis=1)]
@@ -588,6 +594,16 @@ def boundary_mass_local(quad: EdgeQuadrature, weight=1.0, block=None) -> np.ndar
 def unit_stiffness_local(mesh: Mesh) -> np.ndarray:
     """(T, 3, 3) unit-coefficient gradient form on each triangle."""
     return (mesh.grad_products[:, 0] + mesh.grad_products[:, 3]).reshape(-1, 3, 3)
+
+
+def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
+    """SuperLU factor of an SPD matrix assembled on a free-dof pattern.
+
+    Columns are ordered by minimum degree on A^T + A, which is the pattern
+    itself, and since the matrix is SPD the diagonal pivots are stable and
+    keep that ordering's fill.
+    """
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def _pencil_top_root(bmat: sp.csr_matrix, kmat: sp.csr_matrix) -> float:

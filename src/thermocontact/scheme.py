@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import SuperLU
 
 from .assembly import (
     assemble_electric_system,
@@ -46,7 +46,7 @@ from .friction import (
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import SYMMETRIC_ORDERING, DofMap, Mesh
+from .mesh import DofMap, Mesh, factor_spd
 
 JOULE_MODES = ("direct", "reformulated")
 
@@ -152,10 +152,14 @@ class LaggedFactor:
     Every coefficient of a stage is frozen at the delayed state, so its
     matrix moves little between solves and the factor of an earlier one
     is a close preconditioner. Each solve starts from the factor's solution
-    and stops on the true residual |b - A x| <= CG_RTOL |b|; after
-    CG_MAX_ITER iterations it refactors on the current matrix and solves
-    directly. A stale factor costs iterations, never accuracy. The two
-    counters hold the work of every solve so far, failed CG attempts included.
+    and stops once the true residual meets the normwise backward error bound
+    |b - A x| <= CG_RTOL (|A|_inf |x| + |b|) (Rigal and Gaches; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 7.1),
+    about what a direct solve reaches in roundoff at any mesh size; a bound
+    on |b| alone is out of reach once n >= 48. After CG_MAX_ITER iterations
+    the stage refactors on the current matrix and solves directly, so a
+    stale factor costs iterations, not accuracy. The two counters hold the
+    work of every solve so far, failed CG attempts included.
     """
 
     stage: str
@@ -170,8 +174,7 @@ class LaggedFactor:
                 return x
         self.lu = None  # release the old factor before the new one is built
         try:
-            self.lu = splu(matrix.tocsc(), permc_spec=SYMMETRIC_ORDERING,
-                           options={"SymmetricMode": True})
+            self.lu = factor_spd(matrix)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"{self.stage} solve at t={t:.6g}: {exc}") from None
         self.factorizations += 1
@@ -183,11 +186,14 @@ class LaggedFactor:
 
     def _cg(self, matrix: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
         """Preconditioned CG from lu.solve(b); None if it needs over CG_MAX_ITER steps."""
-        tol = CG_RTOL * float(np.linalg.norm(b))
+        # |A|_inf bounds |A|_2 for a symmetric A; every row of a free-dof
+        # pattern holds its diagonal entry, so no row is empty
+        norm_a = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
+        norm_b = float(np.linalg.norm(b))
         x = self.lu.solve(b)
         r = b - matrix @ x
         for it in range(CG_MAX_ITER + 1):
-            if float(np.linalg.norm(r)) <= tol:
+            if float(np.linalg.norm(r)) <= CG_RTOL * (norm_a * float(np.linalg.norm(x)) + norm_b):
                 self.cg_iterations += it
                 return x
             if it == CG_MAX_ITER:

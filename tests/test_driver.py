@@ -24,6 +24,25 @@ solver.dt = 0.025
 """
 
 
+TWO_PIECES = """\
+nodes 6 triangles 2 edges 6
+0.0 0.0
+1.0 0.0
+0.0 1.0
+2.0 0.0
+3.0 0.0
+2.0 1.0
+0 1 2
+3 4 5
+0 1 N
+1 2 N
+2 0 D
+3 4 C
+4 5 N
+5 3 N
+"""
+
+
 def cfg_file(tmp_path, extra="", base=BASE, name="run.cfg"):
     p = tmp_path / name
     p.write_text(base + extra)
@@ -254,6 +273,18 @@ class TestRejectedBeforeRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and match in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_mesh_piece_without_d_edge(self, tmp_path, capsys, command):
+        # the second triangle touches the first nowhere and has no D edge of its own
+        (tmp_path / "two.mesh").write_text(TWO_PIECES)
+        out = tmp_path / "out"
+        cfg = cfg_file(tmp_path, f"mesh.file = {tmp_path / 'two.mesh'}\n",
+                       base=BASE.replace("mesh.n = 2\n", ""))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: the piece of the mesh holding node 3 touches no D edge\n"
         assert not out.exists()
 
 

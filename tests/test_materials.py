@@ -11,6 +11,20 @@ from thermocontact.materials import (
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, estimate_trace_norm
 
 
+# every sampled check that calls each model callable
+NAN_CHECKS = {"sigma_el": ("A2", "A2L"), "k": ("A3", "A3U", "A3L"), "F_field": ("A5",),
+              "mu": ("A7", "A7c")}
+
+
+def _nan_above(f, above, key):
+    """f with NaN wherever key(its first argument) > above."""
+    def g(a, *rest):
+        vals = np.asarray(f(a, *rest), dtype=float)
+        mask = np.asarray(key(np.asarray(a, dtype=float)) > above)
+        return np.where(mask.reshape(mask.shape + (1,) * (vals.ndim - mask.ndim)), np.nan, vals)
+    return g
+
+
 @pytest.fixture(scope="module")
 def default_models():
     return default_ptc_model()
@@ -111,26 +125,19 @@ class TestValidator:
         assert a2.witness is not None
 
     @pytest.mark.parametrize("above", [-np.inf, 0.5])
-    def test_nan_sigma_fails_a2_and_a2l(self, default_models, trace_norm_n4, above):
-        # everywhere NaN used to raise from np.nanargmax; NaN above s = 0.5 passed A2
+    @pytest.mark.parametrize("name", sorted(NAN_CHECKS))
+    def test_nan_fails_every_check_sampling_it(self, default_models, trace_norm_n4, name, above):
+        # a NaN traction used to pass A5 with margin inf, a NaN mu A7 with margin nan
         mat, fric, bd = default_models
         import dataclasses
-        sigma = mat.sigma_el
-        bad = dataclasses.replace(mat, sigma_el=lambda s: np.where(np.asarray(s) > above, np.nan, sigma(s)))
-        rep = validate_assumptions(bad, fric, bd, trace_norm_n4)
-        for check in (c for c in rep.checks if c.id in ("A2", "A2L")):
-            assert not check.passed and check.witness is not None, check.id
-
-    @pytest.mark.parametrize("above", [-np.inf, 0.5])
-    def test_nan_k_fails_a3_checks(self, default_models, trace_norm_n4, above):
-        # a NaN conductivity used to pass A3, A3U and A3L
-        mat, fric, bd = default_models
-        import dataclasses
-        k = mat.k
-        nan_above = lambda s: np.where((np.asarray(s) > above)[..., None, None], np.nan, k(s))
-        rep = validate_assumptions(dataclasses.replace(mat, k=nan_above), fric, bd, trace_norm_n4)
-        for check in (c for c in rep.checks if c.id in ("A3", "A3U", "A3L")):
-            assert not check.passed and check.witness is not None, check.id
+        owner = fric if name in ("F_field", "mu") else mat
+        key = (lambda x: x[..., 0]) if name == "F_field" else (lambda s: s)
+        bad = dataclasses.replace(owner, **{name: _nan_above(getattr(owner, name), above, key)})
+        mat, fric = (mat, bad) if owner is fric else (bad, fric)
+        rep = validate_assumptions(mat, fric, bd, trace_norm_n4)
+        assert {c.id for c in rep.failures()} == set(NAN_CHECKS[name])
+        for check in rep.failures():
+            assert np.isnan(check.margin) and check.witness is not None, check.id
 
     def test_negative_traction_fails_a5(self, default_models, trace_norm_n4):
         mat, fric, bd = default_models

@@ -72,6 +72,18 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match="no tag"):
             load_mesh(write(tmp_path, text))
 
+    def test_node_in_no_triangle_rejected(self, tmp_path):
+        text = SQUARE_FILE.replace("nodes 4", "nodes 5").replace("0 1\n0 1 2", "0 1\n5 5\n0 1 2")
+        with pytest.raises(MeshError, match="holding node 4 touches no D edge"):
+            load_mesh(write(tmp_path, text))
+
+    def test_pieces_sharing_a_node_are_held_together(self, tmp_path):
+        # the second triangle meets the first at node 2 only and has no D edge
+        text = ("nodes 5 triangles 2 edges 6\n0 0\n1 0\n1 1\n2 1\n2 2\n0 1 2\n2 3 4\n"
+                "0 1 N\n1 2 N\n2 0 D\n2 3 C\n3 4 N\n4 2 N\n")
+        mesh = load_mesh(write(tmp_path, text))
+        assert build_dof_maps(mesh).scalar_free_nodes.tolist() == [1, 3, 4]
+
     def test_truncated_file(self, tmp_path):
         text = "nodes 4 triangles 2 edges 4\n0 0\n1 0\n"
         with pytest.raises(MeshError, match="end of file"):

@@ -385,6 +385,19 @@ class TestLaggedFactor:
                 fa, fb = getattr(a, name), getattr(b, name)
                 assert np.abs(fa - fb).max() <= 1e-12 * (1.0 + np.abs(fb).max()), name
 
+    def test_fine_mesh_run_keeps_its_factors(self):
+        # at n = 48 a direct solve leaves |b - A x| above 1e-14 |b|, so a stop
+        # on that bound never met it and refactored at nearly every solve
+        models = default_models(48, tags={"left": "D", "right": "D", "bottom": "C", "top": "C"},
+                                overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        x0, x1 = models.mesh.nodes.T
+        theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.02 * np.cos(np.pi * x1))
+        theta0[models.dofs.dirichlet_nodes] = 0.0
+        ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), theta0=theta0)
+        advance(ws)
+        assert ws.electric_solver.factorizations <= 4
+        assert ws.temperature_solver.factorizations <= 6
+
 
 class TestAdvance:
     def test_zero_data_zero_trajectory(self):
