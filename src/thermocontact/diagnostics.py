@@ -88,14 +88,6 @@ def potential_bound_constant(models) -> float:
     return num / mat.sigma_star
 
 
-def potential_bound(models, state) -> tuple[float, float]:
-    """Both sides of the potential estimate for one converged state."""
-    stiff = assemble_scalar_stiffness_unit(models.mesh, models.dofs)
-    phi = np.asarray(state.phi, dtype=float)[models.dofs.scalar_free_nodes]
-    lhs = float(np.sqrt(max(phi @ (stiff @ phi), 0.0)))
-    return lhs, potential_bound_constant(models)
-
-
 def weighted_gradient_integral(models, state) -> float:
     """Quadrature value of the conductivity-weighted squared-field,
     squared-gradient integral of the total potential."""
@@ -109,13 +101,9 @@ def weighted_gradient_integral(models, state) -> float:
     return float(np.sum(areas / 3.0 * np.sum(sigma_q * vals_q**2, axis=1) * g2))
 
 
-def joule_gap(models, theta, phi, t: float = 0.0) -> float:
-    """Largest free-entry difference between the two Joule load forms."""
-    direct = assemble_joule_load_direct(models.mesh, models.dofs, models.mat, models.bd, theta, phi)
-    return _joule_gap(models, direct, theta, phi, t)
-
-
-def _joule_gap(models, direct, theta, phi, t: float) -> float:
+def joule_gap(models, direct, theta, phi, t: float) -> float:
+    """Largest free-entry difference between the two Joule load forms,
+    given the direct one."""
     reform = assemble_joule_load_reformulated(models.mesh, models.dofs, models.mat, models.bd,
                                               theta, phi, fric=models.fric, t=t)
     if not direct.size:
@@ -165,7 +153,7 @@ def energy_report(ws) -> DiagnosticsReport:
             h * theta_u4_accum,
             float(np.sqrt(max(uf @ (elast_op @ uf), 0.0))),
             h * u4**0.75,
-            _joule_gap(models, joule, state.theta, state.phi, state.t),
+            joule_gap(models, joule, state.theta, state.phi, state.t),
         )
         data[i] = row
         visc_accum += dt * float(vf @ (visc_op @ vf))

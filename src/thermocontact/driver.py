@@ -36,9 +36,6 @@ from .mesh import (
 from .scheme import ConfigError, Models, SolverConfig, advance, initialize, run_cascade
 
 SIDES = ("left", "right", "bottom", "top")
-SOLVER_FLOAT_KEYS = ("T", "h", "dt", "eps", "tol_temperature", "tol_momentum",
-                     "regularizer_coefficient")
-SOLVER_INT_KEYS = ("max_iter_temperature", "max_iter_momentum")
 
 
 @dataclasses.dataclass
@@ -88,6 +85,17 @@ def _float(raw: str) -> float:
 
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(_float(x) for x in raw.split())
+
+
+def _solver_cast(default):
+    """The cast of a ``solver.*`` key, from the default of its SolverConfig field."""
+    if isinstance(default, str):
+        return str
+    if isinstance(default, int):
+        return int
+    if isinstance(default, tuple):
+        return _floats
+    return _float  # no default, a float or None
 
 
 def _pop_typed(entries: dict[str, str], key: str, cast, default):
@@ -143,19 +151,10 @@ def parse_config(path: str) -> RunConfig:
             tags[side] = tag
 
     solver_kwargs = {}
-    for key in SOLVER_FLOAT_KEYS:
-        val = _pop_typed(entries, f"solver.{key}", _float, None)
-        if val is not None:
-            solver_kwargs[key] = val
-    for key in SOLVER_INT_KEYS:
-        val = _pop_typed(entries, f"solver.{key}", int, None)
-        if val is not None:
-            solver_kwargs[key] = val
-    if "solver.joule_mode" in entries:
-        solver_kwargs["joule_mode"] = entries.pop("solver.joule_mode")
-    levels = _pop_typed(entries, "solver.cascade_levels", _floats, None)
-    if levels is not None:
-        solver_kwargs["cascade_levels"] = levels
+    for fld in dataclasses.fields(SolverConfig):
+        key = f"solver.{fld.name}"
+        if key in entries:
+            solver_kwargs[fld.name] = _cast(key, entries.pop(key), _solver_cast(fld.default))
     for key in ("T", "h", "dt"):
         if key not in solver_kwargs:
             raise ConfigError(f"missing required key 'solver.{key}'")
@@ -191,16 +190,11 @@ def build_models(rc: RunConfig) -> Models:
     return Models(mesh, dofs, mat, fric, bd)
 
 
-def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: str, header: list[str], rows, config_hash: str) -> None:
+    """Rows hold Python ints and floats (``tolist()``): numpy 2 would repr a
+    numpy scalar as ``np.float64(...)``."""
     lines = [",".join(header), f"# config_hash={config_hash}"]
-    for row in rows:
-        lines.append(",".join(_format(v) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -212,35 +206,31 @@ def write_trajectory(rc: RunConfig, mesh, states) -> None:
               + [f"phi[{i}]" for i in range(n)]
               + [f"u[{i}]" for i in range(2 * n)]
               + [f"v[{i}]" for i in range(2 * n)])
-    rows = (np.concatenate(([s.t], s.theta, s.phi, s.u, s.v))
+    rows = (np.concatenate(([s.t], s.theta, s.phi, s.u, s.v)).tolist()
             for s in states[::rc.stride])
     _write_csv(os.path.join(rc.out_dir, "trajectory.csv"), header, rows, rc.config_hash)
 
 
 def write_fields(rc: RunConfig, mesh, state) -> None:
     header = ["node", "x0", "x1", "theta", "phi", "u0", "u1", "v0", "v1", "xi0", "xi1"]
-    u = state.u.reshape(-1, 2)
-    v = state.v.reshape(-1, 2)
-    xi = state.xi.reshape(-1, 2)
-    rows = ([i, mesh.nodes[i, 0], mesh.nodes[i, 1], state.theta[i], state.phi[i],
-             u[i, 0], u[i, 1], v[i, 0], v[i, 1], xi[i, 0], xi[i, 1]]
-            for i in range(mesh.n_nodes))
+    table = np.column_stack([mesh.nodes, state.theta, state.phi, state.u.reshape(-1, 2),
+                             state.v.reshape(-1, 2), state.xi.reshape(-1, 2)])
+    rows = ([i, *row] for i, row in enumerate(table.tolist()))
     _write_csv(os.path.join(rc.out_dir, "fields.csv"), header, rows, rc.config_hash)
 
 
 def write_diagnostics(rc: RunConfig, report) -> None:
     _write_csv(os.path.join(rc.out_dir, "diagnostics.csv"),
-               list(report.columns), report.data, rc.config_hash)
+               list(report.columns), report.data.tolist(), rc.config_hash)
 
 
 def write_cascade(rc: RunConfig, report) -> None:
     header = ["h", "regularizer", "theta_cauchy", "phi_cauchy", "v_cauchy"]
-    rows = []
-    for i, lev in enumerate(report.levels):
-        cauchy = ([report.theta_cauchy[i - 1], report.phi_cauchy[i - 1],
-                   report.v_cauchy[i - 1]] if i else [np.nan, np.nan, np.nan])
-        rows.append([lev, report.regularizer[i]] + cauchy)
-    _write_csv(os.path.join(rc.out_dir, "cascade.csv"), header, rows, rc.config_hash)
+    # the first level has no coarser one to differ from
+    rows = np.column_stack([report.levels, report.regularizer]
+                           + [[np.nan, *diffs] for diffs in
+                              (report.theta_cauchy, report.phi_cauchy, report.v_cauchy)])
+    _write_csv(os.path.join(rc.out_dir, "cascade.csv"), header, rows.tolist(), rc.config_hash)
 
 
 def run_command(rc: RunConfig) -> int:

@@ -118,28 +118,6 @@ class RegularizedFriction:
         return F[:, None, None] * core
 
 
-def nodal_tangential(dofs: DofMap, v_full: np.ndarray) -> np.ndarray:
-    """(m, 2) tangential parts of a full velocity vector at the contact nodes."""
-    vp = v_full.reshape(-1, 2)[dofs.contact_nodes]
-    nu = dofs.contact_normal
-    return vp - np.einsum("mi,mi->m", vp, nu)[:, None] * nu
-
-
-def contact_traction_full(mesh: Mesh, dofs: DofMap, rfric: RegularizedFriction,
-                          v_full: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Full (2N,) nodal traction field, zero away from the contact part."""
-    out = np.zeros_like(v_full)
-    if dofs.contact_nodes.size == 0:
-        return out
-    vt = nodal_tangential(dofs, v_full)
-    F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes], t), dtype=float)
-    xi = rfric.traction(vt, F)
-    idx = dofs.contact_nodes
-    out[2 * idx] = xi[:, 0]
-    out[2 * idx + 1] = xi[:, 1]
-    return out
-
-
 @dataclass(eq=False)
 class MomentumStep:
     """The implicit momentum step of one run, on free vector dofs.
@@ -150,11 +128,12 @@ class MomentumStep:
 
     Friction adds R D(v) E^T to B: R holds the contact pairing columns of
     the q free contact nodes' dofs, E^T picks those dofs out of a free
-    vector and D is the block-diagonal traction Jacobian. Its 2x2 block at
-    free contact node k acts on the tangential part only, D_k = a_k tau_k^T
-    with a_k = D_k tau_k, so D = A T^T with T the block column of the
-    tangents. With Z = B^-1 R and S = E^T Z, the Sherman-Morrison-Woodbury
-    identity
+    vector and D is the block-diagonal derivative of the nodal traction.
+    The traction reads the tangential velocity (I - nu_k nu_k^T) v_k =
+    tau_k tau_k^T v_k only, so its block at free contact node k is
+    D_k = a_k tau_k^T with a_k = J_k tau_k and J_k the traction Jacobian,
+    and D = A T^T with T the block column of the tangents. With Z = B^-1 R
+    and S = E^T Z, the Sherman-Morrison-Woodbury identity
 
         (B + R A T^T E^T)^-1 x = y - Z A (I + T^T S A)^-1 T^T E^T y,  y = B^-1 x,
 
@@ -173,8 +152,9 @@ class MomentumStep:
     elast: sp.csr_matrix = field(init=False, repr=False)
     contact: sp.csr_matrix = field(init=False, repr=False)  # zero nodal traction on D nodes
     base: sp.csr_matrix = field(init=False, repr=False)  # B
-    sel: np.ndarray = field(init=False, repr=False)  # free contact nodes, indices into contact_nodes
+    nodes: np.ndarray = field(init=False, repr=False)  # the q free contact nodes, mesh indices
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
+    nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
     lu: SuperLU | None = field(default=None, init=False, repr=False)  # of B, from the first solve
     z: np.ndarray | None = field(default=None, init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
@@ -189,12 +169,19 @@ class MomentumStep:
                                     + self.visc.data + self.dt * self.elast.data)
         # a contact node on the D part never moves, so friction acts on the free ones only
         free = dofs.node_to_free[dofs.contact_nodes]
-        self.sel = np.flatnonzero(free >= 0)
-        self.pos = xy_dofs(free[self.sel])
-        self.tau = dofs.contact_tangent[self.sel]
+        sel = free >= 0
+        self.nodes = dofs.contact_nodes[sel]
+        self.pos = xy_dofs(free[sel])
+        self.nu = dofs.contact_normal[sel]
+        self.tau = dofs.contact_tangent[sel]
 
-    def solve(self, rhs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """(B + R D E^T)^-1 rhs, D = block_diag(blocks) from :meth:`blocks`."""
+    def tangential(self, v_free: np.ndarray) -> np.ndarray:
+        """(q, 2) tangential parts of a free velocity at the free contact nodes."""
+        vp = v_free[self.pos].reshape(-1, 2)
+        return vp - np.einsum("mi,mi->m", vp, self.nu)[:, None] * self.nu
+
+    def solve(self, rhs: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """(B + R D E^T)^-1 rhs, D = block_diag(a_k tau_k^T) for the (q, 2) array a."""
         q = self.tau.shape[0]
         if self.lu is None:
             self.lu = factor_spd(self.base)
@@ -204,20 +191,21 @@ class MomentumStep:
         y = self.lu.solve(rhs)
         if q == 0:
             return y
-        a = np.einsum("kij,kj->ki", blocks, self.tau)
         lhs = np.eye(q) + np.einsum("klj,lj->kl", self.ts, a)
         w = np.linalg.solve(lhs, np.einsum("kj,kj->k", self.tau, y[self.pos].reshape(q, 2)))
         return y - self.z @ (a * w[:, None]).ravel()
 
-    def blocks(self, v_full: np.ndarray, t: float) -> np.ndarray:
-        """(q, 2, 2) derivative of the nodal traction at the free contact nodes."""
-        dofs = self.dofs
-        vt = nodal_tangential(dofs, v_full)[self.sel]
-        F = np.asarray(self.rfric.fric.F_field(self.mesh.nodes[dofs.contact_nodes[self.sel]], t),
-                       dtype=float)
-        nu = dofs.contact_normal[self.sel]
-        proj = np.eye(2)[None] - np.einsum("mi,mj->mij", nu, nu)
-        return np.einsum("mij,mjk->mik", self.rfric.traction_jacobian(vt, F), proj)
+
+def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Full (2N,) nodal traction field at the free velocity v_free.
+
+    F holds the normal traction at the step's free contact nodes
+    ``step.nodes``. The traction is zero everywhere else, D nodes included,
+    since they never move.
+    """
+    out = np.zeros(2 * step.mesh.n_nodes)
+    out[xy_dofs(step.nodes)] = step.rfric.traction(step.tangential(v_free), F).ravel()
+    return out
 
 
 def solve_momentum_step(ws, old, delayed, t_new: float):
@@ -232,6 +220,8 @@ def solve_momentum_step(ws, old, delayed, t_new: float):
     The velocity update is :func:`damped_newton` with the exact Jacobian:
     the run's step matrix, through its factor, plus the friction term on the
     contact dofs, which each correction condenses to a dense system there.
+    The normal traction F is read once, at t_new and the free contact nodes;
+    each trial evaluates the friction law once, in :func:`contact_traction_full`.
     """
     step, cfg = ws.momentum, ws.config
     mesh, dofs, mat = step.mesh, step.dofs, step.mat
@@ -241,19 +231,21 @@ def solve_momentum_step(ws, old, delayed, t_new: float):
     load = assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
     coup = assemble_thermal_coupling(mesh, dofs, mat, delayed.theta)
     rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
+    F = step.rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
 
     def residual(v_free):
-        v_full = np.zeros(2 * mesh.n_nodes)
-        v_full[vfree] = v_free
-        xi = contact_traction_full(mesh, dofs, step.rfric, v_full, t_new)
-        return step.base @ v_free + step.contact @ xi[vfree] - rhs, (xi, v_full)
+        xi = contact_traction_full(step, v_free, F)
+        return step.base @ v_free + step.contact @ xi[vfree] - rhs, (xi, v_free)
 
     def correction(res, aux):
-        return step.solve(-res, step.blocks(aux[1], t_new))
+        jac = step.rfric.traction_jacobian(step.tangential(aux[1]), F)
+        return step.solve(-res, np.einsum("kij,kj->ki", jac, step.tau))
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
-    v, (xi, v_full), info = damped_newton(residual, correction, v_old.copy(), target,
-                                          cfg.max_iter_momentum, "momentum", t_new)
+    v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), target,
+                                     cfg.max_iter_momentum, "momentum", t_new)
+    v_full = np.zeros(2 * mesh.n_nodes)
+    v_full[vfree] = v
     u_full = np.zeros_like(v_full)
     u_full[vfree] = u_old + step.dt * v
     return v_full, u_full, xi, info

@@ -346,33 +346,23 @@ def build_unit_square_mesh(n: int, tags: dict[str, str] | None = None) -> Mesh:
         if tags.get(side) not in VALID_TAGS:
             raise MeshError(f"side {side!r}: tag must be one of {VALID_TAGS}")
 
-    idx = lambda ix, iy: iy * (n + 1) + ix
     xs = np.linspace(0.0, 1.0, n + 1)
-    nodes = np.array([[xs[ix], xs[iy]] for iy in range(n + 1) for ix in range(n + 1)])
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            v00, v10 = idx(ix, iy), idx(ix + 1, iy)
-            v01, v11 = idx(ix, iy + 1), idx(ix + 1, iy + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    edges = []
-    tag_list = []
-    for k in range(n):
-        edges.append((idx(k, 0), idx(k + 1, 0)))
-        tag_list.append(tags["bottom"])
-        edges.append((idx(n, k), idx(n, k + 1)))
-        tag_list.append(tags["right"])
-        edges.append((idx(k + 1, n), idx(k, n)))
-        tag_list.append(tags["top"])
-        edges.append((idx(0, k + 1), idx(0, k)))
-        tag_list.append(tags["left"])
+    nodes = np.column_stack([np.tile(xs, n + 1), np.repeat(xs, n + 1)])
+    idx = np.arange((n + 1) ** 2, dtype=np.int64).reshape(n + 1, n + 1)  # idx[iy, ix]
+    v00, v10, v01, v11 = idx[:-1, :-1], idx[:-1, 1:], idx[1:, :-1], idx[1:, 1:]
+    # two triangles per cell, cells in row order
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    # for k = 0..n-1, the k-th edge of the bottom, right, top and left side, each run
+    # counterclockwise round the square
+    edges = np.stack([idx[0, :-1], idx[0, 1:], idx[:-1, -1], idx[1:, -1],
+                      idx[-1, 1:], idx[-1, :-1], idx[1:, 0], idx[:-1, 0]], axis=-1).reshape(-1, 2)
+    side_tags = [tags[side] for side in ("bottom", "right", "top", "left")]
 
     mesh = Mesh(
         nodes=nodes,
-        triangles=np.array(triangles, dtype=np.int64),
-        boundary_edges=np.array(edges, dtype=np.int64),
-        edge_tags=np.array(tag_list, dtype=object),
+        triangles=triangles,
+        boundary_edges=edges,
+        edge_tags=np.array(side_tags * n, dtype=object),
     )
     return _validate(mesh)
 

@@ -249,14 +249,15 @@ def initialize(models: Models, config: SolverConfig,
     u0 = _check_initial_field("u0", u0, 2 * n, dir_vector)
     v0 = _check_initial_field("v0", v0, 2 * n, dir_vector)
 
-    rfric = RegularizedFriction(models.fric, config.eps)
+    step = MomentumStep(mesh, dofs, models.mat, RegularizedFriction(models.fric, config.eps),
+                        models.bd, config.dt)
     ws = Workspace(models=models, config=config, states=[],
-                   mass_thermal=assemble_scalar_mass(mesh, dofs),
-                   momentum=MomentumStep(mesh, dofs, models.mat, rfric, models.bd, config.dt),
+                   mass_thermal=assemble_scalar_mass(mesh, dofs), momentum=step,
                    temperature_solver=LaggedFactor("temperature"),
                    electric_solver=LaggedFactor("electric"))
     phi0 = solve_electric(ws, theta0, t=0.0)
-    xi0 = contact_traction_full(mesh, dofs, rfric, v0, t=0.0)
+    xi0 = contact_traction_full(step, v0[dofs.vector_free_dofs()],
+                                models.fric.F_field(mesh.nodes[step.nodes], 0.0))
     ws.states.append(SystemState(t=0.0, u=u0, v=v0, theta=theta0, phi=phi0, xi=xi0))
     return ws
 

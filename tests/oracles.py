@@ -1,14 +1,17 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything down to :func:`restrict` is dense, per-element, and derives
-basis data from first principles (Vandermonde inversion), deliberately
-sharing no code with the package's assembly routines. The sparse
-references after it restrict full (N x N) or (2N x 2N) matrices, built by
-:func:`scatter` from the package's element matrices, to the free dofs by
-fancy indexing: the path the package's free-dof patterns replace, kept to
-check them against. The remaining helpers are quantities only tests use:
-the dual norm of the regularizer, the sampled friction-law properties, the
-friction functional, the assembled momentum Jacobian and the delayed-history
+:func:`unit_square_mesh_loops` builds the unit square one cell at a time.
+Everything from :func:`p1_basis` down to :func:`restrict` is dense,
+per-element, and derives basis data from first principles (Vandermonde
+inversion), deliberately sharing no code with the package's assembly
+routines. The sparse references after it restrict full (N x N) or
+(2N x 2N) matrices, built by :func:`scatter` from the package's element
+matrices, to the free dofs by fancy indexing: the path the package's
+free-dof patterns replace, kept to check them against. The remaining
+helpers are quantities only tests use: the dual norm of the regularizer,
+the sampled friction-law properties, the friction functional, the momentum
+residual and its Jacobian formed from the pointwise friction law, the two
+sides of the potential bound, the Joule-form gap and the delayed-history
 inequality.
 """
 
@@ -19,9 +22,11 @@ import scipy.integrate
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from thermocontact import diagnostics
 from thermocontact.assembly import (
     _mass_local,
     _tensor_stiffness_local,
+    assemble_joule_load_direct,
     assemble_mech_load,
     assemble_p_laplacian,
     assemble_p_laplacian_jacobian,
@@ -30,8 +35,48 @@ from thermocontact.assembly import (
     contact_slip,
     u_norm4,
 )
-from thermocontact.friction import contact_traction_full, damped_newton
-from thermocontact.mesh import boundary_mass_local, edge_quadrature, scatter_load, unit_stiffness_local, xy_dofs
+from thermocontact.friction import damped_newton
+from thermocontact.mesh import (
+    Mesh,
+    _validate,
+    boundary_mass_local,
+    edge_quadrature,
+    scatter_load,
+    unit_stiffness_local,
+    xy_dofs,
+)
+
+
+def unit_square_mesh_loops(n: int, tags: dict[str, str]):
+    """The criss triangulation of ``mesh.build_unit_square_mesh``, built
+    one node, cell and side at a time."""
+    idx = lambda ix, iy: iy * (n + 1) + ix
+    xs = np.linspace(0.0, 1.0, n + 1)
+    nodes = np.array([[xs[ix], xs[iy]] for iy in range(n + 1) for ix in range(n + 1)])
+    triangles = []
+    for iy in range(n):
+        for ix in range(n):
+            v00, v10 = idx(ix, iy), idx(ix + 1, iy)
+            v01, v11 = idx(ix, iy + 1), idx(ix + 1, iy + 1)
+            triangles.append((v00, v10, v11))
+            triangles.append((v00, v11, v01))
+    edges = []
+    tag_list = []
+    for k in range(n):
+        edges.append((idx(k, 0), idx(k + 1, 0)))
+        tag_list.append(tags["bottom"])
+        edges.append((idx(n, k), idx(n, k + 1)))
+        tag_list.append(tags["right"])
+        edges.append((idx(k + 1, n), idx(k, n)))
+        tag_list.append(tags["top"])
+        edges.append((idx(0, k + 1), idx(0, k)))
+        tag_list.append(tags["left"])
+    return _validate(Mesh(
+        nodes=nodes,
+        triangles=np.array(triangles, dtype=np.int64),
+        boundary_edges=np.array(edges, dtype=np.int64),
+        edge_tags=np.array(tag_list, dtype=object),
+    ))
 
 
 def p1_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,24 +543,42 @@ def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
 
     All vectors but theta_del live on free vector dofs. The residual
     B v + R xi(v) - rhs is formed here from the step's matrices, the load
-    assemblers and the nodal traction, apart from the solver's own closure.
+    assemblers and the pointwise law ``rfric.traction``, apart from the
+    solver's own closure and its nodal traction: the tangential velocity is
+    P_k v_k with P_k = I - nu_k nu_k^T at each free contact node, and the
+    friction block of the Jacobian is J_k P_k with J_k = ``traction_jacobian``.
     """
-    mesh, dofs, mat = step.mesh, step.dofs, step.mat
-    vfree = dofs.vector_free_dofs()
-    v_full = np.zeros(2 * mesh.n_nodes)
-    v_full[vfree] = v_free
-    xi = contact_traction_full(mesh, dofs, step.rfric, v_full, t_new)
-    rhs = (assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
+    mesh, dofs, mat, rfric = step.mesh, step.dofs, step.mat, step.rfric
+    free = dofs.node_to_free[dofs.contact_nodes]
+    on = free >= 0
+    nodes, nu, pos = dofs.contact_nodes[on], dofs.contact_normal[on], xy_dofs(free[on])
+    proj = np.eye(2)[None] - nu[:, :, None] * nu[:, None, :]
+    vt = np.einsum("mij,mj->mi", proj, v_free[pos].reshape(-1, 2))
+    F = rfric.fric.F_field(mesh.nodes[nodes], t_new)
+    rhs = (assemble_mech_load(mesh, dofs, step.bd, rfric.fric, t_new)
            - assemble_thermal_coupling(mesh, dofs, mat, theta_del)
            + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old)
-    res = step.base @ v_free + step.contact @ xi[vfree] - rhs
-    pos = step.pos
+    res = step.base @ v_free + step.contact[:, pos] @ rfric.traction(vt, F).ravel() - rhs
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()
     cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
-    d_et = sp.csr_matrix((step.blocks(v_full, t_new).ravel(), (rows, cols)),
-                         shape=(pos.size, v_free.size))
+    blocks = np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
+    d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
     return res, (step.base + step.contact[:, pos] @ d_et).tocsr()
+
+
+def potential_bound(models, state) -> tuple[float, float]:
+    """Both sides of the potential estimate for one converged state."""
+    stiff = assemble_scalar_stiffness_unit(models.mesh, models.dofs)
+    phi = np.asarray(state.phi, dtype=float)[models.dofs.scalar_free_nodes]
+    lhs = float(np.sqrt(max(phi @ (stiff @ phi), 0.0)))
+    return lhs, diagnostics.potential_bound_constant(models)
+
+
+def joule_gap(models, theta, phi, t: float = 0.0) -> float:
+    """Largest free-entry difference between the two Joule load forms."""
+    direct = assemble_joule_load_direct(models.mesh, models.dofs, models.mat, models.bd, theta, phi)
+    return diagnostics.joule_gap(models, direct, theta, phi, t)
 
 
 def delay_inequality_gap(history: np.ndarray, h: float, dt: float) -> float:

@@ -20,6 +20,7 @@ from oracles import (
     dense_scalar_stiffness,
     dense_vector_mass,
     dense_vector_stiffness,
+    joule_gap,
     momentum_residual,
     p1_basis,
     restrict,
@@ -32,11 +33,7 @@ from thermocontact.assembly import (
     assemble_p_laplacian_jacobian,
     phi_b_nodal,
 )
-from thermocontact.diagnostics import (
-    energy_report,
-    joule_gap,
-    potential_bound_constant,
-)
+from thermocontact.diagnostics import energy_report, potential_bound_constant
 from thermocontact.driver import main
 from thermocontact.friction import MomentumStep, RegularizedFriction
 from thermocontact.materials import default_ptc_model

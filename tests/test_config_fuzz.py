@@ -1,5 +1,7 @@
 """Fuzz of the config parser: any input gives a RunConfig or a ConfigError."""
 
+import dataclasses
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -9,12 +11,11 @@ from hypothesis import strategies as st  # noqa: E402
 from thermocontact import driver  # noqa: E402
 from thermocontact.driver import RunConfig, parse_config  # noqa: E402
 from thermocontact.materials import DEFAULTS  # noqa: E402
-from thermocontact.scheme import ConfigError  # noqa: E402
+from thermocontact.scheme import ConfigError, SolverConfig  # noqa: E402
 
 KEYS = (["mesh.n", "mesh.file"] + [f"mesh.{side}" for side in driver.SIDES]
         + [f"model.{name}" for name in DEFAULTS]
-        + [f"solver.{name}" for name in (*driver.SOLVER_FLOAT_KEYS, *driver.SOLVER_INT_KEYS,
-                                         "joule_mode", "cascade_levels")]
+        + [f"solver.{fld.name}" for fld in dataclasses.fields(SolverConfig)]
         + ["output.dir", "output.stride", "output.diagnostics", "output.assert"])
 
 numbers = st.one_of(

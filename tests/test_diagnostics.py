@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import const_bd
-from oracles import dense_scalar_mass, dense_scalar_stiffness, regularizer_magnitude
-from thermocontact.diagnostics import (
-    energy_report,
+from oracles import (
+    dense_scalar_mass,
+    dense_scalar_stiffness,
     joule_gap,
     potential_bound,
-    potential_bound_constant,
-    weighted_gradient_integral,
+    regularizer_magnitude,
 )
+from thermocontact.diagnostics import energy_report, potential_bound_constant, weighted_gradient_integral
 from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (

@@ -12,7 +12,7 @@ import pytest
 from thermocontact import driver
 from thermocontact.driver import main, parse_config
 from thermocontact.materials import default_ptc_model
-from thermocontact.scheme import ConfigError
+from thermocontact.scheme import ConfigError, SolverConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -92,6 +92,20 @@ output.assert = on
     def test_rejects(self, tmp_path, extra, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(cfg_file(tmp_path, extra))
+
+    def test_every_solver_field_is_a_key(self, tmp_path):
+        values = {"T": "0.5", "h": "0.05", "dt": "0.0125", "eps": "1e-07",
+                  "tol_temperature": "1e-09", "max_iter_temperature": "30",
+                  "tol_momentum": "1e-08", "max_iter_momentum": "20",
+                  "joule_mode": "reformulated", "regularizer_coefficient": "0.01",
+                  "cascade_levels": "0.1 0.05"}
+        assert set(values) == {fld.name for fld in dataclasses.fields(SolverConfig)}
+        text = "".join(f"solver.{name} = {raw}\n" for name, raw in values.items())
+        solver = parse_config(cfg_file(tmp_path, base=text)).solver
+        assert solver == SolverConfig(T=0.5, h=0.05, dt=0.0125, eps=1e-7, tol_temperature=1e-9,
+                                      max_iter_temperature=30, tol_momentum=1e-8,
+                                      max_iter_momentum=20, joule_mode="reformulated",
+                                      regularizer_coefficient=0.01, cascade_levels=(0.1, 0.05))
 
     def test_requires_time_grid(self, tmp_path):
         with pytest.raises(ConfigError, match="solver.T"):

@@ -108,6 +108,17 @@ class TestBuildUnitSquare:
         dofs = build_dof_maps(mesh)
         assert dofs.contact_nodes.size == 0
 
+    @pytest.mark.parametrize("tags", [
+        {"left": "D", "bottom": "C", "right": "N", "top": "N"},
+        {"left": "N", "bottom": "D", "right": "C", "top": "D"},
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_matches_loop_construction(self, n, tags):
+        got, ref = build_unit_square_mesh(n, tags), oracles.unit_square_mesh_loops(n, tags)
+        for name in ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normals", "edge_owner"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
     def test_n_zero_rejected(self):
         with pytest.raises(MeshError):
             build_unit_square_mesh(0)
