@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 from .assembly import (
     assemble_contact_mass,
@@ -31,7 +30,7 @@ from .assembly import (
     assemble_vector_mass,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import DofMap, Mesh, factor_spd, xy_dofs
+from .mesh import BandCholesky, DofMap, Mesh, factor_spd, xy_dofs
 
 
 class SolverError(RuntimeError):
@@ -156,7 +155,7 @@ class MomentumStep:
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
     nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
-    lu: SuperLU | None = field(default=None, init=False, repr=False)  # of B, from the first solve
+    factor: BandCholesky | None = field(default=None, init=False, repr=False)  # of B, from the first solve
     z: np.ndarray | None = field(default=None, init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
     ts: np.ndarray | None = field(default=None, init=False, repr=False)  # T^T S, (q, q, 2)
 
@@ -183,12 +182,12 @@ class MomentumStep:
     def solve(self, rhs: np.ndarray, a: np.ndarray) -> np.ndarray:
         """(B + R D E^T)^-1 rhs, D = block_diag(a_k tau_k^T) for the (q, 2) array a."""
         q = self.tau.shape[0]
-        if self.lu is None:
-            self.lu = factor_spd(self.base)
-            self.z = self.lu.solve(self.contact[:, self.pos].toarray())
+        if self.factor is None:
+            self.factor = factor_spd(self.base)
+            self.z = self.factor.solve(self.contact[:, self.pos].toarray())
             self.ts = np.einsum("kj,kjl->kl", self.tau,
                                 self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
-        y = self.lu.solve(rhs)
+        y = self.factor.solve(rhs)
         if q == 0:
             return y
         lhs = np.eye(q) + np.einsum("klj,lj->kl", self.ts, a)
@@ -239,7 +238,10 @@ def solve_momentum_step(ws, old, delayed, t_new: float):
 
     def correction(res, aux):
         jac = step.rfric.traction_jacobian(step.tangential(aux[1]), F)
-        return step.solve(-res, np.einsum("kij,kj->ki", jac, step.tau))
+        try:
+            return step.solve(-res, np.einsum("kij,kj->ki", jac, step.tau))
+        except np.linalg.LinAlgError as exc:  # B (factored here once) or the Woodbury system is singular
+            raise SolverError(f"momentum solve at t={t_new:.6g}: {exc}") from None
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
     v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), target,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 VALID_TAGS = ("D", "N", "C")
 
@@ -586,14 +587,55 @@ def unit_stiffness_local(mesh: Mesh) -> np.ndarray:
     return (mesh.grad_products[:, 0] + mesh.grad_products[:, 3]).reshape(-1, 3, 3)
 
 
-def factor_spd(matrix: sp.spmatrix) -> spla.SuperLU:
-    """SuperLU factor of an SPD matrix assembled on a free-dof pattern.
+@dataclass(frozen=True)
+class BandCholesky:
+    """Cholesky factor L L^T = P A P^T of an SPD matrix A, L in LAPACK lower band storage.
 
-    Columns are ordered by minimum degree on A^T + A, which is the pattern
-    itself, and since the matrix is SPD the diagonal pivots are stable and
-    keep that ordering's fill.
+    ``perm`` is the reverse Cuthill-McKee order P, ``inverse`` its inverse
+    permutation and ``band`` the (kd + 1, n) band of L, ``band[i - j, j] =
+    L[i, j]``.
     """
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    band: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for a (n,) or (n, m) right-hand side."""
+        x, _ = lapack.dpbtrs(self.band, b[self.perm], lower=1, overwrite_b=1)
+        return x[self.inverse]
+
+
+def factor_spd(matrix: sp.csr_matrix) -> BandCholesky:
+    """Banded Cholesky factor of an SPD matrix assembled on a free-dof pattern.
+
+    The unknowns are renumbered by reverse Cuthill-McKee, which keeps the
+    band of a 2D P1 pattern near the width of a mesh front (Cuthill and
+    McKee 1969; George and Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, 1981), and the lower triangle of the permuted matrix is
+    factored in LAPACK band storage (``dpbtrf``). Only the lower triangle is
+    read. A pivot that is not a positive number raises LinAlgError.
+    """
+    n = matrix.shape[0]
+    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(n)
+    rows = inverse[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+    cols = inverse[matrix.indices]
+    lower = rows >= cols
+    offset, col = rows[lower] - cols[lower], cols[lower]
+    kd = int(offset.max(initial=0))
+    band = np.bincount(offset * n + col, weights=matrix.data[lower],
+                       minlength=(kd + 1) * n).reshape(kd + 1, n)
+    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    if info == 0 and not np.isfinite(band[0]).all():  # a NaN pivot passes LAPACK's test
+        info = 1 + int(np.argmin(np.isfinite(band[0])))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {info} of {n} "
+                                    "is not a positive number")
+    return BandCholesky(perm, inverse, band)
 
 
 def _pencil_top_root(bmat: sp.csr_matrix, kmat: sp.csr_matrix) -> float:

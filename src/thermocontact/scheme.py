@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 from .assembly import (
     assemble_electric_system,
@@ -46,15 +45,15 @@ from .friction import (
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import DofMap, Mesh, factor_spd
+from .mesh import BandCholesky, DofMap, Mesh, factor_spd
 
 JOULE_MODES = ("direct", "reformulated")
 
 # CG iterations a lagged factor may take before its stage refactors. At n=32
-# one factorization costs about 27 iterations (2.7 ms against 0.1 ms on a
-# 2-vCPU VM). Over the 131 scalar solves of a 40-step 32x32 run, a cap of 4
-# refactored 39 times in 490 iterations, 8 refactored 9 times in 883 and 12
-# refactored 4 times in 1,223; caps of 6 to 8 took the least time.
+# one banded Cholesky factorization costs about 5 to 6 iterations (0.5-0.7 ms
+# against 0.1 ms on a 2-vCPU VM). Over the 131 scalar solves of a 40-step
+# 32x32 contact run, a cap of 4 refactored 27 times in 479 iterations, 8
+# refactored 6 times in 926 and 12 refactored 3 times in 1,135.
 CG_MAX_ITER = 8
 CG_RTOL = 1e-14
 
@@ -163,34 +162,34 @@ class LaggedFactor:
     """
 
     stage: str
-    lu: SuperLU | None = None
+    factor: BandCholesky | None = None
     factorizations: int = 0
     cg_iterations: int = 0
 
     def solve(self, matrix: sp.csr_matrix, b: np.ndarray, t: float) -> np.ndarray:
-        if self.lu is not None:
+        if self.factor is not None:
             x = self._cg(matrix, b)
             if x is not None:
                 return x
-        self.lu = None  # release the old factor before the new one is built
+        self.factor = None  # release the old factor before the new one is built
         try:
-            self.lu = factor_spd(matrix)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            self.factor = factor_spd(matrix)
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"{self.stage} solve at t={t:.6g}: {exc}") from None
         self.factorizations += 1
-        x = self.lu.solve(b)
+        x = self.factor.solve(b)
         if not np.all(np.isfinite(x)):
             raise SolverError(f"{self.stage} solve at t={t:.6g}: non-finite solution "
                               "(non-finite matrix or load?)")
         return x
 
     def _cg(self, matrix: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
-        """Preconditioned CG from lu.solve(b); None if it needs over CG_MAX_ITER steps."""
+        """Preconditioned CG from factor.solve(b); None if it needs over CG_MAX_ITER steps."""
         # |A|_inf bounds |A|_2 for a symmetric A; every row of a free-dof
         # pattern holds its diagonal entry, so no row is empty
         norm_a = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
         norm_b = float(np.linalg.norm(b))
-        x = self.lu.solve(b)
+        x = self.factor.solve(b)
         r = b - matrix @ x
         for it in range(CG_MAX_ITER + 1):
             if float(np.linalg.norm(r)) <= CG_RTOL * (norm_a * float(np.linalg.norm(x)) + norm_b):
@@ -198,7 +197,7 @@ class LaggedFactor:
                 return x
             if it == CG_MAX_ITER:
                 break
-            z = self.lu.solve(r)
+            z = self.factor.solve(r)
             rz_new = float(r @ z)
             p = z if it == 0 else z + (rz_new / rz) * p
             rz = rz_new

@@ -195,6 +195,15 @@ class TestExitCodes:
         cfg = cfg_file(tmp_path, extra)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
+    def test_singular_momentum_matrix(self, tmp_path, capsys):
+        # no inertia, viscosity or elasticity: the momentum step matrix is zero
+        extra = "model.rho = 0\nmodel.mu_a = 0\nmodel.lam_b = 0\nmodel.mu_b = 0\n"
+        cfg = cfg_file(tmp_path, extra, base=BASE.replace("mesh.n = 2", "mesh.n = 4"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: momentum solve at t=0.025: singular")
+        assert err.count("\n") == 1
+
     def test_assert_mode_assumption_failure(self, tmp_path):
         cfg = cfg_file(tmp_path, "model.beta = 1000000.0\n")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--assert"])

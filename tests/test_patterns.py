@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 import oracles
 from thermocontact.assembly import (
@@ -24,7 +25,7 @@ from thermocontact.assembly import (
 )
 from thermocontact.driver import main
 from thermocontact.materials import default_ptc_model
-from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, load_mesh
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, factor_spd, load_mesh
 
 MESH_ARRAYS = ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normals", "edge_owner",
                "areas", "grads", "grad_products", "midpoints")
@@ -34,21 +35,27 @@ PATTERN_ARRAYS = ("indptr", "indices", "tri", "edge")
 QUAD_TAGS = (("C",), ("N",), ("N", "C"))
 
 
-def perturbed_mesh_text(n=4):
+def perturbed_mesh_text(n=4, seed=None):
     """Mesh file of an n x n square with moved interior nodes; C edges meet the D corner (0, 0).
 
     Left D, bottom C, right C, top N: the bottom contact side starts at a
-    Dirichlet corner and the right one ends at an exchange corner.
+    Dirichlet corner and the right one ends at an exchange corner. With a
+    seed the nodes are numbered in a random order.
     """
     mesh = build_unit_square_mesh(n, tags={"left": "D", "bottom": "C", "right": "C", "top": "N"})
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     inner = (x > 0) & (x < 1) & (y > 0) & (y < 1)
     nodes = mesh.nodes.copy()
     nodes[inner] += 0.3 / n * np.column_stack([np.sin(7.0 * y[inner]), np.cos(5.0 * x[inner])])
+    order = np.arange(mesh.n_nodes)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    label = np.empty_like(order)
+    label[order] = np.arange(mesh.n_nodes)  # node order[k] is written k-th
     lines = [f"nodes {mesh.n_nodes} triangles {mesh.triangles.shape[0]} edges {mesh.boundary_edges.shape[0]}"]
-    lines += [f"{float(a)!r} {float(b)!r}" for a, b in nodes]
-    lines += [" ".join(map(str, t)) for t in mesh.triangles]
-    lines += [f"{i} {j} {tag}" for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags)]
+    lines += [f"{float(a)!r} {float(b)!r}" for a, b in nodes[order]]
+    lines += [" ".join(map(str, t)) for t in label[mesh.triangles]]
+    lines += [f"{i} {j} {tag}" for (i, j), tag in zip(label[mesh.boundary_edges], mesh.edge_tags)]
     return "\n".join(lines) + "\n"
 
 
@@ -270,3 +277,59 @@ class TestCachedMeshData:
         for a in arrays[0]:
             for b in arrays[1]:
                 assert not np.shares_memory(a, b)
+
+
+def spd_matrices(mesh, dofs):
+    """An SPD matrix on each free-dof pattern: scalar mass plus stiffness, and a momentum step matrix."""
+    mat, _, _ = default_ptc_model({})
+    visc, elast = assemble_elastic_operators(mesh, dofs, mat)
+    dt = 0.0125
+    return {"scalar": assemble_scalar_mass(mesh, dofs) + assemble_scalar_stiffness_unit(mesh, dofs),
+            "vector": mat.mass_mech() / dt * assemble_vector_mass(mesh, dofs) + visc + dt * elast}
+
+
+class TestFactorSpd:
+    @staticmethod
+    def assert_solves_like_spsolve(matrix):
+        factor = factor_spd(matrix)
+        rng = np.random.default_rng(0)
+        for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
+            x = factor.solve(b)
+            direct = spsolve(matrix.tocsc(), b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+        return factor
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_unit_square(self, n):
+        mesh = build_unit_square_mesh(n)
+        for matrix in spd_matrices(mesh, build_dof_maps(mesh)).values():
+            self.assert_solves_like_spsolve(matrix)
+
+    def test_any_node_numbering(self, tmp_path):
+        # reverse Cuthill-McKee undoes a random numbering: the band stays about one
+        # mesh row wide, where the random order itself spans nearly the whole matrix
+        n = 8
+        path = tmp_path / "shuffled.mesh"
+        path.write_text(perturbed_mesh_text(n, seed=3))
+        mesh = load_mesh(str(path))
+        for name, matrix in spd_matrices(mesh, build_dof_maps(mesh)).items():
+            kd = self.assert_solves_like_spsolve(matrix).band.shape[0] - 1
+            coo = matrix.tocoo()
+            assert kd <= (2 if name == "vector" else 1) * (n + 3)
+            assert np.abs(coo.row - coo.col).max() > 5 * kd
+
+    @pytest.mark.parametrize("how", ["zero", "indefinite", "nan"])
+    def test_rejects_a_matrix_that_is_not_spd(self, how):
+        mesh = build_unit_square_mesh(8)
+        dofs = build_dof_maps(mesh)
+        mass, stiffness = assemble_scalar_mass(mesh, dofs), assemble_scalar_stiffness_unit(mesh, dofs)
+        if how == "zero":
+            matrix = 0.0 * mass
+        elif how == "indefinite":  # 100 lies inside the spectrum of the pencil (K, M)
+            matrix = stiffness - 100.0 * mass
+        else:
+            matrix = stiffness.copy()
+            matrix[30, 30] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            factor_spd(matrix)

@@ -357,6 +357,27 @@ class TestLaggedFactor:
         with pytest.raises(SolverError, match=r"temperature solve at t=0\.25: .*singular"):
             LaggedFactor("temperature").solve(matrix, np.ones(matrix.shape[0]), 0.25)
 
+    @pytest.mark.parametrize("lagged", [False, True])
+    def test_nan_matrix_entry_names_stage_and_time(self, lagged):
+        # with a held factor, CG cannot meet its bound and the stage refactors
+        models = default_models(4)
+        mass = assemble_scalar_mass(models.mesh, models.dofs)
+        solver = LaggedFactor("electric")
+        if lagged:
+            solver.solve(mass, np.ones(mass.shape[0]), 0.0)
+        matrix = mass.copy()
+        matrix[3, 3] = np.nan
+        with pytest.raises(SolverError, match=r"electric solve at t=0\.25: singular"):
+            solver.solve(matrix, np.ones(mass.shape[0]), 0.25)
+
+    def test_nan_load_names_stage_and_time(self):
+        models = default_models(4)
+        matrix = assemble_scalar_mass(models.mesh, models.dofs)
+        load = np.ones(matrix.shape[0])
+        load[3] = np.nan
+        with pytest.raises(SolverError, match=r"temperature solve at t=0\.25: non-finite solution"):
+            LaggedFactor("temperature").solve(matrix, load, 0.25)
+
     def test_run_matches_direct_oracle(self, monkeypatch):
         newton = scheme.damped_newton
         counts = []
@@ -456,12 +477,12 @@ class TestAdvance:
     def test_run_factors_momentum_matrix_once(self):
         ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0)}),
                         SolverConfig(T=0.2, h=0.05, dt=0.025))
-        assert ws.momentum.lu is None  # B is factored at the first momentum solve
+        assert ws.momentum.factor is None  # B is factored at the first momentum solve
         advance_one(ws)
-        lu = ws.momentum.lu
-        assert lu is not None
+        factor = ws.momentum.factor
+        assert factor is not None
         advance(ws)
-        assert len(ws.states) == 9 and ws.momentum.lu is lu
+        assert len(ws.states) == 9 and ws.momentum.factor is factor
 
     def test_delay_inequality_on_real_run(self):
         models = default_models(2, overrides={"f0": (0.5, 0.0)})
