@@ -606,36 +606,111 @@ class BandCholesky:
         return x[self.inverse]
 
 
-def factor_spd(matrix: sp.csr_matrix) -> BandCholesky:
-    """Banded Cholesky factor of an SPD matrix assembled on a free-dof pattern.
+@dataclass(frozen=True)
+class BandLU:
+    """LU factor with partial pivoting of P A P^T for a nonsymmetric A, in LAPACK general band storage.
 
-    The unknowns are renumbered by reverse Cuthill-McKee, which keeps the
-    band of a 2D P1 pattern near the width of a mesh front (Cuthill and
-    McKee 1969; George and Liu, Computer Solution of Large Sparse Positive
-    Definite Systems, 1981), and the lower triangle of the permuted matrix is
-    factored in LAPACK band storage (``dpbtrf``). Only the lower triangle is
-    read. A pivot that is not a positive number raises LinAlgError.
+    ``perm`` and ``inverse`` are as in :class:`BandCholesky`; ``lu`` and
+    ``piv`` are ``dgbtrf``'s output for kd sub- and superdiagonals.
+    """
+
+    perm: np.ndarray
+    inverse: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+    kd: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for a (n,) or (n, m) right-hand side."""
+        rhs = b[self.perm]
+        x, _ = lapack.dgbtrs(self.lu, self.kd, self.kd, rhs.reshape(rhs.shape[0], -1), self.piv,
+                             overwrite_b=1)
+        return x.reshape(rhs.shape)[self.inverse]
+
+
+def _rcm_entries(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse Cuthill-McKee order of a free-dof matrix, its inverse, and each entry's permuted (row, col).
+
+    The order keeps the band of a 2D P1 pattern near the width of a mesh
+    front (Cuthill and McKee 1969; George and Liu, Computer Solution of
+    Large Sparse Positive Definite Systems, 1981).
     """
     n = matrix.shape[0]
     perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
     rows = inverse[np.repeat(np.arange(n), np.diff(matrix.indptr))]
-    cols = inverse[matrix.indices]
+    return perm, inverse, rows, inverse[matrix.indices]
+
+
+def _lower_band(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int, kd: int) -> np.ndarray:
+    """(kd + 1, n) lower band storage of the entries with rows >= cols: [i - j, j] holds entry (i, j)."""
     lower = rows >= cols
-    offset, col = rows[lower] - cols[lower], cols[lower]
-    kd = int(offset.max(initial=0))
-    band = np.bincount(offset * n + col, weights=matrix.data[lower],
+    return np.bincount((rows[lower] - cols[lower]) * n + cols[lower], weights=data[lower],
                        minlength=(kd + 1) * n).reshape(kd + 1, n)
+
+
+def _singular(pivot: int, n: int, what: str) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {pivot} of {n} is {what}")
+
+
+def _cholesky(perm: np.ndarray, inverse: np.ndarray, band: np.ndarray) -> BandCholesky:
     band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
     if info == 0 and not np.isfinite(band[0]).all():  # a NaN pivot passes LAPACK's test
         info = 1 + int(np.argmin(np.isfinite(band[0])))
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {info} of {n} "
-                                    "is not a positive number")
+        raise _singular(info, band.shape[1], "not a positive number")
     return BandCholesky(perm, inverse, band)
+
+
+def factor_spd(matrix: sp.csr_matrix) -> BandCholesky:
+    """Banded Cholesky factor of an SPD matrix assembled on a free-dof pattern.
+
+    The unknowns are renumbered by reverse Cuthill-McKee and the lower
+    triangle of the permuted matrix is factored in LAPACK band storage
+    (``dpbtrf``). Only the lower triangle is read. A pivot that is not a
+    positive number raises LinAlgError.
+    """
+    n = matrix.shape[0]
+    perm, inverse, rows, cols = _rcm_entries(matrix)
+    kd = int((rows - cols).max(initial=0))
+    return _cholesky(perm, inverse, _lower_band(rows, cols, matrix.data, n, kd))
+
+
+# A matrix whose entries differ from its transpose's by at most this, relative
+# to its largest entry, is factored as symmetric: Cholesky of its lower triangle.
+SYMMETRY_RTOL = 1e-14
+
+
+def factor_banded(matrix: sp.csr_matrix) -> BandCholesky | BandLU:
+    """Banded factor of a positive definite matrix, symmetric or not, on a free-dof pattern.
+
+    On the reverse Cuthill-McKee order of :func:`factor_spd`, a matrix that
+    equals its transpose within SYMMETRY_RTOL gets the Cholesky factor of its
+    lower triangle; any other, such as the temperature Jacobian of a
+    conductivity with k != k^T, gets LAPACK's banded LU with partial
+    pivoting (``dgbtrf``) on its full band. A zero or non-finite pivot
+    raises LinAlgError.
+    """
+    n = matrix.shape[0]
+    perm, inverse, rows, cols = _rcm_entries(matrix)
+    kd = int(np.abs(rows - cols).max(initial=0))
+    lower = _lower_band(rows, cols, matrix.data, n, kd)
+    transposed = _lower_band(cols, rows, matrix.data, n, kd)  # lower band of A^T
+    if np.abs(lower - transposed).max(initial=0.0) <= SYMMETRY_RTOL * np.abs(lower).max(initial=0.0):
+        return _cholesky(perm, inverse, lower)
+    band = np.bincount((2 * kd + rows - cols) * n + cols, weights=matrix.data,
+                       minlength=(3 * kd + 1) * n).reshape(3 * kd + 1, n)  # [2 kd + i - j, j] = A[i, j]
+    lu, piv, info = lapack.dgbtrf(band, kd, kd, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dgbtrf: illegal value in argument {-info}")
+    if info == 0 and not np.isfinite(lu[2 * kd]).all():  # U's diagonal; a NaN pivot passes LAPACK's test
+        info = 1 + int(np.argmin(np.isfinite(lu[2 * kd])))
+    if info > 0:
+        raise _singular(info, n, "zero or not a number")
+    return BandLU(perm, inverse, lu, piv, kd)
 
 
 def _pencil_top_root(bmat: sp.csr_matrix, kmat: sp.csr_matrix) -> float:

@@ -45,7 +45,7 @@ from .friction import (
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import BandCholesky, DofMap, Mesh, factor_spd
+from .mesh import BandCholesky, BandLU, DofMap, Mesh, factor_banded
 
 JOULE_MODES = ("direct", "reformulated")
 
@@ -146,7 +146,7 @@ class SystemState:
 
 @dataclass
 class LaggedFactor:
-    """SPD solves of one stage by CG preconditioned with an earlier factor.
+    """Positive definite solves of one stage by CG preconditioned with an earlier factor.
 
     Every coefficient of a stage is frozen at the delayed state, so its
     matrix moves little between solves and the factor of an earlier one
@@ -162,7 +162,7 @@ class LaggedFactor:
     """
 
     stage: str
-    factor: BandCholesky | None = None
+    factor: BandCholesky | BandLU | None = None
     factorizations: int = 0
     cg_iterations: int = 0
 
@@ -173,7 +173,7 @@ class LaggedFactor:
                 return x
         self.factor = None  # release the old factor before the new one is built
         try:
-            self.factor = factor_spd(matrix)
+            self.factor = factor_banded(matrix)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"{self.stage} solve at t={t:.6g}: {exc}") from None
         self.factorizations += 1

@@ -25,7 +25,17 @@ from thermocontact.assembly import (
 )
 from thermocontact.driver import main
 from thermocontact.materials import default_ptc_model
-from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, factor_spd, load_mesh
+from thermocontact.mesh import (
+    BandCholesky,
+    BandLU,
+    build_dof_maps,
+    build_unit_square_mesh,
+    edge_quadrature,
+    factor_banded,
+    factor_spd,
+    SYMMETRY_RTOL,
+    load_mesh,
+)
 
 MESH_ARRAYS = ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normals", "edge_owner",
                "areas", "grads", "grad_products", "midpoints")
@@ -290,8 +300,8 @@ def spd_matrices(mesh, dofs):
 
 class TestFactorSpd:
     @staticmethod
-    def assert_solves_like_spsolve(matrix):
-        factor = factor_spd(matrix)
+    def assert_solves_like_spsolve(matrix, factor=None):
+        factor = factor_spd(matrix) if factor is None else factor
         rng = np.random.default_rng(0)
         for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
             x = factor.solve(b)
@@ -333,3 +343,67 @@ class TestFactorSpd:
             matrix[30, 30] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             factor_spd(matrix)
+
+
+def thermal_jacobian(mesh, dofs, k):
+    """Scalar mass plus the conductivity form of k at a fixed temperature: symmetric iff k is."""
+    mat, _, _ = default_ptc_model({})
+    theta = np.random.default_rng(5).normal(size=mesh.n_nodes)
+    return assemble_scalar_mass(mesh, dofs) + assemble_thermal_stiffness(
+        mesh, dofs, dataclasses.replace(mat, k=k), theta)
+
+
+def symmetrized_k(s):
+    k = anisotropic_k(s)
+    return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+
+class TestFactorBanded:
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_nonsymmetric_matrix_gets_lu(self, n):
+        mesh = build_unit_square_mesh(n)
+        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), anisotropic_k)
+        assert np.abs((matrix - matrix.T).toarray()).max() > 1e-3
+        factor = factor_banded(matrix)
+        assert isinstance(factor, BandLU)
+        TestFactorSpd.assert_solves_like_spsolve(matrix, factor)
+
+    def test_any_node_numbering(self, tmp_path):
+        path = tmp_path / "shuffled.mesh"
+        path.write_text(perturbed_mesh_text(8, seed=3))
+        mesh = load_mesh(str(path))
+        dofs = build_dof_maps(mesh)
+        factor = factor_banded(thermal_jacobian(mesh, dofs, anisotropic_k))
+        assert isinstance(factor, BandLU) and factor.kd <= 8 + 3
+        TestFactorSpd.assert_solves_like_spsolve(thermal_jacobian(mesh, dofs, anisotropic_k), factor)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_symmetric_matrix_gets_cholesky(self, n):
+        mesh = build_unit_square_mesh(n)
+        dofs = build_dof_maps(mesh)
+        for matrix in spd_matrices(mesh, dofs).values():
+            factor = factor_banded(matrix)
+            assert isinstance(factor, BandCholesky)
+            np.testing.assert_array_equal(factor.band, factor_spd(matrix).band)
+
+    def test_roundoff_asymmetry_gets_cholesky(self, tmp_path):
+        # a symmetric off-diagonal k on moved nodes: the assembled form may
+        # differ from its transpose in roundoff only
+        path = tmp_path / "shuffled.mesh"
+        path.write_text(perturbed_mesh_text(8, seed=3))
+        mesh = load_mesh(str(path))
+        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), symmetrized_k)
+        assert 0.0 < np.abs((matrix - matrix.T).toarray()).max() <= SYMMETRY_RTOL * np.abs(matrix.data).max()
+        assert isinstance(factor_banded(matrix), BandCholesky)
+        TestFactorSpd.assert_solves_like_spsolve(matrix)
+
+    @pytest.mark.parametrize("how", ["zero", "nan"])
+    def test_rejects_a_singular_matrix(self, how):
+        mesh = build_unit_square_mesh(8)
+        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), anisotropic_k)
+        if how == "zero":
+            matrix = 0.0 * matrix
+        else:
+            matrix[30, 30] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            factor_banded(matrix)

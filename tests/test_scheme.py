@@ -14,6 +14,7 @@ from oracles import (
     scalar_mass_full,
     scalar_stiffness_unit_full,
 )
+from test_patterns import anisotropic_k
 from thermocontact import friction, scheme
 from thermocontact.assembly import (
     assemble_electric_system,
@@ -25,7 +26,7 @@ from thermocontact.assembly import (
 )
 from thermocontact.friction import SolverError
 from thermocontact.materials import default_ptc_model
-from thermocontact.mesh import build_dof_maps, build_unit_square_mesh
+from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh
 from thermocontact.scheme import (
     CG_MAX_ITER,
     ConfigError,
@@ -418,6 +419,21 @@ class TestLaggedFactor:
         advance(ws)
         assert ws.electric_solver.factorizations <= 4
         assert ws.temperature_solver.factorizations <= 6
+
+    def test_nonsymmetric_conductivity_run_keeps_its_factors(self):
+        # k != k^T makes the temperature Jacobian nonsymmetric; a Cholesky
+        # factor of its lower triangle alone refactored 200 times in this run
+        models = default_models(8, tags={"left": "D", "right": "D", "bottom": "C", "top": "N"},
+                                overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        models = dataclasses.replace(models, mat=dataclasses.replace(
+            models.mat, k=lambda s: 0.1 * anisotropic_k(s)))
+        x0, x1 = models.mesh.nodes.T
+        theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.3 * x1)
+        theta0[models.dofs.dirichlet_nodes] = 0.0
+        ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), theta0=theta0)
+        advance(ws)
+        assert isinstance(ws.temperature_solver.factor, BandLU)
+        assert ws.temperature_solver.factorizations <= 12
 
 
 class TestAdvance:
