@@ -30,7 +30,7 @@ from .assembly import (
     assemble_vector_mass,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import BandCholesky, DofMap, Mesh, factor_spd, xy_dofs
+from .mesh import BandCholesky, BandLU, DofMap, Mesh, factor_banded, xy_dofs
 
 
 class SolverError(RuntimeError):
@@ -155,7 +155,7 @@ class MomentumStep:
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
     nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
-    factor: BandCholesky | None = field(default=None, init=False, repr=False)  # of B, from the first solve
+    factor: BandCholesky | BandLU | None = field(default=None, init=False, repr=False)  # of B, from the first solve
     z: np.ndarray | None = field(default=None, init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
     ts: np.ndarray | None = field(default=None, init=False, repr=False)  # T^T S, (q, q, 2)
 
@@ -183,7 +183,7 @@ class MomentumStep:
         """(B + R D E^T)^-1 rhs, D = block_diag(a_k tau_k^T) for the (q, 2) array a."""
         q = self.tau.shape[0]
         if self.factor is None:
-            self.factor = factor_spd(self.base)
+            self.factor = factor_banded(self.base)
             self.z = self.factor.solve(self.contact[:, self.pos].toarray())
             self.ts = np.einsum("kj,kjl->kl", self.tau,
                                 self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)

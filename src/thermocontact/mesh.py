@@ -3,7 +3,8 @@
 The boundary of the domain is split into a Dirichlet part (D), a heat/current
 exchange part (N), and a contact part (C). Scalar unknowns live in the P1
 space vanishing on the D part; vector unknowns use two components per free
-node, interleaved (x, y) in node-index order.
+node, interleaved (x, y). :func:`build_dof_maps` numbers the free nodes in
+reverse Cuthill-McKee order, so every free-dof matrix is banded as built.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class Mesh:
 class DofMap:
     """Free-degree-of-freedom bookkeeping for one mesh.
 
-    ``scalar_free_nodes`` lists nodes not touching the D part, in node-index
-    order; the vector space uses two dofs per free node, interleaved (x, y).
+    ``scalar_free_nodes`` lists nodes not touching the D part, in the reverse
+    Cuthill-McKee order of :func:`build_dof_maps`; the vector space uses two
+    dofs per free node, interleaved (x, y), in the same order.
     ``contact_nodes`` are all nodes of C-tagged edges (a node shared with the
     D part stays Dirichlet and simply never moves). Unit normal/tangent pairs
     at contact nodes average the adjacent C-edge normals. ``scalar`` and
@@ -215,8 +217,7 @@ def _validate(mesh: Mesh) -> Mesh:
     if not np.any(mesh.edge_tags == "D"):
         raise MeshError("empty Dirichlet part")
     # the free-dof operators are singular on a connected piece that the D part does not hold
-    links = sp.coo_matrix((np.ones(tri.size), (tri.ravel(), tri[:, [1, 2, 0]].ravel())), shape=(n, n))
-    n_pieces, piece = connected_components(links, directed=False)
+    n_pieces, piece = connected_components(_node_graph(tri, n), directed=False)
     held = np.zeros(n_pieces, dtype=bool)
     held[piece[be[mesh.edge_tags == "D"].ravel()]] = True
     floating = np.flatnonzero(~held[piece])
@@ -246,6 +247,13 @@ def _validate(mesh: Mesh) -> Mesh:
                 mesh.midpoints, *_csr_arrays(mesh.grad), *_csr_arrays(mesh.grad_t)):
         arr.setflags(write=False)
     return mesh
+
+
+def _node_graph(triangles: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n, n) symmetric adjacency of the nodes joined by a triangle edge."""
+    ends = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
 def _csr_arrays(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,7 +377,14 @@ def build_unit_square_mesh(n: int, tags: dict[str, str] | None = None) -> Mesh:
 
 
 def build_dof_maps(mesh: Mesh) -> DofMap:
-    """Derive the free-dof sets and contact frames from the boundary tags."""
+    """Derive the free-dof sets and contact frames from the boundary tags.
+
+    The free nodes are numbered in reverse Cuthill-McKee order on their
+    triangle-edge graph, whatever the numbering of the mesh, so the band of
+    the free-dof patterns stays near the width of a mesh front (Cuthill and
+    McKee 1969; George and Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, 1981) and a factor reads it straight from the CSR.
+    """
     n = mesh.n_nodes
     d_edges = mesh.edges_with_tag("D")
     dirichlet = np.unique(mesh.boundary_edges[d_edges].ravel()) if d_edges.size else np.array([], dtype=np.int64)
@@ -378,6 +393,7 @@ def build_dof_maps(mesh: Mesh) -> DofMap:
     free = np.flatnonzero(mask)
     if not free.size:
         raise MeshError("no free node: every node lies on the Dirichlet part")
+    free = free[reverse_cuthill_mckee(_node_graph(mesh.triangles, n)[free][:, free], symmetric_mode=True)]
     node_to_free = np.full(n, -1, dtype=np.int64)
     node_to_free[free] = np.arange(free.size)
 
@@ -589,58 +605,34 @@ def unit_stiffness_local(mesh: Mesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandCholesky:
-    """Cholesky factor L L^T = P A P^T of an SPD matrix A, L in LAPACK lower band storage.
+    """Cholesky factor L L^T = A of an SPD matrix A, L in LAPACK lower band storage.
 
-    ``perm`` is the reverse Cuthill-McKee order P, ``inverse`` its inverse
-    permutation and ``band`` the (kd + 1, n) band of L, ``band[i - j, j] =
-    L[i, j]``.
+    ``band`` is the (kd + 1, n) band of L, ``band[i - j, j] = L[i, j]``.
     """
 
-    perm: np.ndarray
-    inverse: np.ndarray
     band: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for a (n,) or (n, m) right-hand side."""
-        x, _ = lapack.dpbtrs(self.band, b[self.perm], lower=1, overwrite_b=1)
-        return x[self.inverse]
+        """A^-1 b for a (n,) or (n, m) right-hand side, which is left unchanged."""
+        x, _ = lapack.dpbtrs(self.band, b, lower=1)
+        return x
 
 
 @dataclass(frozen=True)
 class BandLU:
-    """LU factor with partial pivoting of P A P^T for a nonsymmetric A, in LAPACK general band storage.
+    """LU factor with partial pivoting of a nonsymmetric A, in LAPACK general band storage.
 
-    ``perm`` and ``inverse`` are as in :class:`BandCholesky`; ``lu`` and
-    ``piv`` are ``dgbtrf``'s output for kd sub- and superdiagonals.
+    ``lu`` and ``piv`` are ``dgbtrf``'s output for kd sub- and superdiagonals.
     """
 
-    perm: np.ndarray
-    inverse: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     kd: int
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for a (n,) or (n, m) right-hand side."""
-        rhs = b[self.perm]
-        x, _ = lapack.dgbtrs(self.lu, self.kd, self.kd, rhs.reshape(rhs.shape[0], -1), self.piv,
-                             overwrite_b=1)
-        return x.reshape(rhs.shape)[self.inverse]
-
-
-def _rcm_entries(matrix: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse Cuthill-McKee order of a free-dof matrix, its inverse, and each entry's permuted (row, col).
-
-    The order keeps the band of a 2D P1 pattern near the width of a mesh
-    front (Cuthill and McKee 1969; George and Liu, Computer Solution of
-    Large Sparse Positive Definite Systems, 1981).
-    """
-    n = matrix.shape[0]
-    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(n)
-    rows = inverse[np.repeat(np.arange(n), np.diff(matrix.indptr))]
-    return perm, inverse, rows, inverse[matrix.indices]
+        """A^-1 b for a (n,) or (n, m) right-hand side, which is left unchanged."""
+        x, _ = lapack.dgbtrs(self.lu, self.kd, self.kd, b.reshape(b.shape[0], -1), self.piv)
+        return x.reshape(b.shape)
 
 
 def _lower_band(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int, kd: int) -> np.ndarray:
@@ -650,33 +642,14 @@ def _lower_band(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int, kd
                        minlength=(kd + 1) * n).reshape(kd + 1, n)
 
 
-def _singular(pivot: int, n: int, what: str) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {pivot} of {n} is {what}")
-
-
-def _cholesky(perm: np.ndarray, inverse: np.ndarray, band: np.ndarray) -> BandCholesky:
-    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+def _check_pivots(routine: str, info: int, pivots: np.ndarray, what: str) -> None:
+    """Raise for a failed LAPACK factorization, or for a NaN pivot, which passes LAPACK's test."""
     if info < 0:
-        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
-    if info == 0 and not np.isfinite(band[0]).all():  # a NaN pivot passes LAPACK's test
-        info = 1 + int(np.argmin(np.isfinite(band[0])))
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    if info == 0 and not np.isfinite(pivots).all():
+        info = 1 + int(np.argmin(np.isfinite(pivots)))
     if info > 0:
-        raise _singular(info, band.shape[1], "not a positive number")
-    return BandCholesky(perm, inverse, band)
-
-
-def factor_spd(matrix: sp.csr_matrix) -> BandCholesky:
-    """Banded Cholesky factor of an SPD matrix assembled on a free-dof pattern.
-
-    The unknowns are renumbered by reverse Cuthill-McKee and the lower
-    triangle of the permuted matrix is factored in LAPACK band storage
-    (``dpbtrf``). Only the lower triangle is read. A pivot that is not a
-    positive number raises LinAlgError.
-    """
-    n = matrix.shape[0]
-    perm, inverse, rows, cols = _rcm_entries(matrix)
-    kd = int((rows - cols).max(initial=0))
-    return _cholesky(perm, inverse, _lower_band(rows, cols, matrix.data, n, kd))
+        raise np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {info} of {pivots.size} is {what}")
 
 
 # A matrix whose entries differ from its transpose's by at most this, relative
@@ -687,30 +660,28 @@ SYMMETRY_RTOL = 1e-14
 def factor_banded(matrix: sp.csr_matrix) -> BandCholesky | BandLU:
     """Banded factor of a positive definite matrix, symmetric or not, on a free-dof pattern.
 
-    On the reverse Cuthill-McKee order of :func:`factor_spd`, a matrix that
-    equals its transpose within SYMMETRY_RTOL gets the Cholesky factor of its
-    lower triangle; any other, such as the temperature Jacobian of a
-    conductivity with k != k^T, gets LAPACK's banded LU with partial
-    pivoting (``dgbtrf``) on its full band. A zero or non-finite pivot
+    The band is read in the free-dof numbering of :func:`build_dof_maps`. A
+    matrix that equals its transpose within SYMMETRY_RTOL gets the Cholesky
+    factor of its lower triangle (LAPACK ``dpbtrf``); any other, such as the
+    temperature Jacobian of a conductivity with k != k^T, gets LAPACK's
+    banded LU with partial pivoting (``dgbtrf``) on its full band. A pivot
+    that is not a positive number (Cholesky) or is zero or not a number (LU)
     raises LinAlgError.
     """
     n = matrix.shape[0]
-    perm, inverse, rows, cols = _rcm_entries(matrix)
+    rows, cols = np.repeat(np.arange(n), np.diff(matrix.indptr)), matrix.indices
     kd = int(np.abs(rows - cols).max(initial=0))
     lower = _lower_band(rows, cols, matrix.data, n, kd)
     transposed = _lower_band(cols, rows, matrix.data, n, kd)  # lower band of A^T
     if np.abs(lower - transposed).max(initial=0.0) <= SYMMETRY_RTOL * np.abs(lower).max(initial=0.0):
-        return _cholesky(perm, inverse, lower)
+        band, info = lapack.dpbtrf(lower, lower=1, overwrite_ab=1)
+        _check_pivots("dpbtrf", info, band[0], "not a positive number")  # L's diagonal
+        return BandCholesky(band)
     band = np.bincount((2 * kd + rows - cols) * n + cols, weights=matrix.data,
                        minlength=(3 * kd + 1) * n).reshape(3 * kd + 1, n)  # [2 kd + i - j, j] = A[i, j]
     lu, piv, info = lapack.dgbtrf(band, kd, kd, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"dgbtrf: illegal value in argument {-info}")
-    if info == 0 and not np.isfinite(lu[2 * kd]).all():  # U's diagonal; a NaN pivot passes LAPACK's test
-        info = 1 + int(np.argmin(np.isfinite(lu[2 * kd])))
-    if info > 0:
-        raise _singular(info, n, "zero or not a number")
-    return BandLU(perm, inverse, lu, piv, kd)
+    _check_pivots("dgbtrf", info, lu[2 * kd], "zero or not a number")  # U's diagonal
+    return BandLU(lu, piv, kd)
 
 
 def _pencil_top_root(bmat: sp.csr_matrix, kmat: sp.csr_matrix) -> float:

@@ -14,7 +14,7 @@ from oracles import (
     scalar_mass_full,
     scalar_stiffness_unit_full,
 )
-from test_patterns import anisotropic_k
+from test_patterns import anisotropic_k, perturbed_mesh_text
 from thermocontact import friction, scheme
 from thermocontact.assembly import (
     assemble_electric_system,
@@ -26,7 +26,7 @@ from thermocontact.assembly import (
 )
 from thermocontact.friction import SolverError
 from thermocontact.materials import default_ptc_model
-from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh
+from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh, load_mesh
 from thermocontact.scheme import (
     CG_MAX_ITER,
     ConfigError,
@@ -499,6 +499,36 @@ class TestAdvance:
         assert factor is not None
         advance(ws)
         assert len(ws.states) == 9 and ws.momentum.factor is factor
+
+    def test_run_does_not_depend_on_node_numbering(self, tmp_path):
+        # build_dof_maps numbers the free dofs from the mesh graph, so a file
+        # that numbers its nodes at random gives the same states up to roundoff;
+        # the friction law amplifies that in xi to 1.7e-12 of its largest entry,
+        # so each field is compared in the 2-norm
+        runs = []
+        for seed in (None, 3):
+            path = tmp_path / f"seed_{seed}.mesh"
+            path.write_text(perturbed_mesh_text(6, seed=seed))
+            mesh = load_mesh(str(path))
+            dofs = build_dof_maps(mesh)
+            mat, fric, bd = default_ptc_model({"f0": (0.5, 0.0), "phi_b": "x1"})
+            x0, x1 = mesh.nodes.T
+            theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.3 * x1)
+            theta0[dofs.dirichlet_nodes] = 0.0
+            ws = initialize(Models(mesh, dofs, mat, fric, bd), SolverConfig(T=0.1, h=0.05, dt=0.0125),
+                            theta0=theta0)
+            runs.append((mesh, advance(ws)))
+        (mesh_a, states_a), (mesh_b, states_b) = runs
+        match = np.empty(mesh_a.n_nodes, dtype=np.int64)  # node k of b is node match[k] of a
+        match[np.lexsort(mesh_b.nodes.T)] = np.lexsort(mesh_a.nodes.T)
+        np.testing.assert_array_equal(mesh_b.nodes, mesh_a.nodes[match])
+        assert len(states_a) == len(states_b) == 9
+        for sa, sb in zip(states_a, states_b):
+            for name in ("theta", "phi", "u", "v", "xi"):
+                fa = getattr(sa, name).reshape(mesh_a.n_nodes, -1)[match].ravel()
+                fb = getattr(sb, name)
+                assert np.linalg.norm(fb - fa) <= 1e-12 * np.linalg.norm(fa), name
+        assert all(np.abs(getattr(states_a[-1], name)).max() > 0.0 for name in ("theta", "phi", "u", "v", "xi"))
 
     def test_delay_inequality_on_real_run(self):
         models = default_models(2, overrides={"f0": (0.5, 0.0)})
