@@ -12,12 +12,24 @@ the initial state.
 The temperature equation carries the quartic gradient regularizer weighted
 by the delay length itself (overridable for experiments); its contribution
 must vanish as the delay is refined, which the cascade report measures.
+
+The delay also makes the momentum stage independent of the other two
+within a step: it reads the old displacement and velocity and the delayed
+temperature, and the temperature stage reads the velocity only at the
+delayed state. So where ``os.fork`` exists, the momentum stage runs in a
+forked worker process while the parent solves temperature and potential,
+and the states are the same, bit for bit, as when the three run one after
+the other.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import os
+import pickle
+import warnings
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,7 +224,11 @@ class Workspace:
     """One run: its inputs, its state history and the operators constant along it.
 
     ``states[n]`` is the state at the grid time n dt; ``advance_one`` appends
-    one and reads the delayed one from this list.
+    one and reads the delayed one from this list. ``momentum_info[n - 1]`` is
+    the Newton info of the momentum stage of step n, with one more entry,
+    ``factored``: whether that step factored the momentum step matrix B.
+    Where the stage runs in a worker process, B's factor lives there, and
+    ``momentum.factor`` stays None in this one.
     """
 
     models: Models
@@ -222,6 +238,7 @@ class Workspace:
     momentum: MomentumStep
     temperature_solver: LaggedFactor
     electric_solver: LaggedFactor
+    momentum_info: list[dict] = field(default_factory=list)
 
 
 def _check_initial_field(name: str, values: np.ndarray, size: int, zero_idx: np.ndarray) -> np.ndarray:
@@ -325,26 +342,199 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
     return out
 
 
+def _solve_momentum(ws: Workspace, u: np.ndarray, v: np.ndarray, theta: np.ndarray,
+                    t_new: float):
+    """The momentum stage on the old u and v and the delayed theta, the only fields it reads.
+
+    Returns :func:`solve_momentum_step`'s (v, u, xi, info), with
+    ``info["factored"]`` set when this call factored B.
+    """
+    held = ws.momentum.factor
+    state = SystemState(t=t_new, u=u, v=v, theta=theta, phi=None, xi=None)
+    v_new, u_new, xi_new, info = solve_momentum_step(ws, state, state, t_new)
+    info["factored"] = held is None and ws.momentum.factor is not None
+    return v_new, u_new, xi_new, info
+
+
+def _serve(ws: Workspace, inbox, outbox) -> None:
+    """Body of a momentum worker: one stage per request, until the parent closes the pipe.
+
+    A request is (u, v, theta, t_new, config); the reply is the stage's
+    result or the exception it raised. At EOF ``pickle.load`` raises
+    EOFError, which ends the worker.
+    """
+    while True:
+        u, v, theta, t_new, ws.config = pickle.load(inbox)
+        try:
+            reply = _solve_momentum(ws, u, v, theta, t_new)
+        except Exception as exc:  # sent back and raised by the parent
+            reply = exc
+        pickle.dump(reply, outbox, pickle.HIGHEST_PROTOCOL)
+        outbox.flush()
+
+
+def _close_pipes(requests, replies) -> None:
+    for pipe in (replies, requests):
+        try:
+            pipe.close()
+        except OSError:  # a request still buffered for a worker that has exited
+            pass
+
+
+def _reap(pid: int, requests, replies) -> None:
+    """Stop a momentum worker: close both pipes, so that it reads EOF, and wait for it to exit."""
+    _close_pipes(requests, replies)
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
+        pass
+
+
+class _MomentumWorker:
+    """A forked copy of this process that runs the momentum stage of one Workspace.
+
+    The child inherits the Workspace with its models, callables and
+    :class:`MomentumStep`, so only the arrays the stage reads and its
+    results cross the two pipes. ``stop`` reaps the child once: when a
+    step fails, when ``advance`` ends, when another Workspace steps, when
+    the Workspace is collected, or at interpreter exit.
+    """
+
+    def __init__(self, ws: Workspace):
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        # From Python 3.12 fork warns when the process has other threads, as
+        # OpenBLAS's pool threads are. That fork is safe here: OpenBLAS stops
+        # its pool before a fork (pthread_atfork) and starts a new one at its
+        # next threaded call, and this package starts no thread whose locks
+        # the child could inherit held.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (req_r, req_w, rep_r, rep_w):
+                    os.close(fd)
+                raise
+        if pid == 0:
+            # the worker leaves only through os._exit, so it runs none of the
+            # parent's exit handlers and flushes none of the stdio buffers it inherited
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                _serve(ws, os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(req_r)
+        os.close(rep_w)
+        self.pid = pid
+        self.ws = weakref.ref(ws)
+        self.requests = os.fdopen(req_w, "wb")
+        self.replies = os.fdopen(rep_r, "rb")
+        self.stop = weakref.finalize(ws, _reap, pid, self.requests, self.replies)
+
+    def send(self, u, v, theta, t_new: float, config: SolverConfig) -> None:
+        try:
+            pickle.dump((u, v, theta, t_new, config), self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        except BrokenPipeError:  # the worker has exited; receive reports it
+            pass
+
+    def receive(self, t_new: float):
+        try:
+            reply = pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise SolverError(f"momentum step at t={t_new:.6g}: the worker process exited") from None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+_worker: _MomentumWorker | None = None  # the one live momentum worker of this interpreter
+
+
+def _worker_for(ws: Workspace) -> _MomentumWorker | None:
+    """ws's momentum worker, forked after stopping any other one; None without os.fork."""
+    global _worker
+    if not hasattr(os, "fork"):
+        return None
+    if _worker is not None and _worker.ws() is ws:
+        return _worker
+    _stop_worker()
+    _worker = _MomentumWorker(ws)
+    return _worker
+
+
+def _stop_worker() -> None:
+    global _worker
+    if _worker is not None:
+        _worker.stop()
+        _worker = None
+
+
+def _forget_worker() -> None:
+    """In a process forked from this one, close its copies of the live worker's pipes.
+
+    A fork that kept them, such as a multiprocessing pool started while a
+    worker is alive, would keep the worker from reading EOF, and ``_reap``
+    in this process waiting for it, until that fork exits.
+    """
+    global _worker
+    if _worker is not None:
+        _worker.stop.detach()
+        _close_pipes(_worker.requests, _worker.replies)
+        _worker = None
+
+
+if hasattr(os, "fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 def advance_one(ws: Workspace) -> SystemState:
-    """One grid step: temperature, then potential, then velocity."""
+    """One grid step: temperature, then potential, with the velocity solved alongside.
+
+    Where ``os.fork`` exists the momentum stage runs in the Workspace's
+    worker process, forked at its first step. Errors keep the order of
+    the stages: a temperature or electric error is raised before a
+    momentum one. Any error stops the worker.
+    """
     n_new = len(ws.states)
     t_new = n_new * ws.config.dt
     old = ws.states[-1]
     delayed = ws.states[max(n_new - ws.config.delay_steps, 0)]
+    job = (old.u, old.v, delayed.theta, t_new)
 
-    theta_new = solve_temperature_step(ws, old, delayed, t_new)
-    phi_new = solve_electric(ws, theta_new, t_new)
-    v_new, u_new, xi_new, _ = solve_momentum_step(ws, old, delayed, t_new)
+    try:
+        worker = _worker_for(ws)
+        if worker is not None:
+            worker.send(*job, ws.config)
+        theta_new = solve_temperature_step(ws, old, delayed, t_new)
+        phi_new = solve_electric(ws, theta_new, t_new)
+        if worker is not None:
+            v_new, u_new, xi_new, info = worker.receive(t_new)
+        else:
+            v_new, u_new, xi_new, info = _solve_momentum(ws, *job)
+    except BaseException:
+        _stop_worker()
+        raise
 
+    ws.momentum_info.append(info)
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
     ws.states.append(state)
     return state
 
 
 def advance(ws: Workspace) -> list[SystemState]:
-    """Run the staggered loop to the horizon; returns the full trajectory."""
-    while len(ws.states) - 1 < ws.config.n_steps:
-        advance_one(ws)
+    """Run the staggered loop to the horizon; returns the full trajectory.
+
+    The momentum worker is stopped when the loop returns or raises.
+    """
+    try:
+        while len(ws.states) - 1 < ws.config.n_steps:
+            advance_one(ws)
+    finally:
+        _stop_worker()
     return ws.states
 
 

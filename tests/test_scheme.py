@@ -1,6 +1,10 @@
 """Time grid validation, delay semantics, staggered stepping, cascade."""
 
 import dataclasses
+import os
+import select
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from thermocontact.scheme import (
     advance_one,
     initialize,
     run_cascade,
+    solve_electric,
     solve_temperature_step,
 )
 
@@ -380,16 +385,17 @@ class TestLaggedFactor:
             LaggedFactor("temperature").solve(matrix, load, 0.25)
 
     def test_run_matches_direct_oracle(self, monkeypatch):
+        # the momentum stage may run in a worker process, so its Newton
+        # counts are read from the Workspace, not from a patched damped_newton
         newton = scheme.damped_newton
         counts = []
 
         def counted(*args, **kwargs):
             out = newton(*args, **kwargs)
-            counts.append((args[5], out[2]["iterations"]))
+            counts.append(out[2]["iterations"])
             return out
 
         monkeypatch.setattr(scheme, "damped_newton", counted)
-        monkeypatch.setattr(friction, "damped_newton", counted)
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         models = default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
         runs = []
@@ -398,10 +404,12 @@ class TestLaggedFactor:
             ws = initialize(models, cfg)
             if direct:  # the solve in initialize factors its own matrix, so it is direct
                 ws.temperature_solver = ws.electric_solver = DirectSolve()
-            runs.append((advance(ws), list(counts)))
-        (lagged, lagged_counts), (oracle, oracle_counts) = runs
-        assert lagged_counts == oracle_counts
-        assert len(lagged_counts) == 2 * cfg.n_steps and len(lagged) == cfg.n_steps + 1
+            states = advance(ws)
+            runs.append((states, list(counts), [info["iterations"] for info in ws.momentum_info]))
+        (lagged, lagged_t, lagged_m), (oracle, oracle_t, oracle_m) = runs
+        assert lagged_t == oracle_t and lagged_m == oracle_m
+        assert len(lagged_t) == len(lagged_m) == cfg.n_steps and len(lagged) == cfg.n_steps + 1
+        assert sum(lagged_m) > 0
         for a, b in zip(lagged, oracle):
             for name in ("theta", "phi", "u", "v", "xi"):
                 fa, fb = getattr(a, name), getattr(b, name)
@@ -491,14 +499,14 @@ class TestAdvance:
         assert np.array_equal(sa.xi, sb.xi)
 
     def test_run_factors_momentum_matrix_once(self):
+        # B is factored at the first momentum solve, wherever the stage runs
         ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0)}),
                         SolverConfig(T=0.2, h=0.05, dt=0.025))
-        assert ws.momentum.factor is None  # B is factored at the first momentum solve
         advance_one(ws)
-        factor = ws.momentum.factor
-        assert factor is not None
+        assert [info["factored"] for info in ws.momentum_info] == [True]
         advance(ws)
-        assert len(ws.states) == 9 and ws.momentum.factor is factor
+        assert len(ws.states) == 9
+        assert [info["factored"] for info in ws.momentum_info] == [True] + [False] * 7
 
     def test_run_does_not_depend_on_node_numbering(self, tmp_path):
         # build_dof_maps numbers the free dofs from the mesh graph, so a file
@@ -537,6 +545,173 @@ class TestAdvance:
         hist = np.stack([s.theta for s in states])
         gap = delay_inequality_gap(hist, cfg.h, cfg.dt)
         assert gap <= 1e-12
+
+
+def contact_run_inputs(n=8):
+    """Contact on top and bottom, a smooth initial temperature, 40 steps with a delay of 4."""
+    models = default_models(n, tags={"left": "D", "right": "D", "bottom": "C", "top": "C"},
+                            overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+    x0, x1 = models.mesh.nodes.T
+    theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.3 * x1)
+    theta0[models.dofs.dirichlet_nodes] = 0.0
+    return models, SolverConfig(T=0.5, h=0.05, dt=0.0125), theta0
+
+
+def singular_momentum_models():
+    """No inertia, viscosity or elasticity: the momentum step matrix B is zero."""
+    return default_models(4, overrides={"f0": (0.5, 0.0), "rho": 0.0, "mu_a": 0.0,
+                                        "lam_b": 0.0, "mu_b": 0.0})
+
+
+def worker_pid():
+    return scheme._worker.pid
+
+
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestMomentumStage:
+    """The momentum stage runs alongside the other two, with the states and errors of the serial loop."""
+
+    def test_run_equals_serial_loop(self):
+        models, cfg, theta0 = contact_run_inputs()
+        states = advance(initialize(models, cfg, theta0=theta0))
+
+        ws = initialize(models, cfg, theta0=theta0)
+        for n in range(1, cfg.n_steps + 1):
+            t = n * cfg.dt
+            old, delayed = ws.states[-1], ws.states[max(n - cfg.delay_steps, 0)]
+            theta = solve_temperature_step(ws, old, delayed, t)
+            phi = solve_electric(ws, theta, t)
+            v, u, xi, _ = friction.solve_momentum_step(ws, old, delayed, t)
+            ws.states.append(SystemState(t=t, u=u, v=v, theta=theta, phi=phi, xi=xi))
+
+        assert len(states) == len(ws.states) == cfg.n_steps + 1
+        for a, b in zip(states, ws.states):
+            assert a.t == b.t
+            for name in ("theta", "phi", "u", "v", "xi"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.abs(states[-1].xi).max() > 0.0
+
+    def test_momentum_error_message_unchanged(self):
+        cfg = SolverConfig(T=0.1, h=0.05, dt=0.025)
+        ws = initialize(singular_momentum_models(), cfg)
+        s0 = ws.states[0]
+        with pytest.raises(SolverError) as direct:
+            friction.solve_momentum_step(ws, s0, s0, cfg.dt)
+        assert str(direct.value).startswith("momentum solve at t=0.025: singular")
+        ws = initialize(singular_momentum_models(), cfg)
+        with pytest.raises(SolverError) as stepped:
+            advance(ws)
+        assert str(stepped.value) == str(direct.value)
+        assert len(ws.states) == 1 and ws.momentum_info == []
+
+    def test_temperature_error_comes_first(self):
+        models = singular_momentum_models()
+        models = dataclasses.replace(models, mat=dataclasses.replace(
+            models.mat, k=lambda s: np.full(np.shape(s) + (2, 2), np.nan)))
+        cfg = SolverConfig(T=0.1, h=0.05, dt=0.025)
+        ws = initialize(models, cfg)
+        s0 = ws.states[0]
+        with pytest.raises(SolverError, match="momentum solve at t=0.025: singular"):
+            friction.solve_momentum_step(ws, s0, s0, cfg.dt)
+        with pytest.raises(SolverError, match=r"^temperature step at t=0\.025: non-finite residual nan"):
+            advance(initialize(models, cfg))
+
+    def test_config_change_reaches_the_stage(self):
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance_one(ws)
+        ws.config.tol_momentum = 1e3  # met by the old velocity: no Newton step
+        advance_one(ws)
+        ws.config = dataclasses.replace(ws.config, tol_momentum=1e-10)
+        advance_one(ws)
+        iterations = [info["iterations"] for info in ws.momentum_info]
+        assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] > 0
+        assert np.array_equal(ws.states[2].v, ws.states[1].v)
+        advance(ws)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the momentum stage runs in-process without os.fork")
+class TestMomentumWorker:
+    """No worker outlives its run, and at most one is alive."""
+
+    def test_reaped_when_advance_returns(self):
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance_one(ws)
+        pid = worker_pid()
+        assert not reaped(pid)
+        advance(ws)
+        assert reaped(pid) and scheme._worker is None
+
+    @pytest.mark.parametrize("stage", ["temperature", "momentum"])
+    def test_reaped_when_advance_raises(self, stage):
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance_one(ws)
+        pid = worker_pid()
+        ws.config = dataclasses.replace(ws.config, **{f"tol_{stage}": 1e-300, f"max_iter_{stage}": 1})
+        with pytest.raises(SolverError, match=rf"^{stage} step at t=0\.025 stalled after 1 iterations"):
+            advance(ws)
+        assert reaped(pid) and scheme._worker is None
+        assert len(ws.states) == 2
+
+    def test_another_workspace_stops_the_worker(self):
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws_a, ws_b, ws_c = (initialize(models, cfg, theta0=theta0) for _ in range(3))
+        advance_one(ws_a)
+        pid = worker_pid()
+        advance_one(ws_b)
+        assert reaped(pid) and not reaped(worker_pid())
+        # stepped again, ws_a forks a new worker that factors B again
+        advance_one(ws_a)
+        assert [info["factored"] for info in ws_a.momentum_info] == [True, True]
+        for _ in range(2):
+            advance_one(ws_c)
+        for name in ("theta", "phi", "u", "v", "xi"):
+            assert np.array_equal(getattr(ws_a.states[2], name), getattr(ws_c.states[2], name)), name
+        pid = worker_pid()
+        del ws_c  # a collected Workspace takes its worker with it
+        assert reaped(pid)
+
+    def test_fork_does_not_hold_the_worker(self):
+        # a process forked while a worker is alive, as a multiprocessing pool
+        # may be, must not keep the worker from reading EOF when it is stopped
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance_one(ws)
+        pid = worker_pid()
+        release_r, release_w = os.pipe()
+        fork = os.fork()
+        if fork == 0:
+            try:
+                os.close(release_w)
+                select.select([release_r], [], [], 10.0)
+            finally:
+                os._exit(0)
+        os.close(release_r)
+        try:
+            start = time.monotonic()
+            scheme._stop_worker()
+            assert time.monotonic() - start < 5.0 and reaped(pid)
+        finally:
+            os.close(release_w)
+            os.waitpid(fork, 0)
+
+    def test_dead_worker_names_stage_and_time(self):
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance_one(ws)
+        os.kill(worker_pid(), signal.SIGKILL)
+        with pytest.raises(SolverError, match=r"^momentum step at t=0\.025: the worker process exited"):
+            advance_one(ws)
+        assert scheme._worker is None and len(ws.states) == 2
 
 
 class TestCascade:
