@@ -16,10 +16,11 @@ must vanish as the delay is refined, which the cascade report measures.
 The delay also makes the momentum stage independent of the other two
 within a step: it reads the old displacement and velocity and the delayed
 temperature, and the temperature stage reads the velocity only at the
-delayed state. So where ``os.fork`` exists, the momentum stage runs in a
-forked worker process while the parent solves temperature and potential,
-and the states are the same, bit for bit, as when the three run one after
-the other.
+delayed state. So where ``os.fork`` exists, ``advance`` forks one worker
+process for its loop, which solves the momentum stage of each step while
+the parent solves temperature and potential. The states are the same, bit
+for bit, as when the three run one after the other, which is how
+``advance_one`` runs them when it is given no worker.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import signal
 import warnings
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,11 @@ JOULE_MODES = ("direct", "reformulated")
 CG_MAX_ITER = 8
 CG_RTOL = 1e-14
 
+# Longest time grid a run may take. A run keeps every state, about 5 kB a step
+# at n=8 and 70 kB at n=32, so a far longer grid, as from a mistyped T, would
+# fill memory rather than finish.
+MAX_STEPS = 10**6
+
 
 class ConfigError(ValueError):
     """A configuration value violates a scheme invariant."""
@@ -107,6 +113,9 @@ class SolverConfig:
                 f"time grid must satisfy 0 < dt <= h < T, got dt={self.dt}, h={self.h}, T={self.T}")
         if not np.isfinite(self.T / self.dt):
             raise ConfigError(f"time grid T/dt overflows, got dt={self.dt}, T={self.T}")
+        if self.n_steps > MAX_STEPS:
+            raise ConfigError(f"time grid has {self.n_steps:.7g} steps, more than {MAX_STEPS}, "
+                              f"got dt={self.dt}, T={self.T}")
         k = self.delay_steps
         if k < 1 or abs(k * self.dt - self.h) > 1e-9 * self.h:
             raise ConfigError(f"delay h={self.h} is not an integer multiple of dt={self.dt}")
@@ -227,8 +236,9 @@ class Workspace:
     one and reads the delayed one from this list. ``momentum_info[n - 1]`` is
     the Newton info of the momentum stage of step n, with one more entry,
     ``factored``: whether that step factored the momentum step matrix B.
-    Where the stage runs in a worker process, B's factor lives there, and
-    ``momentum.factor`` stays None in this one.
+    Steps of ``advance`` run the stage in its worker process, where B's
+    factor lives and dies with the loop; ``momentum.factor`` is set in this
+    process only by a step of ``advance_one`` alone.
     """
 
     models: Models
@@ -357,11 +367,11 @@ def _solve_momentum(ws: Workspace, u: np.ndarray, v: np.ndarray, theta: np.ndarr
 
 
 def _serve(ws: Workspace, inbox, outbox) -> None:
-    """Body of a momentum worker: one stage per request, until the parent closes the pipe.
+    """Body of a momentum worker: one stage per request, until it is killed.
 
     A request is (u, v, theta, t_new, config); the reply is the stage's
-    result or the exception it raised. At EOF ``pickle.load`` raises
-    EOFError, which ends the worker.
+    result or the exception it raised. If the parent exits without
+    killing it, ``pickle.load`` raises EOFError, which ends the worker.
     """
     while True:
         u, v, theta, t_new, ws.config = pickle.load(inbox)
@@ -373,31 +383,13 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
         outbox.flush()
 
 
-def _close_pipes(requests, replies) -> None:
-    for pipe in (replies, requests):
-        try:
-            pipe.close()
-        except OSError:  # a request still buffered for a worker that has exited
-            pass
-
-
-def _reap(pid: int, requests, replies) -> None:
-    """Stop a momentum worker: close both pipes, so that it reads EOF, and wait for it to exit."""
-    _close_pipes(requests, replies)
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
-        pass
-
-
 class _MomentumWorker:
     """A forked copy of this process that runs the momentum stage of one Workspace.
 
     The child inherits the Workspace with its models, callables and
     :class:`MomentumStep`, so only the arrays the stage reads and its
-    results cross the two pipes. ``stop`` reaps the child once: when a
-    step fails, when ``advance`` ends, when another Workspace steps, when
-    the Workspace is collected, or at interpreter exit.
+    results cross the two pipes. ``advance`` forks one for its loop and
+    stops it when the loop returns or raises.
     """
 
     def __init__(self, ws: Workspace):
@@ -429,10 +421,8 @@ class _MomentumWorker:
         os.close(req_r)
         os.close(rep_w)
         self.pid = pid
-        self.ws = weakref.ref(ws)
         self.requests = os.fdopen(req_w, "wb")
         self.replies = os.fdopen(rep_r, "rb")
-        self.stop = weakref.finalize(ws, _reap, pid, self.requests, self.replies)
 
     def send(self, u, v, theta, t_new: float, config: SolverConfig) -> None:
         try:
@@ -450,54 +440,32 @@ class _MomentumWorker:
             raise reply
         return reply
 
+    def stop(self) -> None:
+        """Kill the worker, wait for it and close both pipes.
 
-_worker: _MomentumWorker | None = None  # the one live momentum worker of this interpreter
-
-
-def _worker_for(ws: Workspace) -> _MomentumWorker | None:
-    """ws's momentum worker, forked after stopping any other one; None without os.fork."""
-    global _worker
-    if not hasattr(os, "fork"):
-        return None
-    if _worker is not None and _worker.ws() is ws:
-        return _worker
-    _stop_worker()
-    _worker = _MomentumWorker(ws)
-    return _worker
-
-
-def _stop_worker() -> None:
-    global _worker
-    if _worker is not None:
-        _worker.stop()
-        _worker = None
+        The worker holds nothing this process needs, and a kill, unlike an
+        EOF on the request pipe, is not held up by a copy of that pipe in
+        another process forked from this one.
+        """
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already, as under SIGCHLD = SIG_IGN
+            pass
+        for pipe in (self.replies, self.requests):
+            try:
+                pipe.close()
+            except OSError:  # a request still buffered for the killed worker
+                pass
 
 
-def _forget_worker() -> None:
-    """In a process forked from this one, close its copies of the live worker's pipes.
-
-    A fork that kept them, such as a multiprocessing pool started while a
-    worker is alive, would keep the worker from reading EOF, and ``_reap``
-    in this process waiting for it, until that fork exits.
-    """
-    global _worker
-    if _worker is not None:
-        _worker.stop.detach()
-        _close_pipes(_worker.requests, _worker.replies)
-        _worker = None
-
-
-if hasattr(os, "fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def advance_one(ws: Workspace) -> SystemState:
+def advance_one(ws: Workspace, worker: _MomentumWorker | None = None) -> SystemState:
     """One grid step: temperature, then potential, with the velocity solved alongside.
 
-    Where ``os.fork`` exists the momentum stage runs in the Workspace's
-    worker process, forked at its first step. Errors keep the order of
-    the stages: a temperature or electric error is raised before a
-    momentum one. Any error stops the worker.
+    With a worker the momentum stage runs there while this process solves
+    the other two; without one the three run in turn. Errors keep the
+    order of the stages: a temperature or electric error is raised before
+    a momentum one.
     """
     n_new = len(ws.states)
     t_new = n_new * ws.config.dt
@@ -505,19 +473,14 @@ def advance_one(ws: Workspace) -> SystemState:
     delayed = ws.states[max(n_new - ws.config.delay_steps, 0)]
     job = (old.u, old.v, delayed.theta, t_new)
 
-    try:
-        worker = _worker_for(ws)
-        if worker is not None:
-            worker.send(*job, ws.config)
-        theta_new = solve_temperature_step(ws, old, delayed, t_new)
-        phi_new = solve_electric(ws, theta_new, t_new)
-        if worker is not None:
-            v_new, u_new, xi_new, info = worker.receive(t_new)
-        else:
-            v_new, u_new, xi_new, info = _solve_momentum(ws, *job)
-    except BaseException:
-        _stop_worker()
-        raise
+    if worker is not None:
+        worker.send(*job, ws.config)
+    theta_new = solve_temperature_step(ws, old, delayed, t_new)
+    phi_new = solve_electric(ws, theta_new, t_new)
+    if worker is not None:
+        v_new, u_new, xi_new, info = worker.receive(t_new)
+    else:
+        v_new, u_new, xi_new, info = _solve_momentum(ws, *job)
 
     ws.momentum_info.append(info)
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
@@ -528,13 +491,18 @@ def advance_one(ws: Workspace) -> SystemState:
 def advance(ws: Workspace) -> list[SystemState]:
     """Run the staggered loop to the horizon; returns the full trajectory.
 
-    The momentum worker is stopped when the loop returns or raises.
+    Where ``os.fork`` exists and steps remain, the loop forks one momentum
+    worker and stops it when it returns or raises.
     """
+    worker = None
+    if hasattr(os, "fork") and len(ws.states) - 1 < ws.config.n_steps:
+        worker = _MomentumWorker(ws)
     try:
         while len(ws.states) - 1 < ws.config.n_steps:
-            advance_one(ws)
+            advance_one(ws, worker)
     finally:
-        _stop_worker()
+        if worker is not None:
+            worker.stop()
     return ws.states
 
 

@@ -282,6 +282,8 @@ class TestRejectedBeforeRun:
                            "solver.cascade_levels = 0.1 0.03", "cascade level 0.03"),
         "levels_increasing": ("solver.cascade_levels = 0.1 0.05 0.025",
                               "solver.cascade_levels = 0.05 0.1", "strictly decreasing"),
+        # 8e301 steps: a run would keep states until memory runs out
+        "too_many_steps": ("solver.T = 0.5", "solver.T = 1e300", "time grid has 8e+301 steps"),
     }
 
     @pytest.mark.parametrize("command", ["check", "run"])

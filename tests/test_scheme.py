@@ -82,6 +82,7 @@ class TestSolverConfig:
         (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.1, 0.03)), "cascade level 0.03: .*integer multiple"),
         (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.05, 0.1)), "strictly decreasing"),
         (dict(T=0.5, h=0.05, dt=0.0125, cascade_levels=(0.5,)), "cascade level 0.5: .*h < T"),
+        (dict(T=1e300, h=0.05, dt=0.0125), r"time grid has 8e\+301 steps, more than 1000000"),
     ])
     def test_rejects(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -563,8 +564,18 @@ def singular_momentum_models():
                                         "lam_b": 0.0, "mu_b": 0.0})
 
 
-def worker_pid():
-    return scheme._worker.pid
+@pytest.fixture
+def workers(monkeypatch):
+    """The momentum workers forked from here on, in order."""
+    forked = []
+
+    class Recorded(scheme._MomentumWorker):
+        def __init__(self, ws):
+            super().__init__(ws)
+            forked.append(self)
+
+    monkeypatch.setattr(scheme, "_MomentumWorker", Recorded)
+    return forked
 
 
 def reaped(pid):
@@ -573,6 +584,12 @@ def reaped(pid):
     except ChildProcessError:
         return True
     return False
+
+
+def assert_same_states(a, b):
+    for sa, sb in zip(a, b, strict=True):
+        for name in ("t", "theta", "phi", "u", "v", "xi"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
 
 
 class TestMomentumStage:
@@ -626,11 +643,16 @@ class TestMomentumStage:
     def test_config_change_reaches_the_stage(self):
         models, cfg, theta0 = contact_run_inputs(4)
         ws = initialize(models, cfg, theta0=theta0)
-        advance_one(ws)
-        ws.config.tol_momentum = 1e3  # met by the old velocity: no Newton step
-        advance_one(ws)
-        ws.config = dataclasses.replace(ws.config, tol_momentum=1e-10)
-        advance_one(ws)
+        worker = scheme._MomentumWorker(ws) if hasattr(os, "fork") else None
+        try:
+            advance_one(ws, worker)
+            ws.config.tol_momentum = 1e3  # met by the old velocity: no Newton step
+            advance_one(ws, worker)
+            ws.config = dataclasses.replace(ws.config, tol_momentum=1e-10)
+            advance_one(ws, worker)
+        finally:
+            if worker is not None:
+                worker.stop()
         iterations = [info["iterations"] for info in ws.momentum_info]
         assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] > 0
         assert np.array_equal(ws.states[2].v, ws.states[1].v)
@@ -639,54 +661,53 @@ class TestMomentumStage:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the momentum stage runs in-process without os.fork")
 class TestMomentumWorker:
-    """No worker outlives its run, and at most one is alive."""
+    """One worker per advance loop, reaped however the loop ends; no worker outside one."""
 
-    def test_reaped_when_advance_returns(self):
+    def test_reaped_when_advance_returns(self, workers, monkeypatch):
         models, cfg, theta0 = contact_run_inputs(4)
         ws = initialize(models, cfg, theta0=theta0)
-        advance_one(ws)
-        pid = worker_pid()
-        assert not reaped(pid)
+        step, alive = scheme.advance_one, []
+
+        def checked(ws, worker=None):
+            alive.append(worker is workers[0] and not reaped(worker.pid))
+            return step(ws, worker)
+
+        monkeypatch.setattr(scheme, "advance_one", checked)
         advance(ws)
-        assert reaped(pid) and scheme._worker is None
+        assert alive == [True] * cfg.n_steps
+        assert len(workers) == 1 and reaped(workers[0].pid)
 
     @pytest.mark.parametrize("stage", ["temperature", "momentum"])
-    def test_reaped_when_advance_raises(self, stage):
+    def test_reaped_when_advance_raises(self, workers, stage):
         models, cfg, theta0 = contact_run_inputs(4)
         ws = initialize(models, cfg, theta0=theta0)
         advance_one(ws)
-        pid = worker_pid()
         ws.config = dataclasses.replace(ws.config, **{f"tol_{stage}": 1e-300, f"max_iter_{stage}": 1})
         with pytest.raises(SolverError, match=rf"^{stage} step at t=0\.025 stalled after 1 iterations"):
             advance(ws)
-        assert reaped(pid) and scheme._worker is None
+        assert len(workers) == 1 and reaped(workers[0].pid)
         assert len(ws.states) == 2
 
-    def test_another_workspace_stops_the_worker(self):
+    def test_dead_worker_names_stage_and_time(self, workers, monkeypatch):
         models, cfg, theta0 = contact_run_inputs(4)
-        ws_a, ws_b, ws_c = (initialize(models, cfg, theta0=theta0) for _ in range(3))
-        advance_one(ws_a)
-        pid = worker_pid()
-        advance_one(ws_b)
-        assert reaped(pid) and not reaped(worker_pid())
-        # stepped again, ws_a forks a new worker that factors B again
-        advance_one(ws_a)
-        assert [info["factored"] for info in ws_a.momentum_info] == [True, True]
-        for _ in range(2):
-            advance_one(ws_c)
-        for name in ("theta", "phi", "u", "v", "xi"):
-            assert np.array_equal(getattr(ws_a.states[2], name), getattr(ws_c.states[2], name)), name
-        pid = worker_pid()
-        del ws_c  # a collected Workspace takes its worker with it
-        assert reaped(pid)
+        ws = initialize(models, cfg, theta0=theta0)
+        step = scheme.advance_one
+
+        def kill_after_first_step(ws, worker=None):
+            state = step(ws, worker)
+            os.kill(worker.pid, signal.SIGKILL)
+            return state
+
+        monkeypatch.setattr(scheme, "advance_one", kill_after_first_step)
+        with pytest.raises(SolverError, match=r"^momentum step at t=0\.025: the worker process exited"):
+            advance(ws)
+        assert len(ws.states) == 2 and reaped(workers[0].pid)
 
     def test_fork_does_not_hold_the_worker(self):
         # a process forked while a worker is alive, as a multiprocessing pool
-        # may be, must not keep the worker from reading EOF when it is stopped
+        # may be, holds copies of its pipes; stopping the worker must not wait for it
         models, cfg, theta0 = contact_run_inputs(4)
-        ws = initialize(models, cfg, theta0=theta0)
-        advance_one(ws)
-        pid = worker_pid()
+        worker = scheme._MomentumWorker(initialize(models, cfg, theta0=theta0))
         release_r, release_w = os.pipe()
         fork = os.fork()
         if fork == 0:
@@ -698,20 +719,86 @@ class TestMomentumWorker:
         os.close(release_r)
         try:
             start = time.monotonic()
-            scheme._stop_worker()
-            assert time.monotonic() - start < 5.0 and reaped(pid)
+            worker.stop()
+            assert time.monotonic() - start < 5.0 and reaped(worker.pid)
         finally:
             os.close(release_w)
             os.waitpid(fork, 0)
 
-    def test_dead_worker_names_stage_and_time(self):
+    def test_advance_after_a_failed_one(self, workers, monkeypatch):
+        # a fresh worker factors B again and the run goes on as if nothing failed
         models, cfg, theta0 = contact_run_inputs(4)
+        cfg = dataclasses.replace(cfg, T=0.1)
+        reference = advance(initialize(models, cfg, theta0=theta0))
         ws = initialize(models, cfg, theta0=theta0)
-        advance_one(ws)
-        os.kill(worker_pid(), signal.SIGKILL)
-        with pytest.raises(SolverError, match=r"^momentum step at t=0\.025: the worker process exited"):
+        solve, failed = scheme.solve_temperature_step, []
+
+        def fail_once_at_step_2(ws, old, delayed, t_new):
+            if len(ws.states) == 2 and not failed:
+                failed.append(t_new)
+                raise SolverError("injected")
+            return solve(ws, old, delayed, t_new)
+
+        monkeypatch.setattr(scheme, "solve_temperature_step", fail_once_at_step_2)
+        with pytest.raises(SolverError, match="injected"):
+            advance(ws)
+        assert len(ws.states) == 2
+        advance(ws)
+        assert len(workers) == 3 and all(reaped(w.pid) for w in workers)
+        assert [info["factored"] for info in ws.momentum_info] == [True, True] + [False] * 6
+        assert_same_states(reference, ws.states)
+
+    def test_no_fork_outside_advance_or_after_its_horizon(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        models, cfg, theta0 = contact_run_inputs(4)
+        ws = initialize(models, dataclasses.replace(cfg, T=0.0625), theta0=theta0)
+        for _ in range(5):
             advance_one(ws)
-        assert scheme._worker is None and len(ws.states) == 2
+        assert advance(ws) is ws.states and len(ws.states) == 6
+        assert [info["factored"] for info in ws.momentum_info] == [True] + [False] * 4
+
+    def test_sigchld_ignored(self, workers):
+        # the kernel reaps the worker itself; stopping it must not fail
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            models, cfg, theta0 = contact_run_inputs(4)
+            states = advance(initialize(models, dataclasses.replace(cfg, T=0.0625), theta0=theta0))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(states) == 6 and reaped(workers[0].pid)
+
+
+def test_runs_in_process_without_fork(monkeypatch):
+    models, cfg, theta0 = contact_run_inputs(4)
+    cfg = dataclasses.replace(cfg, T=0.1)
+    forked = advance(initialize(models, cfg, theta0=theta0))
+    monkeypatch.delattr(os, "fork", raising=False)
+    ws = initialize(models, cfg, theta0=theta0)
+    advance(ws)
+    assert ws.momentum.factor is not None
+    assert_same_states(forked, ws.states)
+
+
+def test_one_step_mark_per_step(monkeypatch):
+    # the benchmark marks each step by wrapping scheme.advance_one and
+    # requires one mark per integrated step
+    step, calls = scheme.advance_one, []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0].states))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "advance_one", counted)
+    models, cfg, theta0 = contact_run_inputs(4)
+    cfg = dataclasses.replace(cfg, T=0.1, cascade_levels=(0.05, 0.025))
+    advance(initialize(models, cfg, theta0=theta0))
+    assert calls == list(range(1, cfg.n_steps + 1))
+    calls.clear()
+    run_cascade(models, cfg)
+    assert calls == list(range(1, cfg.n_steps + 1)) * 2
 
 
 class TestCascade:
