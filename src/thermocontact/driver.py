@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import REPORT_COLUMNS, energy_report
 from .friction import SolverError
-from .materials import DEFAULTS, PHI_B_FORMS, default_ptc_model, validate_assumptions
+from .materials import DEFAULTS, PHI_B_FORMS, ValidationReport, default_ptc_model, validate_assumptions
 from .mesh import (
     MeshError,
     build_dof_maps,
@@ -123,6 +123,9 @@ def parse_config(path: str) -> RunConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config '{path}' is not UTF-8 text: {exc}") from None
     entries = _parse_entries(text)
+    square_keys = [key for key in ["mesh.n"] + [f"mesh.{side}" for side in SIDES] if key in entries]
+    if "mesh.file" in entries and square_keys:
+        raise ConfigError(f"key '{square_keys[0]}' has no effect with 'mesh.file', which sets nodes and tags")
 
     overrides = {}
     for key in list(entries):
@@ -233,13 +236,18 @@ def write_cascade(rc: RunConfig, report) -> None:
     _write_csv(os.path.join(rc.out_dir, "cascade.csv"), header, rows.tolist(), rc.config_hash)
 
 
-def run_command(rc: RunConfig) -> int:
-    models = build_models(rc)
+def validate_and_print(models: Models) -> ValidationReport:
+    """Validate the model's assumptions, print one line per check, return the report."""
     report = validate_assumptions(models.mat, models.fric, models.bd,
                                   estimate_trace_norm(models.mesh, models.dofs))
     for line in report.lines():
         print(line)
-    if not report.all_passed() and rc.assert_mode:
+    return report
+
+
+def run_command(rc: RunConfig) -> int:
+    models = build_models(rc)
+    if not validate_and_print(models).all_passed() and rc.assert_mode:
         print("assumption validation failed", file=sys.stderr)
         return 4
 
@@ -274,14 +282,7 @@ def cascade_command(rc: RunConfig) -> int:
 
 
 def check_command(rc: RunConfig) -> int:
-    models = build_models(rc)
-    gamma = estimate_trace_norm(models.mesh, models.dofs)
-    report = validate_assumptions(models.mat, models.fric, models.bd, gamma)
-    for line in report.lines():
-        print(line)
-    used = models.fric.F_bar * models.fric.d_mu * gamma**2
-    print(f"A8 margin: delta={models.mat.delta!r} vs F_bar*d_mu*trace^2={used!r} "
-          f"(margin={models.mat.delta - used!r})")
+    report = validate_and_print(build_models(rc))
     if not report.all_passed():
         failed = ", ".join(c.id for c in report.failures())
         print(f"failed assumptions: {failed}", file=sys.stderr)

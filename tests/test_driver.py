@@ -185,7 +185,7 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == 2
 
     def test_missing_mesh_file(self, tmp_path):
-        cfg = cfg_file(tmp_path, "mesh.file = missing_mesh.txt\n")
+        cfg = cfg_file(tmp_path, "mesh.file = missing_mesh.txt\n", base=BASE.replace("mesh.n = 2\n", ""))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
     def test_solver_failure(self, tmp_path):
@@ -268,7 +268,8 @@ class TestNonUtf8Input:
 
     def test_mesh_file(self, tmp_path, capsys):
         (tmp_path / "latin1.mesh").write_bytes(b"# r\xe9seau\nnodes 3 triangles 1 edges 3\n")
-        cfg = cfg_file(tmp_path, f"mesh.file = {tmp_path / 'latin1.mesh'}\n")
+        cfg = cfg_file(tmp_path, f"mesh.file = {tmp_path / 'latin1.mesh'}\n",
+                       base=BASE.replace("mesh.n = 2\n", ""))
         self.check_one_line(cfg, capsys, "not UTF-8")
 
 
@@ -284,6 +285,11 @@ class TestRejectedBeforeRun:
                               "solver.cascade_levels = 0.05 0.1", "strictly decreasing"),
         # 8e301 steps: a run would keep states until memory runs out
         "too_many_steps": ("solver.T = 0.5", "solver.T = 1e300", "time grid has 8e+301 steps"),
+        # a mesh file sets the mesh and its tags: the square's keys would be ignored
+        "mesh_file_with_n": ("mesh.n = 8", "mesh.file = square.mesh\nmesh.n = 8",
+                             "key 'mesh.n' has no effect with 'mesh.file'"),
+        "mesh_file_with_tags": ("mesh.n = 8", "mesh.file = square.mesh",
+                                "key 'mesh.left' has no effect with 'mesh.file'"),
     }
 
     @pytest.mark.parametrize("command", ["check", "run"])
@@ -346,6 +352,13 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg_file(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "A8" in out and "all assumptions pass" in out
+
+    def test_bundled_default_prints_no_negative_margin(self, capsys):
+        # a passing A4 printed margin=-3.55271e-15, its raw slack below the roundoff floor
+        assert main(["check", "--config", str(REPO_ROOT / "examples" / "default.cfg")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if "PASS (margin=" in line]) == 13
+        assert not [line for line in lines if "PASS (margin=-" in line]
 
     def test_inflated_slope_constant_fails_a8(self, tmp_path, capsys):
         # beta scales the slope constant linearly, so this is a 1e6 inflation

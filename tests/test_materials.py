@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, estimate_
 
 # every sampled check that calls each model callable
 NAN_CHECKS = {"sigma_el": ("A2", "A2L"), "k": ("A3", "A3U", "A3L"), "F_field": ("A5",),
-              "mu": ("A7", "A7c")}
+              "h_C": ("A6C",), "H_C": ("A6C",), "mu": ("A7", "A7c")}
 
 
 def _nan_above(f, above, key):
@@ -23,6 +25,14 @@ def _nan_above(f, above, key):
         mask = np.asarray(key(np.asarray(a, dtype=float)) > above)
         return np.where(mask.reshape(mask.shape + (1,) * (vals.ndim - mask.ndim)), np.nan, vals)
     return g
+
+
+def _asymmetric(a):
+    """a with a_0001 += 1e-3 and a_0100 -= 1e-3: not symmetric, a:xi:xi unchanged on symmetric xi."""
+    a = a.copy()
+    a[0, 0, 0, 1] += 1e-3
+    a[0, 1, 0, 0] -= 1e-3
+    return a
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +109,8 @@ class TestValidator:
     def test_default_model_passes(self, default_models, trace_norm_n4):
         rep = validate_assumptions(*default_models, trace_norm_n4)
         assert rep.all_passed(), [c.id for c in rep.failures()]
+        # a passing A4 used to report its raw slack, -3.55e-15, below its roundoff floor
+        assert all(c.margin >= 0 for c in rep.checks), [(c.id, c.margin) for c in rep.checks]
 
     def test_deterministic_under_seed(self, default_models, trace_norm_n4):
         r1 = validate_assumptions(*default_models, trace_norm_n4, seed=7)
@@ -127,14 +139,14 @@ class TestValidator:
     @pytest.mark.parametrize("above", [-np.inf, 0.5])
     @pytest.mark.parametrize("name", sorted(NAN_CHECKS))
     def test_nan_fails_every_check_sampling_it(self, default_models, trace_norm_n4, name, above):
-        # a NaN traction used to pass A5 with margin inf, a NaN mu A7 with margin nan
-        mat, fric, bd = default_models
-        import dataclasses
-        owner = fric if name in ("F_field", "mu") else mat
+        # a NaN traction used to pass A5 with margin inf, a NaN mu A7 with margin nan,
+        # a NaN h_C failed A6 with margin 1.6e-05 and no F sample
+        models = list(default_models)
+        owner = next(j for j, m in enumerate(models) if hasattr(m, name))
         key = (lambda x: x[..., 0]) if name == "F_field" else (lambda s: s)
-        bad = dataclasses.replace(owner, **{name: _nan_above(getattr(owner, name), above, key)})
-        mat, fric = (mat, bad) if owner is fric else (bad, fric)
-        rep = validate_assumptions(mat, fric, bd, trace_norm_n4)
+        models[owner] = dataclasses.replace(
+            models[owner], **{name: _nan_above(getattr(models[owner], name), above, key)})
+        rep = validate_assumptions(*models, trace_norm_n4)
         assert {c.id for c in rep.failures()} == set(NAN_CHECKS[name])
         for check in rep.failures():
             assert np.isnan(check.margin) and check.witness is not None, check.id
@@ -177,6 +189,38 @@ class TestValidator:
             assert w["form"] == pytest.approx(xi @ bad.k(w["s"]) @ xi)
             bound = mat.delta if failing == "A3" else mat.k_upper
             assert (w["form"] < bound * (xi @ xi)) == (failing == "A3")
+
+    def test_every_sample_meets_its_own_floor(self, default_models, trace_norm_n4):
+        # k = (1 - eps) I with delta = 1: the few samples with |s| < 0.05 miss the floor
+        # 1e-12 |xi|^2 by 0.5e-12 |xi|^2, while the least slack lies elsewhere (a larger
+        # |xi| at eps = 0.99e-12) and used to pass A3 against its own floor
+        mat, fric, bd = default_models
+
+        def k(s):
+            s = np.asarray(s, dtype=float)
+            eps = np.where(np.abs(s) < 0.05, 1.5e-12, 0.99e-12)
+            return (1.0 - eps)[..., None, None] * np.eye(2)
+
+        rep = validate_assumptions(dataclasses.replace(mat, k=k, k_upper=1.0), fric, bd, trace_norm_n4)
+        assert [c.id for c in rep.failures()] == ["A3"]
+        a3 = rep.failures()[0]
+        assert a3.margin < 0 and abs(a3.witness["s"]) < 0.05
+
+    @pytest.mark.parametrize("edit,failing,margin", [
+        (lambda mat, fric, bd, tn: (mat, fric, dataclasses.replace(bd, h_N=0.0), tn), "A6", 0.0),
+        # F_bar * d_mu * trace_norm^2 = 0.5 * 0.5 * 2^2 is exactly delta = 1
+        (lambda mat, fric, bd, tn: (mat, dataclasses.replace(fric, F_bar=0.5, d_mu=0.5), bd, 2.0),
+         "A8", 0.0),
+        # a_0001 and a_0100 differ by 2e-3, against the 1e-14 + 1e-5 |a_0100| allowance
+        (lambda mat, fric, bd, tn: (dataclasses.replace(mat, a_tensor=_asymmetric(mat.a_tensor)),
+                                    fric, bd, tn), "A4S", 1e-14 + 1e-8 - 2e-3),
+    ], ids=["A6", "A8", "A4S"])
+    def test_boundary_fails_only_its_check(self, default_models, trace_norm_n4, edit, failing, margin):
+        rep = validate_assumptions(*edit(*default_models, trace_norm_n4))
+        assert [c.id for c in rep.failures()] == [failing]
+        check = rep.failures()[0]
+        assert check.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
+        assert check.witness is not None
 
     def test_sigma_lipschitz_declared_constant_tight(self, default_models, trace_norm_n4):
         # sampled quotients must approach but not exceed the declared constant
