@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .diagnostics import REPORT_COLUMNS, energy_report
+from .diagnostics import energy_report
 from .friction import SolverError
 from .materials import DEFAULTS, PHI_B_FORMS, ValidationReport, default_ptc_model, validate_assumptions
 from .mesh import (
@@ -236,10 +236,12 @@ def write_cascade(rc: RunConfig, report) -> None:
     _write_csv(os.path.join(rc.out_dir, "cascade.csv"), header, rows.tolist(), rc.config_hash)
 
 
-def validate_and_print(models: Models) -> ValidationReport:
-    """Validate the model's assumptions, print one line per check, return the report."""
+def validate_and_print(models: Models, config: SolverConfig) -> ValidationReport:
+    """Validate the assumptions on the mesh's box and [0, T], print one line per check, return the report."""
+    nodes = models.mesh.nodes
     report = validate_assumptions(models.mat, models.fric, models.bd,
-                                  estimate_trace_norm(models.mesh, models.dofs))
+                                  estimate_trace_norm(models.mesh, models.dofs),
+                                  (nodes.min(axis=0), nodes.max(axis=0)), config.T)
     for line in report.lines():
         print(line)
     return report
@@ -247,7 +249,7 @@ def validate_and_print(models: Models) -> ValidationReport:
 
 def run_command(rc: RunConfig) -> int:
     models = build_models(rc)
-    if not validate_and_print(models).all_passed() and rc.assert_mode:
+    if not validate_and_print(models, rc.solver).all_passed() and rc.assert_mode:
         print("assumption validation failed", file=sys.stderr)
         return 4
 
@@ -282,7 +284,7 @@ def cascade_command(rc: RunConfig) -> int:
 
 
 def check_command(rc: RunConfig) -> int:
-    report = validate_and_print(build_models(rc))
+    report = validate_and_print(build_models(rc), rc.solver)
     if not report.all_passed():
         failed = ", ".join(c.id for c in report.failures())
         print(f"failed assumptions: {failed}", file=sys.stderr)

@@ -82,7 +82,7 @@ class RegularizedFriction:
     """Friction law with an eps-smoothed slip-rate magnitude."""
 
     fric: FrictionModel
-    eps: float = 1e-8
+    eps: float
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -123,7 +123,9 @@ class MomentumStep:
 
     The momentum balance reads temperature only through the delay, so its
     step matrix B = rho/dt M + A + dt B_el is the same at every step of a
-    run. It is summed once here and factored at the first :func:`solve_momentum_step`.
+    run. It is summed and factored once here, so a process forked after
+    the step is built steps on the same factor. A singular B raises
+    SolverError here, before any step.
 
     Friction adds R D(v) E^T to B: R holds the contact pairing columns of
     the q free contact nodes' dofs, E^T picks those dofs out of a free
@@ -155,9 +157,9 @@ class MomentumStep:
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
     nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
-    factor: BandCholesky | BandLU | None = field(default=None, init=False, repr=False)  # of B, from the first solve
-    z: np.ndarray | None = field(default=None, init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
-    ts: np.ndarray | None = field(default=None, init=False, repr=False)  # T^T S, (q, q, 2)
+    factor: BandCholesky | BandLU = field(init=False, repr=False)  # of B
+    z: np.ndarray = field(init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
+    ts: np.ndarray = field(init=False, repr=False)  # T^T S, (q, q, 2)
 
     def __post_init__(self):
         mesh, dofs = self.mesh, self.dofs
@@ -173,6 +175,13 @@ class MomentumStep:
         self.pos = xy_dofs(free[sel])
         self.nu = dofs.contact_normal[sel]
         self.tau = dofs.contact_tangent[sel]
+        try:
+            self.factor = factor_banded(self.base)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"momentum solve at t=0: {exc}") from None
+        q = self.tau.shape[0]
+        self.z = self.factor.solve(self.contact[:, self.pos].toarray())
+        self.ts = np.einsum("kj,kjl->kl", self.tau, self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
 
     def tangential(self, v_free: np.ndarray) -> np.ndarray:
         """(q, 2) tangential parts of a free velocity at the free contact nodes."""
@@ -182,11 +191,6 @@ class MomentumStep:
     def solve(self, rhs: np.ndarray, a: np.ndarray) -> np.ndarray:
         """(B + R D E^T)^-1 rhs, D = block_diag(a_k tau_k^T) for the (q, 2) array a."""
         q = self.tau.shape[0]
-        if self.factor is None:
-            self.factor = factor_banded(self.base)
-            self.z = self.factor.solve(self.contact[:, self.pos].toarray())
-            self.ts = np.einsum("kj,kjl->kl", self.tau,
-                                self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
         y = self.factor.solve(rhs)
         if q == 0:
             return y
@@ -207,12 +211,12 @@ def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray)
     return out
 
 
-def solve_momentum_step(ws, old, delayed, t_new: float):
+def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_new: float):
     """One implicit Euler step of the momentum balance with nodal friction.
 
     ``ws`` is the run's :class:`~thermocontact.scheme.Workspace`; the step
-    reads its displacement and velocity from the state ``old`` and its
-    temperature from ``delayed``. Returns the full fields (v_new, u_new,
+    reads the full old displacement ``u`` and velocity ``v`` and the full
+    delayed temperature ``theta``. Returns the full fields (v_new, u_new,
     xi_new) and the Newton info; the terminal residual satisfies
     |res| <= tol_momentum (1 + |load|), or SolverError is raised.
 
@@ -225,10 +229,10 @@ def solve_momentum_step(ws, old, delayed, t_new: float):
     step, cfg = ws.momentum, ws.config
     mesh, dofs, mat = step.mesh, step.dofs, step.mat
     vfree = dofs.vector_free_dofs()
-    u_old = old.u[vfree]
-    v_old = old.v[vfree]
+    u_old = u[vfree]
+    v_old = v[vfree]
     load = assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
-    coup = assemble_thermal_coupling(mesh, dofs, mat, delayed.theta)
+    coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
     rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
     F = step.rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
 
@@ -240,14 +244,14 @@ def solve_momentum_step(ws, old, delayed, t_new: float):
         jac = step.rfric.traction_jacobian(step.tangential(aux[1]), F)
         try:
             return step.solve(-res, np.einsum("kij,kj->ki", jac, step.tau))
-        except np.linalg.LinAlgError as exc:  # B (factored here once) or the Woodbury system is singular
+        except np.linalg.LinAlgError as exc:  # the Woodbury system is singular
             raise SolverError(f"momentum solve at t={t_new:.6g}: {exc}") from None
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
-    v, (xi, _), info = damped_newton(residual, correction, v_old.copy(), target,
-                                     cfg.max_iter_momentum, "momentum", t_new)
+    v_new, (xi, _), info = damped_newton(residual, correction, v_old.copy(), target,
+                                         cfg.max_iter_momentum, "momentum", t_new)
     v_full = np.zeros(2 * mesh.n_nodes)
-    v_full[vfree] = v
+    v_full[vfree] = v_new
     u_full = np.zeros_like(v_full)
-    u_full[vfree] = u_old + step.dt * v
+    u_full[vfree] = u_old + step.dt * v_new
     return v_full, u_full, xi, info

@@ -284,6 +284,8 @@ def validate_assumptions(
     fric: FrictionModel,
     bd: BoundaryData,
     trace_norm: float,
+    box: tuple[np.ndarray, np.ndarray],
+    T: float,
     seed: int = 0,
     n_samples: int = 10_000,
 ) -> ValidationReport:
@@ -291,6 +293,8 @@ def validate_assumptions(
 
     Failures are report entries carrying the witnessing sample, never
     exceptions; a NaN from a model fails every check that samples it.
+    A5 samples F at points of the mesh's bounding box ``box`` = (lower
+    corner, upper corner) and times in [0, T], the run's horizon.
     A8 is evaluated with the supplied discrete trace norm (a surrogate for
     the continuous operator norm).
     """
@@ -354,9 +358,9 @@ def validate_assumptions(
 
     # A5: nonnegative prescribed normal traction, one call per (x, t) as F_field takes one t.
     # Sharing 100 sample times would cut the chance of finding F < 0 on a t-window of
-    # width 0.01 from about 1.0 to 0.095, and an array-t contract would bind every model.
-    pts = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-    times = rng.uniform(0.0, 10.0, size=n_samples)
+    # width T/1000 from about 1.0 to 0.095, and an array-t contract would bind every model.
+    pts = rng.uniform(*box, size=(n_samples, 2))
+    times = rng.uniform(0.0, T, size=n_samples)
     traction = np.array([np.asarray(fric.F_field(x[None, :], tv), dtype=float).ravel()[0]
                          for x, tv in zip(pts, times)])
     rep.checks.append(_check(

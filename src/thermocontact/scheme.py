@@ -234,11 +234,7 @@ class Workspace:
 
     ``states[n]`` is the state at the grid time n dt; ``advance_one`` appends
     one and reads the delayed one from this list. ``momentum_info[n - 1]`` is
-    the Newton info of the momentum stage of step n, with one more entry,
-    ``factored``: whether that step factored the momentum step matrix B.
-    Steps of ``advance`` run the stage in its worker process, where B's
-    factor lives and dies with the loop; ``momentum.factor`` is set in this
-    process only by a step of ``advance_one`` alone.
+    the Newton info of the momentum stage of step n.
     """
 
     models: Models
@@ -265,7 +261,7 @@ def _check_initial_field(name: str, values: np.ndarray, size: int, zero_idx: np.
 def initialize(models: Models, config: SolverConfig,
                u0: np.ndarray | None = None, v0: np.ndarray | None = None,
                theta0: np.ndarray | None = None) -> Workspace:
-    """Validate the setup, solve for the initial potential, seed the state history."""
+    """Validate the setup, factor the momentum step, solve the initial potential, seed the history."""
     config.validate()
     mesh, dofs = models.mesh, models.dofs
     n = mesh.n_nodes
@@ -352,31 +348,17 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
     return out
 
 
-def _solve_momentum(ws: Workspace, u: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                    t_new: float):
-    """The momentum stage on the old u and v and the delayed theta, the only fields it reads.
-
-    Returns :func:`solve_momentum_step`'s (v, u, xi, info), with
-    ``info["factored"]`` set when this call factored B.
-    """
-    held = ws.momentum.factor
-    state = SystemState(t=t_new, u=u, v=v, theta=theta, phi=None, xi=None)
-    v_new, u_new, xi_new, info = solve_momentum_step(ws, state, state, t_new)
-    info["factored"] = held is None and ws.momentum.factor is not None
-    return v_new, u_new, xi_new, info
-
-
 def _serve(ws: Workspace, inbox, outbox) -> None:
     """Body of a momentum worker: one stage per request, until it is killed.
 
-    A request is (u, v, theta, t_new, config); the reply is the stage's
-    result or the exception it raised. If the parent exits without
-    killing it, ``pickle.load`` raises EOFError, which ends the worker.
+    A request is (u, v, theta, t_new); the reply is the stage's result or
+    the exception it raised. If the parent exits without killing it,
+    ``pickle.load`` raises EOFError, which ends the worker.
     """
     while True:
-        u, v, theta, t_new, ws.config = pickle.load(inbox)
+        job = pickle.load(inbox)
         try:
-            reply = _solve_momentum(ws, u, v, theta, t_new)
+            reply = solve_momentum_step(ws, *job)
         except Exception as exc:  # sent back and raised by the parent
             reply = exc
         pickle.dump(reply, outbox, pickle.HIGHEST_PROTOCOL)
@@ -386,10 +368,11 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
 class _MomentumWorker:
     """A forked copy of this process that runs the momentum stage of one Workspace.
 
-    The child inherits the Workspace with its models, callables and
-    :class:`MomentumStep`, so only the arrays the stage reads and its
-    results cross the two pipes. ``advance`` forks one for its loop and
-    stops it when the loop returns or raises.
+    The child inherits the Workspace as it was at the fork, with its
+    models, callables, config and :class:`MomentumStep`, factor included,
+    so only the arrays the stage reads and its results cross the two
+    pipes. ``advance`` forks one for its loop and stops it when the loop
+    returns or raises.
     """
 
     def __init__(self, ws: Workspace):
@@ -424,9 +407,9 @@ class _MomentumWorker:
         self.requests = os.fdopen(req_w, "wb")
         self.replies = os.fdopen(rep_r, "rb")
 
-    def send(self, u, v, theta, t_new: float, config: SolverConfig) -> None:
+    def send(self, u, v, theta, t_new: float) -> None:
         try:
-            pickle.dump((u, v, theta, t_new, config), self.requests, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((u, v, theta, t_new), self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
         except BrokenPipeError:  # the worker has exited; receive reports it
             pass
@@ -474,13 +457,13 @@ def advance_one(ws: Workspace, worker: _MomentumWorker | None = None) -> SystemS
     job = (old.u, old.v, delayed.theta, t_new)
 
     if worker is not None:
-        worker.send(*job, ws.config)
+        worker.send(*job)
     theta_new = solve_temperature_step(ws, old, delayed, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
     if worker is not None:
         v_new, u_new, xi_new, info = worker.receive(t_new)
     else:
-        v_new, u_new, xi_new, info = _solve_momentum(ws, *job)
+        v_new, u_new, xi_new, info = solve_momentum_step(ws, *job)
 
     ws.momentum_info.append(info)
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)

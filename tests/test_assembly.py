@@ -623,7 +623,7 @@ class TestTimeDependentTraction:
 
     def test_frictional_heat_and_functional(self, models):
         mesh, dofs, fric, _ = models
-        rfric = RegularizedFriction(fric)
+        rfric = RegularizedFriction(fric, eps=1e-8)
         v = np.random.default_rng(53).normal(size=2 * mesh.n_nodes)
         vv = v.reshape(-1, 2)
         for t in self.TIMES:
@@ -667,7 +667,7 @@ class TestOneCallPerAssembly:
             (lambda: assemble_mech_load(mesh, dofs, bd, fric, 0.1), {"F_field": 1, "f_2": 1}),
             (lambda: assemble_thermal_robin(mesh, dofs, bd, fric, 0.1), {"F_field": 1}),
             (lambda: assemble_frictional_heat(mesh, dofs, fric, v, 0.1), {"F_field": 1}),
-            (lambda: oracles.friction_functional(mesh, dofs, RegularizedFriction(fric), v, 0.1), {"F_field": 1}),
+            (lambda: oracles.friction_functional(mesh, dofs, RegularizedFriction(fric, 1e-8), v, 0.1), {"F_field": 1}),
         )
         for call, expected in calls:
             counts.clear()

@@ -12,7 +12,8 @@ import pytest
 from thermocontact import driver
 from thermocontact.driver import main, parse_config
 from thermocontact.materials import default_ptc_model
-from thermocontact.scheme import ConfigError, SolverConfig
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, load_mesh
+from thermocontact.scheme import ConfigError, Models, SolverConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -201,7 +202,7 @@ class TestExitCodes:
         cfg = cfg_file(tmp_path, extra, base=BASE.replace("mesh.n = 2", "mesh.n = 4"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver error: momentum solve at t=0.025: singular")
+        assert err.startswith("solver error: momentum solve at t=0: singular")
         assert err.count("\n") == 1
 
     def test_assert_mode_assumption_failure(self, tmp_path):
@@ -366,6 +367,55 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg]) == 4
         captured = capsys.readouterr()
         assert "A8" in captured.err
+
+
+SHIFTED_SQUARE = """\
+nodes 4 triangles 2 edges 4
+2.0 0.0
+3.0 0.0
+3.0 1.0
+2.0 1.0
+0 1 2
+0 2 3
+0 1 C
+1 2 N
+2 3 N
+3 0 D
+"""
+
+
+class TestA5Samples:
+    """A5 samples F on the mesh's bounding box and over the run's [0, T]."""
+
+    @staticmethod
+    def models(mesh, F_field):
+        mat, fric, bd = default_ptc_model()
+        return Models(mesh, build_dof_maps(mesh), mat, dataclasses.replace(fric, F_field=F_field), bd)
+
+    @staticmethod
+    def a5(models, T):
+        return next(c for c in driver.validate_and_print(models, SolverConfig(T=T, h=0.05, dt=0.025)).checks
+                    if c.id == "A5")
+
+    def test_negative_traction_off_the_unit_square_fails(self, tmp_path):
+        path = tmp_path / "shifted.mesh"
+        path.write_text(SHIFTED_SQUARE)
+
+        def F_field(x, t):
+            return np.where(np.asarray(x)[..., 0] > 1.5, -1.0, 0.3)
+
+        check = self.a5(self.models(load_mesh(str(path)), F_field), 1.0)
+        assert not check.passed and check.witness["x"][0] > 1.5
+        assert self.a5(self.models(build_unit_square_mesh(2), F_field), 1.0).passed
+
+    def test_negative_traction_after_t_10_fails(self):
+        def F_field(x, t):
+            return np.full(np.asarray(x).shape[:-1], -1.0 if t > 10.0 else 0.3)
+
+        models = self.models(build_unit_square_mesh(2), F_field)
+        check = self.a5(models, 20.0)
+        assert not check.passed and check.witness["t"] > 10.0
+        assert self.a5(models, 10.0).passed
 
 
 class TestCascadeCommand:

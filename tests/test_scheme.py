@@ -499,15 +499,32 @@ class TestAdvance:
         assert np.array_equal(sa.u, sb.u)
         assert np.array_equal(sa.xi, sb.xi)
 
-    def test_run_factors_momentum_matrix_once(self):
-        # B is factored at the first momentum solve, wherever the stage runs
+    def test_run_factors_momentum_matrix_once(self, monkeypatch):
+        # initialize factors B; no step factors it, in this process or in the
+        # worker of advance, which inherits the factor
         ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0)}),
                         SolverConfig(T=0.2, h=0.05, dt=0.025))
+
+        def refactor(matrix):
+            raise AssertionError("the momentum step matrix was factored again")
+
+        monkeypatch.setattr(friction, "factor_banded", refactor)
         advance_one(ws)
-        assert [info["factored"] for info in ws.momentum_info] == [True]
         advance(ws)
-        assert len(ws.states) == 9
-        assert [info["factored"] for info in ws.momentum_info] == [True] + [False] * 7
+        assert len(ws.states) == 9 and len(ws.momentum_info) == 8
+
+    def test_initialize_factors_momentum_matrix_once(self, monkeypatch):
+        factored = []
+        factor_banded = friction.factor_banded
+
+        def counted(matrix):
+            factored.append(matrix)
+            return factor_banded(matrix)
+
+        monkeypatch.setattr(friction, "factor_banded", counted)
+        ws = initialize(default_models(4, overrides={"f0": (0.5, 0.0)}),
+                        SolverConfig(T=0.1, h=0.05, dt=0.025))
+        assert len(factored) == 1 and factored[0] is ws.momentum.base
 
     def test_run_does_not_depend_on_node_numbering(self, tmp_path):
         # build_dof_maps numbers the free dofs from the mesh graph, so a file
@@ -564,6 +581,10 @@ def singular_momentum_models():
                                         "lam_b": 0.0, "mu_b": 0.0})
 
 
+# a momentum Newton that stalls at its first step
+STALLING_MOMENTUM = SolverConfig(T=0.1, h=0.05, dt=0.025, tol_momentum=1e-300, max_iter_momentum=1)
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """The momentum workers forked from here on, in order."""
@@ -605,7 +626,7 @@ class TestMomentumStage:
             old, delayed = ws.states[-1], ws.states[max(n - cfg.delay_steps, 0)]
             theta = solve_temperature_step(ws, old, delayed, t)
             phi = solve_electric(ws, theta, t)
-            v, u, xi, _ = friction.solve_momentum_step(ws, old, delayed, t)
+            v, u, xi, _ = friction.solve_momentum_step(ws, old.u, old.v, delayed.theta, t)
             ws.states.append(SystemState(t=t, u=u, v=v, theta=theta, phi=phi, xi=xi))
 
         assert len(states) == len(ws.states) == cfg.n_steps + 1
@@ -616,47 +637,46 @@ class TestMomentumStage:
         assert np.abs(states[-1].xi).max() > 0.0
 
     def test_momentum_error_message_unchanged(self):
-        cfg = SolverConfig(T=0.1, h=0.05, dt=0.025)
-        ws = initialize(singular_momentum_models(), cfg)
+        ws = initialize(default_models(4, overrides={"f0": (0.5, 0.0)}), STALLING_MOMENTUM)
         s0 = ws.states[0]
         with pytest.raises(SolverError) as direct:
-            friction.solve_momentum_step(ws, s0, s0, cfg.dt)
-        assert str(direct.value).startswith("momentum solve at t=0.025: singular")
-        ws = initialize(singular_momentum_models(), cfg)
+            friction.solve_momentum_step(ws, s0.u, s0.v, s0.theta, STALLING_MOMENTUM.dt)
+        assert str(direct.value).startswith("momentum step at t=0.025 stalled after 1 iterations")
+        ws = initialize(default_models(4, overrides={"f0": (0.5, 0.0)}), STALLING_MOMENTUM)
         with pytest.raises(SolverError) as stepped:
             advance(ws)
         assert str(stepped.value) == str(direct.value)
         assert len(ws.states) == 1 and ws.momentum_info == []
 
     def test_temperature_error_comes_first(self):
-        models = singular_momentum_models()
+        models = default_models(4, overrides={"f0": (0.5, 0.0)})
         models = dataclasses.replace(models, mat=dataclasses.replace(
             models.mat, k=lambda s: np.full(np.shape(s) + (2, 2), np.nan)))
-        cfg = SolverConfig(T=0.1, h=0.05, dt=0.025)
-        ws = initialize(models, cfg)
+        ws = initialize(models, STALLING_MOMENTUM)
         s0 = ws.states[0]
-        with pytest.raises(SolverError, match="momentum solve at t=0.025: singular"):
-            friction.solve_momentum_step(ws, s0, s0, cfg.dt)
+        with pytest.raises(SolverError, match="momentum step at t=0.025 stalled after 1 iterations"):
+            friction.solve_momentum_step(ws, s0.u, s0.v, s0.theta, STALLING_MOMENTUM.dt)
         with pytest.raises(SolverError, match=r"^temperature step at t=0\.025: non-finite residual nan"):
-            advance(initialize(models, cfg))
+            advance(initialize(models, STALLING_MOMENTUM))
+
+    def test_singular_momentum_matrix_fails_in_initialize(self):
+        with pytest.raises(SolverError, match=r"^momentum solve at t=0: singular"):
+            initialize(singular_momentum_models(), SolverConfig(T=0.1, h=0.05, dt=0.025))
 
     def test_config_change_reaches_the_stage(self):
+        # each advance forks its worker with the config of that moment
         models, cfg, theta0 = contact_run_inputs(4)
-        ws = initialize(models, cfg, theta0=theta0)
-        worker = scheme._MomentumWorker(ws) if hasattr(os, "fork") else None
-        try:
-            advance_one(ws, worker)
-            ws.config.tol_momentum = 1e3  # met by the old velocity: no Newton step
-            advance_one(ws, worker)
-            ws.config = dataclasses.replace(ws.config, tol_momentum=1e-10)
-            advance_one(ws, worker)
-        finally:
-            if worker is not None:
-                worker.stop()
-        iterations = [info["iterations"] for info in ws.momentum_info]
-        assert iterations[1] == 0 and iterations[0] > 0 and iterations[2] > 0
-        assert np.array_equal(ws.states[2].v, ws.states[1].v)
+        ws = initialize(models, dataclasses.replace(cfg, T=5 * cfg.dt), theta0=theta0)
         advance(ws)
+        # met by the old velocity: no Newton step
+        ws.config = dataclasses.replace(ws.config, T=7 * cfg.dt, tol_momentum=1e3)
+        advance(ws)
+        ws.config = dataclasses.replace(ws.config, T=cfg.T, tol_momentum=1e-10)
+        advance(ws)
+        iterations = [info["iterations"] for info in ws.momentum_info]
+        assert len(iterations) == cfg.n_steps
+        assert iterations[5:7] == [0, 0] and min(iterations[:5] + iterations[7:]) > 0
+        assert np.array_equal(ws.states[7].v, ws.states[5].v)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the momentum stage runs in-process without os.fork")
@@ -726,7 +746,7 @@ class TestMomentumWorker:
             os.waitpid(fork, 0)
 
     def test_advance_after_a_failed_one(self, workers, monkeypatch):
-        # a fresh worker factors B again and the run goes on as if nothing failed
+        # a fresh worker steps on the same factor and the run goes on as if nothing failed
         models, cfg, theta0 = contact_run_inputs(4)
         cfg = dataclasses.replace(cfg, T=0.1)
         reference = advance(initialize(models, cfg, theta0=theta0))
@@ -745,7 +765,6 @@ class TestMomentumWorker:
         assert len(ws.states) == 2
         advance(ws)
         assert len(workers) == 3 and all(reaped(w.pid) for w in workers)
-        assert [info["factored"] for info in ws.momentum_info] == [True, True] + [False] * 6
         assert_same_states(reference, ws.states)
 
     def test_no_fork_outside_advance_or_after_its_horizon(self, monkeypatch):
@@ -758,7 +777,6 @@ class TestMomentumWorker:
         for _ in range(5):
             advance_one(ws)
         assert advance(ws) is ws.states and len(ws.states) == 6
-        assert [info["factored"] for info in ws.momentum_info] == [True] + [False] * 4
 
     def test_sigchld_ignored(self, workers):
         # the kernel reaps the worker itself; stopping it must not fail
@@ -778,7 +796,6 @@ def test_runs_in_process_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
     ws = initialize(models, cfg, theta0=theta0)
     advance(ws)
-    assert ws.momentum.factor is not None
     assert_same_states(forked, ws.states)
 
 
