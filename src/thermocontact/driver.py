@@ -30,10 +30,11 @@ from .mesh import (
     MeshError,
     build_dof_maps,
     build_unit_square_mesh,
+    edge_quadrature,
     estimate_trace_norm,
     load_mesh,
 )
-from .scheme import ConfigError, Models, SolverConfig, advance, initialize, run_cascade
+from .scheme import ConfigError, Models, SolverConfig, advance, check_history_fits, initialize, run_cascade
 
 SIDES = ("left", "right", "bottom", "top")
 
@@ -184,10 +185,16 @@ def parse_config(path: str) -> RunConfig:
 
 
 def build_models(rc: RunConfig) -> Models:
+    """The mesh, dof maps and models of a config whose run fits in memory.
+
+    The memory check comes before any command validates: A5 holds a value
+    per contact point and grid time, a share of what the run would keep.
+    """
     if rc.mesh_file is not None:
         mesh = load_mesh(rc.mesh_file)
     else:
         mesh = build_unit_square_mesh(rc.mesh_n, tags=rc.tags)
+    check_history_fits(rc.solver, mesh.n_nodes)
     dofs = build_dof_maps(mesh)
     mat, fric, bd = default_ptc_model(rc.overrides)
     return Models(mesh, dofs, mat, fric, bd)
@@ -237,11 +244,12 @@ def write_cascade(rc: RunConfig, report) -> None:
 
 
 def validate_and_print(models: Models, config: SolverConfig) -> ValidationReport:
-    """Validate the assumptions on the mesh's box and [0, T], print one line per check, return the report."""
-    nodes = models.mesh.nodes
-    report = validate_assumptions(models.mat, models.fric, models.bd,
-                                  estimate_trace_norm(models.mesh, models.dofs),
-                                  (nodes.min(axis=0), nodes.max(axis=0)), config.T)
+    """Validate the assumptions (A5 at the C nodes and Gauss points, at each time n dt), print and return them."""
+    mesh = models.mesh
+    points = np.concatenate([mesh.nodes[models.dofs.contact_nodes],
+                             edge_quadrature(mesh, ("C",)).points.reshape(-1, 2)])
+    report = validate_assumptions(models.mat, models.fric, models.bd, estimate_trace_norm(mesh, models.dofs),
+                                  points, config.dt * np.arange(config.n_steps + 1))
     for line in report.lines():
         print(line)
     return report

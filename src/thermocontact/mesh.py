@@ -298,6 +298,9 @@ def load_mesh(path: str) -> Mesh:
         n_nodes, n_tri, n_edges = int(head[1]), int(head[3]), int(head[5])
     except ValueError as exc:
         raise MeshError(f"malformed header counts: {exc}") from exc
+    for name, count in (("nodes", n_nodes), ("triangles", n_tri), ("edges", n_edges)):
+        if count < 0:
+            raise MeshError(f"malformed header counts: {name} {count} is negative")
 
     def ints(vals: list[str], what: str) -> list[int]:
         try:

@@ -70,9 +70,10 @@ JOULE_MODES = ("direct", "reformulated")
 CG_MAX_ITER = 8
 CG_RTOL = 1e-14
 
-# Longest time grid a run may take. A run keeps every state, about 5 kB a step
-# at n=8 and 70 kB at n=32, so a far longer grid, as from a mistyped T, would
-# fill memory rather than finish.
+# Longest time grid a run may take: it bounds the step loop, as from a
+# mistyped T, and the F_field calls of the A5 check (one per grid time). It
+# does not bound memory: a run keeps every state, 7.7 kB a step at n=8 and
+# 97.7 kB at n=32, which check_history_fits weighs against physical memory.
 MAX_STEPS = 10**6
 
 
@@ -258,6 +259,18 @@ def _check_initial_field(name: str, values: np.ndarray, size: int, zero_idx: np.
     return out
 
 
+def check_history_fits(config: SolverConfig, n_nodes: int) -> None:
+    """Raise ConfigError if the states of a run exceed physical memory, where os.sysconf reports it."""
+    if not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+        return
+    # each state holds 8 doubles a node: u, v and xi two each, theta and phi one
+    need = (config.n_steps + 1) * 8 * n_nodes * 8
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ConfigError(f"{config.n_steps + 1} states of {n_nodes} nodes need {need / 1e9:.3g} GB, "
+                          f"more than the {memory / 1e9:.3g} GB of physical memory")
+
+
 def initialize(models: Models, config: SolverConfig,
                u0: np.ndarray | None = None, v0: np.ndarray | None = None,
                theta0: np.ndarray | None = None) -> Workspace:
@@ -265,6 +278,7 @@ def initialize(models: Models, config: SolverConfig,
     config.validate()
     mesh, dofs = models.mesh, models.dofs
     n = mesh.n_nodes
+    check_history_fits(config, n)
     dir_scalar = dofs.dirichlet_nodes
     dir_vector = np.concatenate([2 * dir_scalar, 2 * dir_scalar + 1]) if dir_scalar.size else dir_scalar
     theta0 = _check_initial_field("theta0", theta0, n, dir_scalar)

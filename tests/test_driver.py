@@ -284,7 +284,7 @@ class TestRejectedBeforeRun:
                            "solver.cascade_levels = 0.1 0.03", "cascade level 0.03"),
         "levels_increasing": ("solver.cascade_levels = 0.1 0.05 0.025",
                               "solver.cascade_levels = 0.05 0.1", "strictly decreasing"),
-        # 8e301 steps: a run would keep states until memory runs out
+        # 8e301 steps: a loop that would not finish
         "too_many_steps": ("solver.T = 0.5", "solver.T = 1e300", "time grid has 8e+301 steps"),
         # a mesh file sets the mesh and its tags: the square's keys would be ignored
         "mesh_file_with_n": ("mesh.n = 8", "mesh.file = square.mesh\nmesh.n = 8",
@@ -306,6 +306,19 @@ class TestRejectedBeforeRun:
         assert err.startswith("config error: ") and match in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_history_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # 10**6 + 1 states of 1089 nodes need 69.7 GB, on a machine that reports 8 GiB:
+        # check exits before A5 makes its 10**6 + 1 F_field calls (only check, since a
+        # run that missed the error would fill memory)
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        cfg = cfg_file(tmp_path, base="mesh.n = 32\nsolver.T = 1\nsolver.h = 4e-6\nsolver.dt = 1e-6\n")
+        assert main(["check", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: 1000001 states of 1089 nodes need 69.7 GB, "
+                                "more than the 8.59 GB of physical memory\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_mesh_piece_without_d_edge(self, tmp_path, capsys, command):
@@ -385,16 +398,16 @@ nodes 4 triangles 2 edges 4
 
 
 class TestA5Samples:
-    """A5 samples F on the mesh's bounding box and over the run's [0, T]."""
+    """A5 reads F at the nodes and Gauss points of the C edges, at every grid time n dt."""
 
     @staticmethod
-    def models(mesh, F_field):
+    def models(mesh, F_field, F_bar=0.3):
         mat, fric, bd = default_ptc_model()
-        return Models(mesh, build_dof_maps(mesh), mat, dataclasses.replace(fric, F_field=F_field), bd)
+        return Models(mesh, build_dof_maps(mesh), mat, dataclasses.replace(fric, F_field=F_field, F_bar=F_bar), bd)
 
     @staticmethod
-    def a5(models, T):
-        return next(c for c in driver.validate_and_print(models, SolverConfig(T=T, h=0.05, dt=0.025)).checks
+    def a5(models, T, dt=0.025):
+        return next(c for c in driver.validate_and_print(models, SolverConfig(T=T, h=0.05, dt=dt)).checks
                     if c.id == "A5")
 
     def test_negative_traction_off_the_unit_square_fails(self, tmp_path):
@@ -416,6 +429,54 @@ class TestA5Samples:
         check = self.a5(models, 20.0)
         assert not check.passed and check.witness["t"] > 10.0
         assert self.a5(models, 10.0).passed
+
+    def test_negative_traction_off_the_contact_part_passes(self):
+        # C on the bottom only: F is 0.3 at every point the run reads, -1 above y = 0.5
+        def F_field(x, t):
+            return np.where(np.asarray(x)[..., 1] > 0.5, -1.0, 0.3)
+
+        assert self.a5(self.models(build_unit_square_mesh(4), F_field), 1.0).passed
+
+    def test_traction_above_F_bar_fails(self):
+        def F_field(x, t):
+            return np.full(np.asarray(x).shape[:-1], 0.5)
+
+        check = self.a5(self.models(build_unit_square_mesh(2), F_field, F_bar=0.1), 1.0)
+        assert not check.passed and check.margin == pytest.approx(0.1 - 0.5 + 1e-12, rel=1e-12)
+        assert check.witness["F"] == 0.5
+        assert self.a5(self.models(build_unit_square_mesh(2), F_field, F_bar=0.5), 1.0).passed
+
+    def test_one_F_field_call_per_grid_time(self):
+        rc = parse_config(str(REPO_ROOT / "examples" / "default.cfg"))
+        models = driver.build_models(rc)
+        times = []
+
+        def F_field(x, t, inner=models.fric.F_field):
+            times.append(t)
+            return inner(x, t)
+
+        models.fric = dataclasses.replace(models.fric, F_field=F_field)
+        assert driver.validate_and_print(models, rc.solver).all_passed()
+        assert len(times) == rc.solver.n_steps + 1 == 41
+        assert times == [n * rc.solver.dt for n in range(41)]  # the floats advance_one passes
+
+    def test_only_grid_times_count(self):
+        T, dt = 0.1, 0.025
+
+        def negative_when(when):
+            return lambda x, t: np.full(np.asarray(x).shape[:-1], -1.0 if when(t) else 0.3)
+
+        models = self.models(build_unit_square_mesh(2), negative_when(lambda t: t == 4 * dt))
+        check = self.a5(models, T, dt)
+        assert not check.passed and check.witness["t"] == 4 * dt
+        # strictly between the grid times 0.05 and 0.075
+        models = self.models(build_unit_square_mesh(2), negative_when(lambda t: 0.051 < t < 0.074))
+        assert self.a5(models, T, dt).passed
+
+    def test_contact_free_mesh_passes_with_margin_inf(self):
+        mesh = build_unit_square_mesh(2, tags={"left": "D", "right": "N", "bottom": "N", "top": "N"})
+        check = self.a5(self.models(mesh, lambda x, t: np.full(np.asarray(x).shape[:-1], -1.0)), 1.0)
+        assert check.passed and check.margin == np.inf and check.witness is None
 
 
 class TestCascadeCommand:

@@ -35,8 +35,8 @@ def _asymmetric(a):
     return a
 
 
-# the unit square and [0, 10]
-UNIT_BOX_T = ((np.zeros(2), np.ones(2)), 10.0)
+# A5's points on the unit square's bottom edge and its grid times on [0, 10]
+BOTTOM_EDGE_GRID = (np.column_stack([np.linspace(0.0, 1.0, 9), np.zeros(9)]), np.linspace(0.0, 10.0, 41))
 
 
 @pytest.fixture(scope="module")
@@ -111,21 +111,21 @@ class TestDefaultModel:
 
 class TestValidator:
     def test_default_model_passes(self, default_models, trace_norm_n4):
-        rep = validate_assumptions(*default_models, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(*default_models, trace_norm_n4, *BOTTOM_EDGE_GRID)
         assert rep.all_passed(), [c.id for c in rep.failures()]
         # a passing A4 used to report its raw slack, -3.55e-15, below its roundoff floor
         assert all(c.margin >= 0 for c in rep.checks), [(c.id, c.margin) for c in rep.checks]
 
     def test_deterministic_under_seed(self, default_models, trace_norm_n4):
-        r1 = validate_assumptions(*default_models, trace_norm_n4, *UNIT_BOX_T, seed=7)
-        r2 = validate_assumptions(*default_models, trace_norm_n4, *UNIT_BOX_T, seed=7)
+        r1 = validate_assumptions(*default_models, trace_norm_n4, *BOTTOM_EDGE_GRID, seed=7)
+        r2 = validate_assumptions(*default_models, trace_norm_n4, *BOTTOM_EDGE_GRID, seed=7)
         assert [c.margin for c in r1.checks] == [c.margin for c in r2.checks]
 
     def test_inflated_d_mu_fails_a8_with_margin(self, default_models, trace_norm_n4):
         mat, fric, bd = default_models
         import dataclasses
         bad = dataclasses.replace(fric, d_mu=fric.d_mu * 1e6)
-        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *BOTTOM_EDGE_GRID)
         a8 = next(c for c in rep.checks if c.id == "A8")
         assert not a8.passed
         assert a8.margin < 0
@@ -135,7 +135,7 @@ class TestValidator:
         mat, fric, bd = default_models
         import dataclasses
         bad = dataclasses.replace(mat, sigma_el=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
-        rep = validate_assumptions(bad, fric, bd, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(bad, fric, bd, trace_norm_n4, *BOTTOM_EDGE_GRID)
         a2 = next(c for c in rep.checks if c.id == "A2")
         assert not a2.passed
         assert a2.witness is not None
@@ -150,7 +150,7 @@ class TestValidator:
         key = (lambda x: x[..., 0]) if name == "F_field" else (lambda s: s)
         models[owner] = dataclasses.replace(
             models[owner], **{name: _nan_above(getattr(models[owner], name), above, key)})
-        rep = validate_assumptions(*models, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(*models, trace_norm_n4, *BOTTOM_EDGE_GRID)
         assert {c.id for c in rep.failures()} == set(NAN_CHECKS[name])
         for check in rep.failures():
             assert np.isnan(check.margin) and check.witness is not None, check.id
@@ -159,7 +159,7 @@ class TestValidator:
         mat, fric, bd = default_models
         import dataclasses
         bad = dataclasses.replace(fric, F_field=lambda x, t: np.full(np.asarray(x).shape[:-1], -0.1))
-        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *BOTTOM_EDGE_GRID)
         a5 = next(c for c in rep.checks if c.id == "A5")
         assert not a5.passed
 
@@ -168,7 +168,7 @@ class TestValidator:
         import dataclasses
         step_mu = lambda s: np.where(np.asarray(s, dtype=float) < 1.0, 0.4, 0.1)
         bad = dataclasses.replace(fric, mu=step_mu)
-        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(mat, bad, bd, trace_norm_n4, *BOTTOM_EDGE_GRID)
         a7c = next(c for c in rep.checks if c.id == "A7c")
         assert not a7c.passed
         assert a7c.witness is not None
@@ -182,7 +182,7 @@ class TestValidator:
         mat, fric, bd = default_models
         import dataclasses
         bad = dataclasses.replace(mat, k=lambda s: scale_k(mat.k, s))
-        rep = validate_assumptions(bad, fric, bd, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(bad, fric, bd, trace_norm_n4, *BOTTOM_EDGE_GRID)
         a3 = {c.id: c for c in rep.checks if c.id.startswith("A3")}
         assert [cid for cid, c in a3.items() if not c.passed] == [failing]
         assert a3[failing].margin < 0
@@ -206,7 +206,7 @@ class TestValidator:
             return (1.0 - eps)[..., None, None] * np.eye(2)
 
         rep = validate_assumptions(dataclasses.replace(mat, k=k, k_upper=1.0), fric, bd, trace_norm_n4,
-                                   *UNIT_BOX_T)
+                                   *BOTTOM_EDGE_GRID)
         assert [c.id for c in rep.failures()] == ["A3"]
         a3 = rep.failures()[0]
         assert a3.margin < 0 and abs(a3.witness["s"]) < 0.05
@@ -221,7 +221,7 @@ class TestValidator:
                                     fric, bd, tn), "A4S", 1e-14 + 1e-8 - 2e-3),
     ], ids=["A6", "A8", "A4S"])
     def test_boundary_fails_only_its_check(self, default_models, trace_norm_n4, edit, failing, margin):
-        rep = validate_assumptions(*edit(*default_models, trace_norm_n4), *UNIT_BOX_T)
+        rep = validate_assumptions(*edit(*default_models, trace_norm_n4), *BOTTOM_EDGE_GRID)
         assert [c.id for c in rep.failures()] == [failing]
         check = rep.failures()[0]
         assert check.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
@@ -229,12 +229,12 @@ class TestValidator:
 
     def test_sigma_lipschitz_declared_constant_tight(self, default_models, trace_norm_n4):
         # sampled quotients must approach but not exceed the declared constant
-        rep = validate_assumptions(*default_models, trace_norm_n4, *UNIT_BOX_T, seed=11)
+        rep = validate_assumptions(*default_models, trace_norm_n4, *BOTTOM_EDGE_GRID, seed=11)
         a2l = next(c for c in rep.checks if c.id == "A2L")
         assert a2l.passed
 
     def test_report_lines_format(self, default_models, trace_norm_n4):
-        rep = validate_assumptions(*default_models, trace_norm_n4, *UNIT_BOX_T)
+        rep = validate_assumptions(*default_models, trace_norm_n4, *BOTTOM_EDGE_GRID)
         lines = rep.lines()
         assert any(line.startswith("A8 ") for line in lines)
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)

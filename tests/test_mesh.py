@@ -85,6 +85,16 @@ class TestLoadMesh:
         mesh = load_mesh(write(tmp_path, text))
         assert set(build_dof_maps(mesh).scalar_free_nodes.tolist()) == {1, 3, 4}
 
+    @pytest.mark.parametrize("header,negative", [
+        ("nodes -2 triangles 0 edges 0", "nodes -2"),
+        ("nodes 3 triangles -1 edges 0", "triangles -1"),
+        ("nodes 3 triangles 1 edges -1", "edges -1"),
+    ])
+    def test_negative_header_count_rejected(self, tmp_path, header, negative):
+        text = f"{header}\n0 0\n1 0\n0 1\n0 1 2\n"
+        with pytest.raises(MeshError, match=f"malformed header counts: {negative} is negative"):
+            load_mesh(write(tmp_path, text))
+
     def test_truncated_file(self, tmp_path):
         text = "nodes 4 triangles 2 edges 4\n0 0\n1 0\n"
         with pytest.raises(MeshError, match="end of file"):

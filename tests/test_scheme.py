@@ -179,6 +179,21 @@ class TestInitialize:
         with pytest.raises(ConfigError, match="finite"):
             initialize(models, cfg, v0=np.full(2 * n, np.nan))
 
+    @pytest.mark.parametrize("n,fits", [(8, True), (32, False)])
+    def test_history_must_fit_in_physical_memory(self, monkeypatch, n, fits):
+        # 10**6 + 1 states of 8 doubles a node: 5.2 GB at n=8 and 69.7 GB at n=32,
+        # on a machine that reports 8 GiB
+        pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        cfg = SolverConfig(T=1.0, h=4e-6, dt=1e-6)
+        assert cfg.n_steps == 10**6
+        if fits:
+            assert len(initialize(default_models(n), cfg).states) == 1
+        else:
+            with pytest.raises(ConfigError, match=r"^1000001 states of 1089 nodes need 69\.7 GB, "
+                                                  r"more than the 8\.59 GB of physical memory$"):
+                initialize(default_models(n), cfg)
+
     def test_initial_traction_from_v0(self):
         models = default_models(2)
         n = models.mesh.n_nodes
