@@ -176,7 +176,7 @@ class MomentumStep:
         self.nu = dofs.contact_normal[sel]
         self.tau = dofs.contact_tangent[sel]
         try:
-            self.factor = factor_banded(self.base)
+            self.factor = factor_banded(self.base, dofs.vector.layout)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"momentum solve at t=0: {exc}") from None
         q = self.tau.shape[0]

@@ -21,6 +21,7 @@ Monte-Carlo sampling rather than symbolic proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -281,6 +282,30 @@ def _check(cid: str, desc: str, margin, witness: Callable[[int], dict], strict: 
     return AssumptionCheck(cid, desc, ok, worst, None if ok else witness(i))
 
 
+def _least_traction_margin(fric: FrictionModel, points: np.ndarray, times: np.ndarray, tol: float) -> list:
+    """[margin, time index, point index, F] of the least A5 margin over points and times; [] if none.
+
+    One F_field call per time, into a block of about 4096 values that is
+    reduced when full, so memory stays O(points) on any grid. The least
+    margin so far moves on a smaller margin or on the first NaN: the sample
+    that decides ``_check`` on the (times, points) array of margins.
+    """
+    least = []
+    n_rows = max(1, min(len(times), 4096 // max(len(points), 1)))
+    block = np.empty((n_rows, len(points)))
+    for start in range(0, len(times) if len(points) else 0, len(block)):
+        rows = block[:len(times) - start]
+        for k, t in enumerate(times[start:start + len(rows)]):
+            rows[k] = fric.F_field(points, t)
+        margin = np.minimum(rows, fric.F_bar - rows) + tol
+        i = int(margin.argmin())
+        worst = float(margin.flat[i])
+        if not least or worst < least[0] or math.isnan(worst) > math.isnan(least[0]):
+            n, p = divmod(i, len(points))
+            least = [worst, start + n, p, float(rows.flat[i])]
+    return least
+
+
 def validate_assumptions(
     mat: MaterialModel,
     fric: FrictionModel,
@@ -303,7 +328,9 @@ def validate_assumptions(
     rep = ValidationReport()
     tol = 1e-12
 
-    # A2: bounds and Lipschitz continuity of sigma_el
+    # A2: positive lower bound, bounds and Lipschitz continuity of sigma_el
+    rep.checks.append(_check("A2B", "conductivity bound sigma_star > 0", mat.sigma_star,
+                             lambda i: {"sigma_star": mat.sigma_star}, strict=True))
     s = _sample_s(rng, n_samples)
     vals = np.asarray(mat.sigma_el(s), dtype=float)
     rep.checks.append(_check(
@@ -358,11 +385,10 @@ def validate_assumptions(
                    "t_ijkl": float(t4.flat[i]), ("t_jikl", "t_klij")[i // 16 % 2]: float(u4.flat[i])}))
 
     # A5: 0 <= F <= F_bar where and when the run reads F, one F_field call per grid time
-    traction = np.array([fric.F_field(contact_points, t) for t in times], dtype=float)
+    least = _least_traction_margin(fric, contact_points, times, tol)
     rep.checks.append(_check(
-        "A5", "normal traction 0 <= F <= F_bar", np.minimum(traction, fric.F_bar - traction) + tol,
-        lambda i: {"x": contact_points[i % len(contact_points)].tolist(),
-                   "t": float(times[i // len(contact_points)]), "F": float(traction.flat[i])}))
+        "A5", "normal traction 0 <= F <= F_bar", least[:1],
+        lambda _: {"x": contact_points[least[2]].tolist(), "t": float(times[least[1]]), "F": least[3]}))
 
     # A6: positive exchange constants; contact coefficients within [0, H_C_bar] on sampled F
     rep.checks.append(_check("A6", "h_N, H_N > 0", [bd.h_N, bd.H_N],

@@ -466,6 +466,9 @@ class FreePattern:
     entries land in the same pattern, and matrices assembled here add as
     their data arrays.
 
+    ``layout`` is the :class:`BandLayout` of the pattern, which
+    :func:`factor_banded` reads to place a data array in band storage.
+
     ``form`` (scalar pattern only) is the (nnz, 4T) CSR matrix that takes a
     per-element coefficient ``kt`` (T, 4) of a gradient form to its data
     array: ``form @ kt.ravel()`` sums ``kt[t, 2 i + j] * area * grad_i(a) *
@@ -477,6 +480,7 @@ class FreePattern:
     indices: np.ndarray
     tri: np.ndarray
     edge: np.ndarray
+    layout: BandLayout
     form: sp.csr_matrix | None = None
 
     def _sum(self, slots: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -519,9 +523,12 @@ def _free_pattern(tri_conn: np.ndarray, edge_conn: np.ndarray, index: np.ndarray
         cols = np.broadcast_to(np.arange(n_coef).reshape(-1, 4, 1), grad_products.shape)
         keep = rows < keys.size
         form = sp.csr_matrix((grad_products[keep], (rows[keep], cols[keep])), shape=(keys.size, n_coef))
-    out = FreePattern(n, indptr, (keys % n).astype(np.int32), tri_slots,
-                      slots(_entry_keys(edge_conn, index, n)), form)
-    for arr in (out.indptr, out.indices, out.tri, out.edge, *(_csr_arrays(form) if form is not None else ())):
+    indices = (keys % n).astype(np.int32)
+    out = FreePattern(n, indptr, indices, tri_slots, slots(_entry_keys(edge_conn, index, n)),
+                      band_layout(indptr, indices, n), form)
+    layout = out.layout
+    for arr in (out.indptr, out.indices, out.tri, out.edge, layout.lower, layout.mirror, layout.band,
+                *(_csr_arrays(form) if form is not None else ())):
         arr.setflags(write=False)
     return out
 
@@ -638,13 +645,6 @@ class BandLU:
         return x.reshape(b.shape)
 
 
-def _lower_band(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int, kd: int) -> np.ndarray:
-    """(kd + 1, n) lower band storage of the entries with rows >= cols: [i - j, j] holds entry (i, j)."""
-    lower = rows >= cols
-    return np.bincount((rows[lower] - cols[lower]) * n + cols[lower], weights=data[lower],
-                       minlength=(kd + 1) * n).reshape(kd + 1, n)
-
-
 def _check_pivots(routine: str, info: int, pivots: np.ndarray, what: str) -> None:
     """Raise for a failed LAPACK factorization, or for a NaN pivot, which passes LAPACK's test."""
     if info < 0:
@@ -655,34 +655,92 @@ def _check_pivots(routine: str, info: int, pivots: np.ndarray, what: str) -> Non
         raise np.linalg.LinAlgError(f"singular or indefinite matrix: pivot {info} of {pivots.size} is {what}")
 
 
+@dataclass(frozen=True)
+class BandLayout:
+    """Where the data array of a CSR structure goes in LAPACK band storage.
+
+    ``kd`` is the half bandwidth. One item per position (i, j), i >= j, of
+    the lower band that holds an entry of the matrix or of its transpose:
+    ``lower`` is the data position of entry (i, j), ``mirror`` that of
+    (j, i), and ``band`` the flat position j (kd + 1) + i - j of [i - j, j]
+    in the (kd + 1, n) lower band storage, in Fortran order, as LAPACK reads
+    it. The data position ``nnz`` stands for an entry that the structure
+    lacks, which is zero.
+    """
+
+    n: int
+    nnz: int
+    kd: int
+    lower: np.ndarray
+    mirror: np.ndarray
+    band: np.ndarray
+
+
+def band_layout(indptr: np.ndarray, indices: np.ndarray, n: int) -> BandLayout:
+    """Band layout of an (n, n) CSR structure with sorted column indices and no duplicates."""
+    nnz = int(indptr[-1])
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    cols = np.asarray(indices[:nnz], dtype=np.int64)
+    keys = rows * n + cols  # ascending, as the structure is sorted
+    t_keys = cols * n + rows
+    pos = np.searchsorted(keys, t_keys)
+    mirror = np.where(keys[np.minimum(pos, nnz - 1)] == t_keys, pos, nnz) if nnz else pos
+    own = rows >= cols
+    lonely = ~own & (mirror == nnz)  # an upper entry whose transpose the structure lacks
+    i = np.concatenate([rows[own], cols[lonely]])
+    j = np.concatenate([cols[own], rows[lonely]])
+    kd = int((i - j).max(initial=0))
+    # int32 while every flat position of the (3 kd + 1, n) LU band storage fits
+    dtype = np.int32 if (3 * kd + 1) * n < 2**31 else np.int64
+    return BandLayout(n, nnz, kd,
+                      np.concatenate([np.flatnonzero(own), np.full(np.count_nonzero(lonely), nnz)]).astype(dtype),
+                      np.concatenate([mirror[own], np.flatnonzero(lonely)]).astype(dtype),
+                      (j * (kd + 1) + i - j).astype(dtype))
+
+
 # A matrix whose entries differ from its transpose's by at most this, relative
 # to its largest entry, is factored as symmetric: Cholesky of its lower triangle.
 SYMMETRY_RTOL = 1e-14
 
 
-def factor_banded(matrix: sp.csr_matrix) -> BandCholesky | BandLU:
-    """Banded factor of a positive definite matrix, symmetric or not, on a free-dof pattern.
+def factor_banded(matrix: sp.csr_matrix, layout: BandLayout | None = None) -> BandCholesky | BandLU:
+    """Banded factor of a positive definite matrix, symmetric or not.
 
-    The band is read in the free-dof numbering of :func:`build_dof_maps`. A
-    matrix that equals its transpose within SYMMETRY_RTOL gets the Cholesky
-    factor of its lower triangle (LAPACK ``dpbtrf``); any other, such as the
-    temperature Jacobian of a conductivity with k != k^T, gets LAPACK's
-    banded LU with partial pivoting (``dgbtrf``) on its full band. A pivot
-    that is not a positive number (Cholesky) or is zero or not a number (LU)
-    raises LinAlgError.
+    ``layout`` is the :class:`BandLayout` of the matrix's structure, as
+    ``FreePattern.layout`` for a matrix on a free-dof pattern; without one
+    it is computed from the matrix. The band is read in the numbering of the
+    matrix, which :func:`build_dof_maps` makes banded. A matrix that equals
+    its transpose within SYMMETRY_RTOL gets the Cholesky factor of its lower
+    triangle (LAPACK ``dpbtrf``); any other, such as the temperature
+    Jacobian of a conductivity with k != k^T, gets LAPACK's banded LU with
+    partial pivoting (``dgbtrf``) on its full band. A pivot that is not a
+    positive number (Cholesky) or is zero or not a number (LU) raises
+    LinAlgError.
     """
     n = matrix.shape[0]
-    rows, cols = np.repeat(np.arange(n), np.diff(matrix.indptr)), matrix.indices
-    kd = int(np.abs(rows - cols).max(initial=0))
-    lower = _lower_band(rows, cols, matrix.data, n, kd)
-    transposed = _lower_band(cols, rows, matrix.data, n, kd)  # lower band of A^T
-    if np.abs(lower - transposed).max(initial=0.0) <= SYMMETRY_RTOL * np.abs(lower).max(initial=0.0):
-        band, info = lapack.dpbtrf(lower, lower=1, overwrite_ab=1)
+    if layout is None:
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
+        layout = band_layout(matrix.indptr, matrix.indices, n)
+    elif matrix.shape != (layout.n, layout.n) or matrix.nnz != layout.nnz:
+        raise ValueError(f"a {matrix.shape} matrix with {matrix.nnz} entries is not on a layout "
+                         f"of {layout.n} rows and {layout.nnz} entries")
+    kd = layout.kd
+    data = np.append(matrix.data[:layout.nnz], 0.0)  # data[nnz] is an entry the structure lacks
+    lower, mirror = data[layout.lower], data[layout.mirror]
+    if np.abs(lower - mirror).max(initial=0.0) <= SYMMETRY_RTOL * np.abs(lower).max(initial=0.0):
+        band = np.zeros((kd + 1) * n)
+        band[layout.band] = lower
+        band, info = lapack.dpbtrf(band.reshape(n, kd + 1).T, lower=1, overwrite_ab=1)
         _check_pivots("dpbtrf", info, band[0], "not a positive number")  # L's diagonal
         return BandCholesky(band)
-    band = np.bincount((2 * kd + rows - cols) * n + cols, weights=matrix.data,
-                       minlength=(3 * kd + 1) * n).reshape(3 * kd + 1, n)  # [2 kd + i - j, j] = A[i, j]
-    lu, piv, info = lapack.dgbtrf(band, kd, kd, overwrite_ab=1)
+    # [2 kd + i - j, j] = A[i, j], and A[j, i] at [2 kd - d, j + d], d = i - j
+    j, d = np.divmod(layout.band, kd + 1)
+    band = np.zeros((3 * kd + 1) * n)
+    band[j * (3 * kd + 1) + 2 * kd + d] = lower
+    band[(j + d) * (3 * kd + 1) + 2 * kd - d] = mirror
+    lu, piv, info = lapack.dgbtrf(band.reshape(n, 3 * kd + 1).T, kd, kd, overwrite_ab=1)
     _check_pivots("dgbtrf", info, lu[2 * kd], "zero or not a number")  # U's diagonal
     return BandLU(lu, piv, kd)
 

@@ -58,15 +58,17 @@ from .friction import (
     solve_momentum_step,
 )
 from .materials import BoundaryData, FrictionModel, MaterialModel
-from .mesh import BandCholesky, BandLU, DofMap, Mesh, factor_banded
+from .mesh import BandCholesky, BandLayout, BandLU, DofMap, Mesh, factor_banded
 
 JOULE_MODES = ("direct", "reformulated")
 
-# CG iterations a lagged factor may take before its stage refactors. At n=32
-# one banded Cholesky factorization costs about 5 to 6 iterations (0.5-0.7 ms
-# against 0.1 ms on a 2-vCPU VM). Over the 131 scalar solves of a 40-step
-# 32x32 contact run, a cap of 4 refactored 27 times in 479 iterations, 8
-# refactored 6 times in 926 and 12 refactored 3 times in 1,135.
+# CG iterations a solve may take on the factor of its grid time before its
+# stage refactors. One banded Cholesky factorization of the scalar matrix
+# costs about 3.4 iterations at n=32 (0.27 ms against 0.08 ms) and 8 at n=64
+# (2.1 against 0.27 ms), in-process loops on a 2-vCPU VM. Over a 40-step
+# 32x32 contact run, where 41 of the 131 scalar solves are potential solves
+# and factor anyway, a cap of 4 made 51 temperature factorizations and 162
+# iterations, 8 made 41 and 212, and 12 made 40 and 218: about equal in time.
 CG_MAX_ITER = 8
 CG_RTOL = 1e-14
 
@@ -168,36 +170,45 @@ class SystemState:
 
 @dataclass
 class LaggedFactor:
-    """Positive definite solves of one stage by CG preconditioned with an earlier factor.
+    """Positive definite solves of one stage, by CG preconditioned with a factor of the same grid time.
 
-    Every coefficient of a stage is frozen at the delayed state, so its
-    matrix moves little between solves and the factor of an earlier one
-    is a close preconditioner. Each solve starts from the factor's solution
-    and stops once the true residual meets the normwise backward error bound
-    |b - A x| <= CG_RTOL (|A|_inf |x| + |b|) (Rigal and Gaches; Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 7.1),
-    about what a direct solve reaches in roundoff at any mesh size; a bound
-    on |b| alone is out of reach once n >= 48. After CG_MAX_ITER iterations
-    the stage refactors on the current matrix and solves directly, so a
-    stale factor costs iterations, not accuracy. The two counters hold the
-    work of every solve so far, failed CG attempts included.
+    Within a grid time the matrices of a stage differ only where the Newton
+    iterate moves them (the regularizer's Jacobian in the temperature
+    stage), so the factor of the first solve at that time is a close
+    preconditioner for the later ones. A solve at a new time factors its
+    matrix and solves directly; the potential, solved once per grid time,
+    is factored at every solve. A later solve at the same time starts CG
+    from the factor's solution and stops once the true residual meets the
+    normwise backward error bound |b - A x| <= CG_RTOL (|A|_inf |x| + |b|)
+    (Rigal and Gaches; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 7.1), about what a direct solve reaches in
+    roundoff at any mesh size; a bound on |b| alone is out of reach once
+    n >= 48. After CG_MAX_ITER iterations it refactors on the current
+    matrix and solves directly, so a poor preconditioner costs iterations,
+    not accuracy. ``layout`` is the band layout of the stage's pattern
+    (``FreePattern.layout``), or None to compute it at each factorization.
+    The two counters hold the work of every solve so far, failed CG
+    attempts included.
     """
 
     stage: str
+    layout: BandLayout | None = None
     factor: BandCholesky | BandLU | None = None
+    factored_at: float | None = None  # the grid time of the matrix the factor was built from
     factorizations: int = 0
     cg_iterations: int = 0
 
     def solve(self, matrix: sp.csr_matrix, b: np.ndarray, t: float) -> np.ndarray:
-        if self.factor is not None:
+        if self.factor is not None and self.factored_at == t:
             x = self._cg(matrix, b)
             if x is not None:
                 return x
         self.factor = None  # release the old factor before the new one is built
         try:
-            self.factor = factor_banded(matrix)
+            self.factor = factor_banded(matrix, self.layout)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"{self.stage} solve at t={t:.6g}: {exc}") from None
+        self.factored_at = t
         self.factorizations += 1
         x = self.factor.solve(b)
         if not np.all(np.isfinite(x)):
@@ -289,8 +300,8 @@ def initialize(models: Models, config: SolverConfig,
                         models.bd, config.dt)
     ws = Workspace(models=models, config=config, states=[],
                    mass_thermal=assemble_scalar_mass(mesh, dofs), momentum=step,
-                   temperature_solver=LaggedFactor("temperature"),
-                   electric_solver=LaggedFactor("electric"))
+                   temperature_solver=LaggedFactor("temperature", dofs.scalar.layout),
+                   electric_solver=LaggedFactor("electric", dofs.scalar.layout))
     phi0 = solve_electric(ws, theta0, t=0.0)
     xi0 = contact_traction_full(step, v0[dofs.vector_free_dofs()],
                                 models.fric.F_field(mesh.nodes[step.nodes], 0.0))

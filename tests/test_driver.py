@@ -213,9 +213,9 @@ class TestExitCodes:
 
 class TestNonFiniteConductivity:
     # On examples/default.cfg the largest new temperature first passes 0.05 at
-    # t = 0.0625, when the electric stage has held a factor since t = 0 and
-    # the NaN rows reach it through the lagged CG; the temperature stage then
-    # still reads the conductivity at the delayed, cooler state.
+    # t = 0.0625, where the electric stage factors its matrix, NaN rows
+    # included, as at every grid time; the temperature stage then still reads
+    # the conductivity at the delayed, cooler state.
     @pytest.mark.parametrize("above,when", [(-np.inf, "t=0:"), (0.05, "t=0.0625:")])
     def test_exit_3_names_stage_and_time(self, tmp_path, capsys, monkeypatch, above, when):
         def nan_model(overrides):
@@ -371,8 +371,22 @@ class TestCheckCommand:
         # a passing A4 printed margin=-3.55271e-15, its raw slack below the roundoff floor
         assert main(["check", "--config", str(REPO_ROOT / "examples" / "default.cfg")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len([line for line in lines if "PASS (margin=" in line]) == 13
+        assert len([line for line in lines if "PASS (margin=" in line]) == 14
         assert not [line for line in lines if "PASS (margin=-" in line]
+
+    def test_zero_conductivity_bound_fails_a2b(self, tmp_path, capsys):
+        # sigma_el = 0 passed every check, and run exited 3 at the first electric solve
+        cfg = cfg_file(tmp_path, "model.sigma_star = 0\nmodel.M_sigma = 0\n",
+                       base=BASE.replace("mesh.n = 2", "mesh.n = 4"))
+        assert main(["check", "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        failed = [line for line in captured.out.splitlines() if "FAIL" in line]
+        assert failed == ["A2B conductivity bound sigma_star > 0: FAIL (margin=0) witness={'sigma_star': 0.0}"]
+        assert captured.err == "failed assumptions: A2B\n"
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--assert"]) == 4
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if "FAIL" in line] == failed
+        assert not (tmp_path / "out").exists()
 
     def test_inflated_slope_constant_fails_a8(self, tmp_path, capsys):
         # beta scales the slope constant linearly, so this is a 1e6 inflation

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thermocontact.driver import build_models, parse_config
 from thermocontact.materials import (
+    _check,
     default_ptc_model,
     isotropic_tensor,
     validate_assumptions,
 )
-from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, estimate_trace_norm
+from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, edge_quadrature, estimate_trace_norm
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # every sampled check that calls each model callable
@@ -212,6 +218,8 @@ class TestValidator:
         assert a3.margin < 0 and abs(a3.witness["s"]) < 0.05
 
     @pytest.mark.parametrize("edit,failing,margin", [
+        # the conductivity bound alone: sigma_el keeps its own floor 0.1
+        (lambda mat, fric, bd, tn: (dataclasses.replace(mat, sigma_star=0.0), fric, bd, tn), "A2B", 0.0),
         (lambda mat, fric, bd, tn: (mat, fric, dataclasses.replace(bd, h_N=0.0), tn), "A6", 0.0),
         # F_bar * d_mu * trace_norm^2 = 0.5 * 0.5 * 2^2 is exactly delta = 1
         (lambda mat, fric, bd, tn: (mat, dataclasses.replace(fric, F_bar=0.5, d_mu=0.5), bd, 2.0),
@@ -219,7 +227,7 @@ class TestValidator:
         # a_0001 and a_0100 differ by 2e-3, against the 1e-14 + 1e-5 |a_0100| allowance
         (lambda mat, fric, bd, tn: (dataclasses.replace(mat, a_tensor=_asymmetric(mat.a_tensor)),
                                     fric, bd, tn), "A4S", 1e-14 + 1e-8 - 2e-3),
-    ], ids=["A6", "A8", "A4S"])
+    ], ids=["A2B", "A6", "A8", "A4S"])
     def test_boundary_fails_only_its_check(self, default_models, trace_norm_n4, edit, failing, margin):
         rep = validate_assumptions(*edit(*default_models, trace_norm_n4), *BOTTOM_EDGE_GRID)
         assert [c.id for c in rep.failures()] == [failing]
@@ -238,3 +246,63 @@ class TestValidator:
         lines = rep.lines()
         assert any(line.startswith("A8 ") for line in lines)
         assert all(("PASS" in line) or ("FAIL" in line) for line in lines)
+
+
+def dense_a5(fric, points, times, tol=1e-12):
+    """A5 as one _check of the (times, points) array of margins."""
+    traction = np.array([fric.F_field(points, t) for t in times], dtype=float)
+    return _check("A5", "normal traction 0 <= F <= F_bar", np.minimum(traction, fric.F_bar - traction) + tol,
+                  lambda i: {"x": points[i % len(points)].tolist(), "t": float(times[i // len(points)]),
+                             "F": float(traction.flat[i])})
+
+
+class TestA5LeastMargin:
+    """A5 keeps each grid time's least margin only, and reports what the whole array of margins would."""
+
+    @pytest.mark.parametrize("field", ["constant", "tie", "negative", "nan_late", "nan_after_negative"])
+    def test_same_report_as_the_array_of_margins(self, default_models, trace_norm_n4, field):
+        points, times = BOTTOM_EDGE_GRID
+
+        def F_field(x, t):
+            x = np.asarray(x)[..., 0]
+            if field == "constant":
+                return np.full(x.shape, 0.1)
+            if field == "tie":  # the least margin, -0.1, at two points of two times
+                return np.where((x == 0.25) | (x == 0.75), np.where(t in (2.0, 5.0), -0.1, 0.05), 0.05)
+            if field == "negative":
+                return 0.05 - 0.01 * t * x
+            return np.where((x == 0.5) & (t >= 7.0), np.nan, 0.05 - (0.1 if field == "nan_after_negative" else 0.0))
+
+        mat, fric, bd = default_models
+        fric = dataclasses.replace(fric, F_field=F_field)
+        got = next(c for c in validate_assumptions(mat, fric, bd, trace_norm_n4, points, times).checks
+                   if c.id == "A5")
+        assert repr(got) == repr(dense_a5(fric, points, times))  # repr, as nan != nan
+        assert got.passed == (field == "constant")
+
+    def test_bundled_default_report_unchanged(self):
+        rc = parse_config(str(REPO_ROOT / "examples" / "default.cfg"))
+        models = build_models(rc)
+        mesh = models.mesh
+        points = np.concatenate([mesh.nodes[models.dofs.contact_nodes],
+                                 edge_quadrature(mesh, ("C",)).points.reshape(-1, 2)])
+        times = rc.solver.dt * np.arange(rc.solver.n_steps + 1)
+        rep = validate_assumptions(models.mat, models.fric, models.bd,
+                                   estimate_trace_norm(mesh, models.dofs), points, times)
+        a5 = next(c for c in rep.checks if c.id == "A5")
+        assert a5 == dense_a5(models.fric, points, times)
+        assert a5.passed and a5.margin == pytest.approx(1e-12, rel=1e-3)
+
+    def test_memory_does_not_grow_with_the_grid(self, default_models, trace_norm_n4):
+        # 25 points and 10^5 grid times: an array of one margin per point and
+        # time, and its temporaries, took 3 x 20 MB
+        points = np.column_stack([np.linspace(0.0, 1.0, 25), np.zeros(25)])
+        peaks = []
+        for n_times in (10, 10**5):
+            times = np.linspace(0.0, 1.0, n_times)
+            tracemalloc.start()
+            rep = validate_assumptions(*default_models, trace_norm_n4, points, times, n_samples=100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert rep.all_passed()
+        assert peaks[1] <= peaks[0] + 256 * 1024, peaks

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import oracles
@@ -41,6 +42,7 @@ MESH_ARRAYS = ("nodes", "triangles", "boundary_edges", "edge_tags", "edge_normal
 SPARSE_ARRAYS = ("data", "indices", "indptr")
 QUAD_ARRAYS = ("ids", "conn", "tags", "points", "weights", "normals")
 PATTERN_ARRAYS = ("indptr", "indices", "tri", "edge")
+LAYOUT_ARRAYS = ("lower", "mirror", "band")
 QUAD_TAGS = (("C",), ("N",), ("N", "C"))
 
 
@@ -254,6 +256,7 @@ def frozen_arrays(mesh, dofs):
     return ([getattr(mesh, name) for name in MESH_ARRAYS]
             + [getattr(q, name) for q in quads for name in QUAD_ARRAYS]
             + [getattr(p, name) for p in (dofs.scalar, dofs.vector) for name in PATTERN_ARRAYS]
+            + [getattr(p.layout, name) for p in (dofs.scalar, dofs.vector) for name in LAYOUT_ARRAYS]
             + [getattr(op, name) for op in (mesh.grad, mesh.grad_t, dofs.scalar.form) for name in SPARSE_ARRAYS])
 
 
@@ -430,3 +433,63 @@ class TestFactorBanded:
             matrix[30, 30] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             factor_banded(matrix)
+
+
+def factor_arrays(factor):
+    return [factor.band] if isinstance(factor, BandCholesky) else [factor.lu, factor.piv]
+
+
+class TestBandLayout:
+    """A free-dof pattern's band layout against the layout factor_banded computes for a bare CSR."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_pattern_layout_factors_as_the_rebuilt_matrix(self, n):
+        # summed as data arrays, as the solver sums them: a sum of scipy matrices
+        # drops the entries that cancel
+        mesh = build_unit_square_mesh(n)
+        dofs = build_dof_maps(mesh)
+        mat, _, _ = default_ptc_model({})
+        mass = assemble_scalar_mass(mesh, dofs).data
+        visc, elast = assemble_elastic_operators(mesh, dofs, mat)
+        theta = np.random.default_rng(5).normal(size=mesh.n_nodes)
+        jacobian = assemble_thermal_stiffness(mesh, dofs, dataclasses.replace(mat, k=anisotropic_k), theta)
+        for pattern, data, kind in (
+                (dofs.scalar, mass + assemble_scalar_stiffness_unit(mesh, dofs).data, BandCholesky),
+                (dofs.scalar, mass + jacobian.data, BandLU),
+                (dofs.vector, 80.0 * assemble_vector_mass(mesh, dofs).data + visc.data + 0.0125 * elast.data,
+                 BandCholesky)):
+            matrix = pattern.csr(data)
+            on = factor_banded(matrix, pattern.layout)
+            off = factor_banded(sp.csr_matrix(matrix.toarray()))
+            assert type(on) is type(off) is kind
+            for a, b in zip(factor_arrays(on), factor_arrays(off), strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_matrix_off_the_layout_rejected(self):
+        mesh = build_unit_square_mesh(4)
+        dofs = build_dof_maps(mesh)
+        with pytest.raises(ValueError, match="not on a layout"):
+            factor_banded(spd_matrices(mesh, dofs)["vector"], dofs.scalar.layout)
+
+    @pytest.mark.parametrize("edit", ["upper", "lower", "duplicate"])
+    def test_any_csr_structure(self, edit):
+        # an entry without its transpose, outside the band of the rest, and a
+        # duplicated entry, which counts as the sum of its copies
+        mesh = build_unit_square_mesh(4)
+        dofs = build_dof_maps(mesh)
+        base = spd_matrices(mesh, dofs)["scalar"].tocoo()
+        rows, cols, data = list(base.row), list(base.col), list(base.data)
+        size = base.shape[0]
+        extra = {"upper": (0, size - 1, 0.1), "lower": (size - 1, 0, 0.1), "duplicate": (3, 3, 0.5)}[edit]
+        matrix = sp.csr_matrix((data + [extra[2]], (rows + [extra[0]], cols + [extra[1]])), shape=base.shape)
+        if edit == "duplicate":  # the COO constructor sums duplicates; rebuild the CSR with both copies
+            order = np.lexsort((cols + [3], rows + [3]))
+            matrix = sp.csr_matrix((np.r_[data, 0.5][order], np.r_[cols, 3][order],
+                                    np.searchsorted(np.r_[rows, 3][order], np.arange(size + 1))), shape=base.shape)
+            assert not matrix.has_canonical_format
+        dense = matrix.toarray()
+        factor = factor_banded(matrix)
+        assert isinstance(factor, BandCholesky if edit == "duplicate" else BandLU)
+        b = np.random.default_rng(2).standard_normal(size)
+        np.testing.assert_allclose(factor.solve(b), np.linalg.solve(dense, b), rtol=1e-12)

@@ -20,6 +20,7 @@ from oracles import (
 )
 from test_patterns import anisotropic_k, perturbed_mesh_text
 from thermocontact import friction, scheme
+from thermocontact import mesh as mesh_module
 from thermocontact.assembly import (
     assemble_electric_system,
     assemble_joule_load_direct,
@@ -30,7 +31,7 @@ from thermocontact.assembly import (
 )
 from thermocontact.friction import SolverError
 from thermocontact.materials import default_ptc_model
-from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh, load_mesh
+from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh, factor_banded, load_mesh
 from thermocontact.scheme import (
     CG_MAX_ITER,
     ConfigError,
@@ -346,13 +347,14 @@ class TestLaggedFactor:
                                         theta, models.fric, t)
 
     def test_stale_factor_gives_direct_solution(self):
+        # a second solve at the grid time of the factor runs CG on it
         models = default_models(8)
         x0, x1 = models.mesh.nodes.T
         theta = np.zeros(models.mesh.n_nodes)
         theta[models.dofs.scalar_free_nodes] = 0.05
         theta *= np.sin(np.pi * x0) * (1.0 + x1)
         solver = LaggedFactor("electric")
-        solver.solve(*self.electric(models, np.zeros_like(theta)), 0.0)
+        solver.solve(*self.electric(models, np.zeros_like(theta)), 0.1)
         matrix, load = self.electric(models, theta)
         x = solver.solve(matrix, load, 0.1)
         assert solver.factorizations == 1 and solver.cg_iterations > 0
@@ -366,12 +368,24 @@ class TestLaggedFactor:
         models = default_models(16)
         solver = LaggedFactor("electric")
         solver.solve(assemble_scalar_mass(models.mesh, models.dofs),
-                     np.ones(models.dofs.scalar_free_nodes.size), 0.0)
+                     np.ones(models.dofs.scalar_free_nodes.size), 0.1)
         matrix, load = self.electric(models, np.zeros(models.mesh.n_nodes))
         x = solver.solve(matrix, load, 0.1)
         assert solver.factorizations == 2 and solver.cg_iterations == CG_MAX_ITER
         direct = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    def test_new_grid_time_refactors_without_cg(self):
+        # the held factor is of this very matrix, but of another grid time
+        models = default_models(8)
+        solver = LaggedFactor("electric")
+        matrix, load = self.electric(models, np.zeros(models.mesh.n_nodes))
+        solver.solve(matrix, load, 0.0)
+        held = solver.factor
+        x = solver.solve(matrix, load, 0.1)
+        assert solver.factorizations == 2 and solver.cg_iterations == 0
+        assert solver.factor is not held and solver.factored_at == 0.1
+        assert np.array_equal(x, held.solve(load))
 
     def test_singular_matrix_names_stage_and_time(self):
         models = default_models(2)
@@ -381,12 +395,12 @@ class TestLaggedFactor:
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_nan_matrix_entry_names_stage_and_time(self, lagged):
-        # with a held factor, CG cannot meet its bound and the stage refactors
+        # with a factor held from the same time, CG cannot meet its bound and the stage refactors
         models = default_models(4)
         mass = assemble_scalar_mass(models.mesh, models.dofs)
         solver = LaggedFactor("electric")
         if lagged:
-            solver.solve(mass, np.ones(mass.shape[0]), 0.0)
+            solver.solve(mass, np.ones(mass.shape[0]), 0.25)
         matrix = mass.copy()
         matrix[3, 3] = np.nan
         with pytest.raises(SolverError, match=r"electric solve at t=0\.25: singular"):
@@ -431,22 +445,48 @@ class TestLaggedFactor:
                 fa, fb = getattr(a, name), getattr(b, name)
                 assert np.abs(fa - fb).max() <= 1e-12 * (1.0 + np.abs(fb).max()), name
 
+    def test_run_builds_no_layout_per_factorization(self, monkeypatch):
+        # every factor of a run reads the band layout its pattern built with the dof maps
+        models = default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        built = []
+        band_layout = mesh_module.band_layout
+
+        def counted(*args):
+            built.append(args)
+            return band_layout(*args)
+
+        monkeypatch.setattr(mesh_module, "band_layout", counted)
+        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        ws = initialize(models, cfg)
+        advance(ws)
+        assert ws.temperature_solver.factorizations > 0
+        assert ws.electric_solver.factorizations == cfg.n_steps + 1
+        assert built == []
+        factor_banded(ws.momentum.base)  # a matrix given without its layout gets one built
+        assert len(built) == 1
+
     def test_fine_mesh_run_keeps_its_factors(self):
         # at n = 48 a direct solve leaves |b - A x| above 1e-14 |b|, so a stop
-        # on that bound never met it and refactored at nearly every solve
+        # on that bound never met it and refactored at nearly every solve: the
+        # temperature stage factors once per step, and at most three times more
+        # where CG reaches its cap, the potential once per grid time
         models = default_models(48, tags={"left": "D", "right": "D", "bottom": "C", "top": "C"},
                                 overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
         x0, x1 = models.mesh.nodes.T
         theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.02 * np.cos(np.pi * x1))
         theta0[models.dofs.dirichlet_nodes] = 0.0
-        ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), theta0=theta0)
+        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        ws = initialize(models, cfg, theta0=theta0)
         advance(ws)
-        assert ws.electric_solver.factorizations <= 4
-        assert ws.temperature_solver.factorizations <= 6
+        assert ws.electric_solver.factorizations == cfg.n_steps + 1
+        assert ws.electric_solver.cg_iterations == 0
+        assert cfg.n_steps <= ws.temperature_solver.factorizations <= cfg.n_steps + 3
+        assert ws.temperature_solver.cg_iterations > 0
 
     def test_nonsymmetric_conductivity_run_keeps_its_factors(self):
         # k != k^T makes the temperature Jacobian nonsymmetric; a Cholesky
-        # factor of its lower triangle alone refactored 200 times in this run
+        # factor of its lower triangle alone refactored 200 times in this run,
+        # where banded LU factors once per step and at most five times more
         models = default_models(8, tags={"left": "D", "right": "D", "bottom": "C", "top": "N"},
                                 overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
         models = dataclasses.replace(models, mat=dataclasses.replace(
@@ -454,10 +494,12 @@ class TestLaggedFactor:
         x0, x1 = models.mesh.nodes.T
         theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.3 * x1)
         theta0[models.dofs.dirichlet_nodes] = 0.0
-        ws = initialize(models, SolverConfig(T=0.5, h=0.05, dt=0.0125), theta0=theta0)
+        cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        ws = initialize(models, cfg, theta0=theta0)
         advance(ws)
         assert isinstance(ws.temperature_solver.factor, BandLU)
-        assert ws.temperature_solver.factorizations <= 12
+        assert ws.temperature_solver.factorizations <= cfg.n_steps + 5
+        assert ws.temperature_solver.cg_iterations > 0
 
 
 class TestAdvance:
@@ -520,7 +562,7 @@ class TestAdvance:
         ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0)}),
                         SolverConfig(T=0.2, h=0.05, dt=0.025))
 
-        def refactor(matrix):
+        def refactor(matrix, layout=None):
             raise AssertionError("the momentum step matrix was factored again")
 
         monkeypatch.setattr(friction, "factor_banded", refactor)
@@ -532,9 +574,9 @@ class TestAdvance:
         factored = []
         factor_banded = friction.factor_banded
 
-        def counted(matrix):
+        def counted(matrix, layout=None):
             factored.append(matrix)
-            return factor_banded(matrix)
+            return factor_banded(matrix, layout)
 
         monkeypatch.setattr(friction, "factor_banded", counted)
         ws = initialize(default_models(4, overrides={"f0": (0.5, 0.0)}),
