@@ -188,14 +188,19 @@ def build_models(rc: RunConfig) -> Models:
     """The mesh, dof maps and models of a config whose run fits in memory.
 
     The memory check comes before any command validates: A5 holds a value
-    per contact point and grid time, a share of what the run would keep.
+    per contact point and grid time, a share of what the run would keep. A
+    mesh or dof map too large to allocate is a MeshError naming the mesh.
     """
-    if rc.mesh_file is not None:
-        mesh = load_mesh(rc.mesh_file)
-    else:
-        mesh = build_unit_square_mesh(rc.mesh_n, tags=rc.tags)
-    check_history_fits(rc.solver, mesh.n_nodes)
-    dofs = build_dof_maps(mesh)
+    try:
+        if rc.mesh_file is not None:
+            mesh = load_mesh(rc.mesh_file)
+        else:
+            mesh = build_unit_square_mesh(rc.mesh_n, tags=rc.tags)
+        check_history_fits(rc.solver, mesh.n_nodes)
+        dofs = build_dof_maps(mesh)
+    except MemoryError:
+        what = f"mesh file {rc.mesh_file}" if rc.mesh_file is not None else f"mesh.n = {rc.mesh_n}"
+        raise MeshError(f"{what}: the mesh and its dof maps do not fit in memory") from None
     mat, fric, bd = default_ptc_model(rc.overrides)
     return Models(mesh, dofs, mat, fric, bd)
 

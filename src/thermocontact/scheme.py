@@ -13,6 +13,9 @@ The temperature equation carries the quartic gradient regularizer weighted
 by the delay length itself (overridable for experiments); its contribution
 must vanish as the delay is refined, which the cascade report measures.
 
+The states are all that carries from one step to the next: each scalar
+stage call factors its own matrices and drops the factors when it returns.
+
 The delay also makes the momentum stage independent of the other two
 within a step: it reads the old displacement and velocity and the delayed
 temperature, and the temperature stage reads the velocity only at the
@@ -62,13 +65,14 @@ from .mesh import BandCholesky, BandLayout, BandLU, DofMap, Mesh, factor_banded
 
 JOULE_MODES = ("direct", "reformulated")
 
-# CG iterations a solve may take on the factor of its grid time before its
-# stage refactors. One banded Cholesky factorization of the scalar matrix
-# costs about 3.4 iterations at n=32 (0.27 ms against 0.08 ms) and 8 at n=64
-# (2.1 against 0.27 ms), in-process loops on a 2-vCPU VM. Over a 40-step
-# 32x32 contact run, where 41 of the 131 scalar solves are potential solves
-# and factor anyway, a cap of 4 made 51 temperature factorizations and 162
-# iterations, 8 made 41 and 212, and 12 made 40 and 218: about equal in time.
+# CG iterations a temperature Newton correction may take on the factor of
+# an earlier correction of its step before the stage refactors. One banded
+# Cholesky factorization of the scalar matrix costs about 3.4 iterations at
+# n=32 (0.27 ms against 0.08 ms) and 8 at n=64 (2.1 against 0.27 ms),
+# in-process loops on a 2-vCPU VM. Over a 40-step 32x32 contact run, where
+# 41 of the 131 scalar solves are potential solves and factor anyway, a cap
+# of 4 made 51 temperature factorizations and 162 iterations, 8 made 41 and
+# 212, and 12 made 40 and 218: about equal in time.
 CG_MAX_ITER = 8
 CG_RTOL = 1e-14
 
@@ -168,76 +172,47 @@ class SystemState:
     xi: np.ndarray
 
 
-@dataclass
-class LaggedFactor:
-    """Positive definite solves of one stage, by CG preconditioned with a factor of the same grid time.
+def _direct_solve(stage: str, matrix: sp.csr_matrix, b: np.ndarray, t: float,
+                  layout: BandLayout) -> tuple[BandCholesky | BandLU, np.ndarray]:
+    """Factor matrix on its pattern's band layout and solve; (factor, x)."""
+    try:
+        factor = factor_banded(matrix, layout)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{stage} solve at t={t:.6g}: {exc}") from None
+    x = factor.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{stage} solve at t={t:.6g}: non-finite solution "
+                          "(non-finite matrix or load?)")
+    return factor, x
 
-    Within a grid time the matrices of a stage differ only where the Newton
-    iterate moves them (the regularizer's Jacobian in the temperature
-    stage), so the factor of the first solve at that time is a close
-    preconditioner for the later ones. A solve at a new time factors its
-    matrix and solves directly; the potential, solved once per grid time,
-    is factored at every solve. A later solve at the same time starts CG
-    from the factor's solution and stops once the true residual meets the
-    normwise backward error bound |b - A x| <= CG_RTOL (|A|_inf |x| + |b|)
-    (Rigal and Gaches; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 7.1), about what a direct solve reaches in
-    roundoff at any mesh size; a bound on |b| alone is out of reach once
-    n >= 48. After CG_MAX_ITER iterations it refactors on the current
-    matrix and solves directly, so a poor preconditioner costs iterations,
-    not accuracy. ``layout`` is the band layout of the stage's pattern
-    (``FreePattern.layout``), or None to compute it at each factorization.
-    The two counters hold the work of every solve so far, failed CG
-    attempts included.
+
+def _cg(factor: BandCholesky | BandLU, matrix: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
+    """CG preconditioned with factor, from factor.solve(b); None if it needs over CG_MAX_ITER steps.
+
+    It stops once the true residual meets the normwise backward error bound
+    |b - A x| <= CG_RTOL (|A|_inf |x| + |b|) (Rigal and Gaches; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 7.1),
+    about what a direct solve reaches in roundoff at any mesh size; a bound
+    on |b| alone is out of reach once n >= 48.
     """
-
-    stage: str
-    layout: BandLayout | None = None
-    factor: BandCholesky | BandLU | None = None
-    factored_at: float | None = None  # the grid time of the matrix the factor was built from
-    factorizations: int = 0
-    cg_iterations: int = 0
-
-    def solve(self, matrix: sp.csr_matrix, b: np.ndarray, t: float) -> np.ndarray:
-        if self.factor is not None and self.factored_at == t:
-            x = self._cg(matrix, b)
-            if x is not None:
-                return x
-        self.factor = None  # release the old factor before the new one is built
-        try:
-            self.factor = factor_banded(matrix, self.layout)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"{self.stage} solve at t={t:.6g}: {exc}") from None
-        self.factored_at = t
-        self.factorizations += 1
-        x = self.factor.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(f"{self.stage} solve at t={t:.6g}: non-finite solution "
-                              "(non-finite matrix or load?)")
-        return x
-
-    def _cg(self, matrix: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
-        """Preconditioned CG from factor.solve(b); None if it needs over CG_MAX_ITER steps."""
-        # |A|_inf bounds |A|_2 for a symmetric A; every row of a free-dof
-        # pattern holds its diagonal entry, so no row is empty
-        norm_a = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
-        norm_b = float(np.linalg.norm(b))
-        x = self.factor.solve(b)
+    # |A|_inf bounds |A|_2 for a symmetric A; every row of a free-dof
+    # pattern holds its diagonal entry, so no row is empty
+    norm_a = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
+    norm_b = float(np.linalg.norm(b))
+    x = factor.solve(b)
+    r = b - matrix @ x
+    for it in range(CG_MAX_ITER + 1):
+        if float(np.linalg.norm(r)) <= CG_RTOL * (norm_a * float(np.linalg.norm(x)) + norm_b):
+            return x
+        if it == CG_MAX_ITER:
+            break
+        z = factor.solve(r)
+        rz_new = float(r @ z)
+        p = z if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
+        x = x + (rz / float(p @ (matrix @ p))) * p
         r = b - matrix @ x
-        for it in range(CG_MAX_ITER + 1):
-            if float(np.linalg.norm(r)) <= CG_RTOL * (norm_a * float(np.linalg.norm(x)) + norm_b):
-                self.cg_iterations += it
-                return x
-            if it == CG_MAX_ITER:
-                break
-            z = self.factor.solve(r)
-            rz_new = float(r @ z)
-            p = z if it == 0 else z + (rz_new / rz) * p
-            rz = rz_new
-            x = x + (rz / float(p @ (matrix @ p))) * p
-            r = b - matrix @ x
-        self.cg_iterations += CG_MAX_ITER
-        return None
+    return None
 
 
 @dataclass
@@ -254,8 +229,6 @@ class Workspace:
     states: list[SystemState]
     mass_thermal: sp.csr_matrix
     momentum: MomentumStep
-    temperature_solver: LaggedFactor
-    electric_solver: LaggedFactor
     momentum_info: list[dict] = field(default_factory=list)
 
 
@@ -299,9 +272,7 @@ def initialize(models: Models, config: SolverConfig,
     step = MomentumStep(mesh, dofs, models.mat, RegularizedFriction(models.fric, config.eps),
                         models.bd, config.dt)
     ws = Workspace(models=models, config=config, states=[],
-                   mass_thermal=assemble_scalar_mass(mesh, dofs), momentum=step,
-                   temperature_solver=LaggedFactor("temperature", dofs.scalar.layout),
-                   electric_solver=LaggedFactor("electric", dofs.scalar.layout))
+                   mass_thermal=assemble_scalar_mass(mesh, dofs), momentum=step)
     phi0 = solve_electric(ws, theta0, t=0.0)
     xi0 = contact_traction_full(step, v0[dofs.vector_free_dofs()],
                                 models.fric.F_field(mesh.nodes[step.nodes], 0.0))
@@ -310,11 +281,11 @@ def initialize(models: Models, config: SolverConfig,
 
 
 def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarray:
-    """Potential for a given temperature field: one SPD solve on the stage's lagged factor."""
+    """Potential for a given temperature field: one direct SPD solve."""
     models = ws.models
     mesh, dofs = models.mesh, models.dofs
     matrix, load = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, models.fric, t)
-    phi_free = ws.electric_solver.solve(matrix, load, t)
+    _, phi_free = _direct_solve("electric", matrix, load, t, dofs.scalar.layout)
     res = float(np.linalg.norm(matrix @ phi_free - load))
     if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(load))):
         raise SolverError(f"electric solve at t={t:.6g}: residual {res:.3e} (matrix near-singular?)")
@@ -323,36 +294,40 @@ def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarra
     return out
 
 
-def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState,
-                           t_new: float) -> np.ndarray:
-    """Implicit Euler temperature update with delayed couplings.
+def solve_temperature_step(ws: Workspace, theta_old: np.ndarray, theta_del: np.ndarray,
+                           phi_del: np.ndarray, v_del: np.ndarray, t_new: float) -> np.ndarray:
+    """Implicit Euler temperature update from theta_old, with couplings at the delayed fields.
 
     The conductivity is frozen at the delayed temperature, the Joule, strain
-    and friction heat sources are evaluated from the delayed state, the heat
-    exchange follows F(x, t_new), and the only nonlinearity left is the
-    quartic gradient regularizer, handled by damped Newton with its exact
-    Jacobian.
+    and friction heat sources are evaluated from the delayed temperature,
+    potential and velocity, the heat exchange follows F(x, t_new), and the
+    only nonlinearity left is the quartic gradient regularizer, handled by
+    damped Newton with its exact Jacobian.
+
+    Only the regularizer's Jacobian moves between corrections, so the later
+    ones run CG (``_cg``) on the factor of the first; where CG reaches its
+    cap the stage refactors on the current Jacobian. No factor outlives the call.
     """
     models, cfg = ws.models, ws.config
     mesh, dofs, mat = models.mesh, models.dofs, models.mat
     free = dofs.scalar_free_nodes
     dt = cfg.dt
 
-    stiff = assemble_thermal_stiffness(mesh, dofs, mat, delayed.theta)
+    stiff = assemble_thermal_stiffness(mesh, dofs, mat, theta_del)
     robin = assemble_thermal_robin(mesh, dofs, models.bd, models.fric, t_new)
     if cfg.joule_mode == "direct":
-        joule = assemble_joule_load_direct(mesh, dofs, mat, models.bd, delayed.theta, delayed.phi)
+        joule = assemble_joule_load_direct(mesh, dofs, mat, models.bd, theta_del, phi_del)
     else:
         joule = assemble_joule_load_reformulated(mesh, dofs, mat, models.bd,
-                                                 delayed.theta, delayed.phi, models.fric, t_new)
+                                                 theta_del, phi_del, models.fric, t_new)
     sources = (joule
-               + assemble_velocity_heat(mesh, dofs, mat, delayed.v)
-               + assemble_frictional_heat(mesh, dofs, models.fric, delayed.v, t_new))
+               + assemble_velocity_heat(mesh, dofs, mat, v_del)
+               + assemble_frictional_heat(mesh, dofs, models.fric, v_del, t_new))
 
     rho_cp = mat.mass_thermal()
     pattern = dofs.scalar  # every matrix here is on it, so they add as data arrays
     base = pattern.csr((rho_cp / dt) * ws.mass_thermal.data + stiff.data + robin.data)
-    rhs = sources + (rho_cp / dt) * (ws.mass_thermal @ old.theta[free])
+    rhs = sources + (rho_cp / dt) * (ws.mass_thermal @ theta_old[free])
     c_reg = cfg.regularizer
     target = cfg.tol_temperature * (1.0 + float(np.linalg.norm(rhs)))
 
@@ -362,11 +337,20 @@ def solve_temperature_step(ws: Workspace, old: SystemState, delayed: SystemState
         pl_res, g = assemble_p_laplacian(mesh, dofs, full)
         return base @ theta_free + c_reg * pl_res - rhs, g
 
-    def correction(res, g):
-        jac = pattern.csr(base.data + c_reg * assemble_p_laplacian_jacobian(dofs, g).data)
-        return ws.temperature_solver.solve(jac, -res, t_new)
+    factor = None
 
-    theta, _, _ = damped_newton(residual, correction, old.theta[free], target,
+    def correction(res, g):
+        nonlocal factor
+        jac = pattern.csr(base.data + c_reg * assemble_p_laplacian_jacobian(dofs, g).data)
+        if factor is not None:
+            x = _cg(factor, jac, -res)
+            if x is not None:
+                return x
+            factor = None  # release the old factor before the new one is built
+        factor, x = _direct_solve("temperature", jac, -res, t_new, pattern.layout)
+        return x
+
+    theta, _, _ = damped_newton(residual, correction, theta_old[free], target,
                                 cfg.max_iter_temperature, "temperature", t_new)
     out = np.zeros(mesh.n_nodes)
     out[free] = theta
@@ -483,7 +467,7 @@ def advance_one(ws: Workspace, worker: _MomentumWorker | None = None) -> SystemS
 
     if worker is not None:
         worker.send(*job)
-    theta_new = solve_temperature_step(ws, old, delayed, t_new)
+    theta_new = solve_temperature_step(ws, old.theta, delayed.theta, delayed.phi, delayed.v, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
     if worker is not None:
         v_new, u_new, xi_new, info = worker.receive(t_new)

@@ -314,11 +314,20 @@ def restrict(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class DirectSolve:
-    """Stand-in for ``scheme.LaggedFactor`` that solves every system by a fresh
-    sparse direct factorization, as the scheme did before it reused factors."""
+    """Stand-in for ``scheme.factor_banded``: a factor whose solve is a fresh
+    sparse direct solve of the matrix it was built from, counted in ``solves``.
 
-    def solve(self, matrix, b, t):
-        return spsolve(matrix.tocsc(), b)
+    With ``scheme._cg`` made to give up at once, every scalar solve of a run
+    builds one and solves once, as the scheme did before it reused factors.
+    """
+
+    def __init__(self, matrix, layout=None):
+        self.matrix = matrix.tocsc()
+        self.solves = 0
+
+    def solve(self, b):
+        self.solves += 1
+        return spsolve(self.matrix, b)
 
 
 def assert_symmetric(matrix: sp.spmatrix, tol: float = 1e-12) -> None:

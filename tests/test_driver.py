@@ -307,6 +307,26 @@ class TestRejectedBeforeRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("failing, key, named", [
+        ("build_unit_square_mesh", "mesh.n = 100000", "mesh.n = 100000"),
+        ("build_dof_maps", "mesh.n = 100000", "mesh.n = 100000"),
+        ("load_mesh", "mesh.file = huge.mesh", "mesh file huge.mesh"),
+    ], ids=["square", "dof_maps", "file"])
+    def test_mesh_beyond_memory(self, tmp_path, capsys, monkeypatch, command, failing, key, named):
+        # the function fails as numpy does on an array it cannot allocate; no mesh here is that large
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+
+        monkeypatch.setattr(driver, failing, no_memory)
+        out = tmp_path / "out"
+        cfg = cfg_file(tmp_path, key + "\n", base=BASE.replace("mesh.n = 2\n", ""))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {named}: the mesh and its dof maps do not fit in memory\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_history_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         # 10**6 + 1 states of 1089 nodes need 69.7 GB, on a machine that reports 8 GiB:
         # check exits before A5 makes its 10**6 + 1 F_field calls (only check, since a

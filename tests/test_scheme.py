@@ -1,10 +1,12 @@
 """Time grid validation, delay semantics, staggered stepping, cascade."""
 
 import dataclasses
+import gc
 import os
 import select
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +37,6 @@ from thermocontact.mesh import BandLU, build_dof_maps, build_unit_square_mesh, f
 from thermocontact.scheme import (
     CG_MAX_ITER,
     ConfigError,
-    LaggedFactor,
     Models,
     SolverConfig,
     SystemState,
@@ -106,16 +107,17 @@ class TestDelayedLookup:
         solve = scheme.solve_temperature_step
         seen = []
 
-        def spy(ws, old, delayed, t_new):
-            seen.append((old, delayed))
-            return solve(ws, old, delayed, t_new)
+        def spy(ws, *fields):
+            seen.append(fields)
+            return solve(ws, *fields)
 
         monkeypatch.setattr(scheme, "solve_temperature_step", spy)
         advance(ws)
         assert len(seen) == ws.config.n_steps == 12
-        for n, (old, delayed) in enumerate(seen, start=1):
-            assert delayed is ws.states[max(n - k, 0)]
-            assert old is ws.states[n - 1]
+        for n, (theta_old, theta_del, phi_del, v_del, t_new) in enumerate(seen, start=1):
+            delayed = ws.states[max(n - k, 0)]
+            assert theta_del is delayed.theta and phi_del is delayed.phi and v_del is delayed.v
+            assert theta_old is ws.states[n - 1].theta and t_new == ws.states[n].t
 
 
 class TestDelayInequality:
@@ -221,7 +223,7 @@ class TestTimeDependentExchange:
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = np.random.default_rng(5).normal(size=free.size)
         t = 0.7
-        got = solve_temperature_step(ws, dataclasses.replace(s0, theta=theta_old), s0, t)
+        got = solve_temperature_step(ws, theta_old, s0.theta, s0.phi, s0.v, t)
 
         # v0 = 0, so the strain and friction heat sources vanish
         rate = mat.mass_thermal() / ws.config.dt
@@ -242,7 +244,7 @@ class TestTemperatureStep:
     def test_zero_sources_zero_fixed_point(self):
         ws = self.make_ws(quiet_models(2))
         s0 = ws.states[0]
-        theta = solve_temperature_step(ws, s0, s0, ws.config.dt)
+        theta = solve_temperature_step(ws, s0.theta, s0.theta, s0.phi, s0.v, ws.config.dt)
         assert np.abs(theta).max() == 0.0
 
     def test_linear_oracle_without_regularizer(self):
@@ -254,8 +256,7 @@ class TestTemperatureStep:
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = rng.normal(size=free.size)
         s0 = ws.states[0]
-        old = dataclasses.replace(s0, theta=theta_old)
-        got = solve_temperature_step(ws, old, s0, ws.config.dt)
+        got = solve_temperature_step(ws, theta_old, s0.theta, s0.phi, s0.v, ws.config.dt)
 
         dt = ws.config.dt
         mass = assemble_scalar_mass(mesh, dofs)
@@ -278,17 +279,16 @@ class TestTemperatureStep:
         free = dofs.scalar_free_nodes
         s0 = ws.states[0]
 
-        state = s0
+        theta = s0.theta
         dt = ws.config.dt
         for n in range(int(round(50.0 / dt))):
-            theta = solve_temperature_step(ws, state, s0, (n + 1) * dt)
-            state = dataclasses.replace(state, theta=theta, t=(n + 1) * dt)
+            theta = solve_temperature_step(ws, theta, s0.theta, s0.phi, s0.v, (n + 1) * dt)
 
         stiff = restrict_scalar(dofs, scalar_stiffness_unit_full(mesh))
 
         basis_integrals = np.asarray(scalar_mass_full(mesh).sum(axis=1)).ravel()
         target = scipy.sparse.linalg.spsolve(stiff, q0 * basis_integrals[free])
-        gap = np.linalg.norm(state.theta[free] - target) / np.linalg.norm(target)
+        gap = np.linalg.norm(theta[free] - target) / np.linalg.norm(target)
         assert gap <= 1e-6
 
     def test_regularizer_pulls_gradient_down(self):
@@ -300,15 +300,14 @@ class TestTemperatureStep:
         theta_old = np.zeros(mesh.n_nodes)
         theta_old[free] = 5.0 * np.sin(np.arange(free.size))
         s0 = ws_on.states[0]
-        old = dataclasses.replace(s0, theta=theta_old)
         from thermocontact.assembly import u_norm4
 
-        t_on = solve_temperature_step(ws_on, old, s0, ws_on.config.dt)
-        t_off = solve_temperature_step(ws_off, old, s0, ws_off.config.dt)
+        t_on = solve_temperature_step(ws_on, theta_old, s0.theta, s0.phi, s0.v, ws_on.config.dt)
+        t_off = solve_temperature_step(ws_off, theta_old, s0.theta, s0.phi, s0.v, ws_off.config.dt)
         assert u_norm4(mesh, t_on) < u_norm4(mesh, t_off)
 
     def test_one_jacobian_per_newton_correction(self, monkeypatch):
-        counts = {"residual": 0, "jacobian": 0, "solve": 0}
+        counts = {"residual": 0, "jacobian": 0}
 
         def counted(fn, name):
             def wrapper(*args):
@@ -322,12 +321,11 @@ class TestTemperatureStep:
                             counted(scheme.assemble_p_laplacian_jacobian, "jacobian"))
         ws = initialize(default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"}),
                         SolverConfig(T=0.1, h=0.025, dt=0.0125))
-        monkeypatch.setattr(ws.temperature_solver, "solve",
-                            counted(ws.temperature_solver.solve, "solve"))
+        work = ScalarWork(monkeypatch)
         advance(ws)
-        assert counts["solve"] > 0
-        assert counts["jacobian"] == counts["solve"]
-        assert counts["residual"] > counts["solve"]
+        assert work.corrections() > 0
+        assert counts["jacobian"] == work.corrections()
+        assert counts["residual"] > work.corrections()
 
     def test_non_finite_residual_raises(self):
         # a NaN residual must not pass for convergence at the initial guess
@@ -337,74 +335,196 @@ class TestTemperatureStep:
         ws = self.make_ws(models)
         s0 = ws.states[0]
         with pytest.raises(SolverError, match=r"temperature step at t=0\.01: non-finite residual nan"):
-            solve_temperature_step(ws, s0, s0, ws.config.dt)
+            solve_temperature_step(ws, s0.theta, s0.theta, s0.phi, s0.v, ws.config.dt)
+
+
+class ScalarWork:
+    """The factorizations, CG calls and factor solves of each scalar stage of a run.
+
+    ``install`` wraps ``scheme.factor_banded`` (a binding separate from
+    ``friction.factor_banded``, which the momentum stage calls) to note the
+    type of each factor and return it behind a proxy that counts its solves,
+    ``scheme._cg`` to count its calls and those that reach the cap, and
+    ``scheme.solve_electric`` to tell the electric stage from the
+    temperature stage. A direct solve makes one factor solve and a CG call
+    one more than its iterations.
+    """
+
+    def __init__(self, monkeypatch):
+        self.stage = "temperature"
+        self.counts = {stage: {"factors": [], "cg_calls": 0, "capped": 0, "solves": 0}
+                       for stage in ("temperature", "electric")}
+        factor_banded, cg, solve_electric = scheme.factor_banded, scheme._cg, scheme.solve_electric
+
+        def factored(matrix, layout=None):
+            factor = factor_banded(matrix, layout)
+            counts = self.counts[self.stage]
+            counts["factors"].append(type(factor))
+            return CountedSolves(factor, counts)
+
+        def counted_cg(factor, matrix, b):
+            counts = self.counts[self.stage]
+            x = cg(factor, matrix, b)
+            counts["cg_calls"] += 1
+            counts["capped"] += x is None
+            return x
+
+        def electric(*args, **kwargs):
+            self.stage = "electric"
+            try:
+                return solve_electric(*args, **kwargs)
+            finally:
+                self.stage = "temperature"
+
+        monkeypatch.setattr(scheme, "factor_banded", factored)
+        monkeypatch.setattr(scheme, "_cg", counted_cg)
+        monkeypatch.setattr(scheme, "solve_electric", electric)
+
+    def factorizations(self, stage):
+        return len(self.counts[stage]["factors"])
+
+    def cg_iterations(self, stage):
+        counts = self.counts[stage]
+        return counts["solves"] - len(counts["factors"]) - counts["cg_calls"]
+
+    def corrections(self):
+        """Temperature Newton corrections: each factors, runs CG, or runs CG to the cap and factors."""
+        counts = self.counts["temperature"]
+        return len(counts["factors"]) + counts["cg_calls"] - counts["capped"]
+
+
+class CountedSolves:
+    """A factor whose solves are counted in counts["solves"]."""
+
+    def __init__(self, factor, counts):
+        self.factor, self.counts = factor, counts
+
+    def solve(self, b):
+        self.counts["solves"] += 1
+        return self.factor.solve(b)
 
 
 class TestLaggedFactor:
+    """The factor of a temperature step's first Newton correction preconditions its later ones.
+
+    Each scalar stage call factors on the scalar pattern's layout
+    (``scheme._direct_solve``), runs CG on that factor for the later
+    corrections of a step (``scheme._cg``), refactors where CG reaches its
+    cap, and keeps no factor once it returns.
+    """
+
     @staticmethod
     def electric(models, theta, t=0.0):
         return assemble_electric_system(models.mesh, models.dofs, models.mat, models.bd,
                                         theta, models.fric, t)
 
+    @staticmethod
+    def first_step():
+        """A Workspace at t=0 and the arguments of its first temperature step.
+
+        That step makes several Newton corrections.
+        """
+        models, cfg, theta0 = contact_run_inputs()
+        ws = initialize(models, cfg, theta0=theta0)
+        s0 = ws.states[0]
+        return ws, (s0.theta, s0.theta, s0.phi, s0.v, ws.config.dt)
+
     def test_stale_factor_gives_direct_solution(self):
-        # a second solve at the grid time of the factor runs CG on it
+        # a later solve of a stage call runs CG on the factor of its first
         models = default_models(8)
         x0, x1 = models.mesh.nodes.T
         theta = np.zeros(models.mesh.n_nodes)
         theta[models.dofs.scalar_free_nodes] = 0.05
         theta *= np.sin(np.pi * x0) * (1.0 + x1)
-        solver = LaggedFactor("electric")
-        solver.solve(*self.electric(models, np.zeros_like(theta)), 0.1)
+        layout = models.dofs.scalar.layout
+        counts = {"solves": 0}
+        matrix, load = self.electric(models, np.zeros_like(theta))
+        factor, _ = scheme._direct_solve("electric", matrix, load, 0.1, layout)
         matrix, load = self.electric(models, theta)
-        x = solver.solve(matrix, load, 0.1)
-        assert solver.factorizations == 1 and solver.cg_iterations > 0
+        x = scheme._cg(CountedSolves(factor, counts), matrix, load)
+        assert x is not None and counts["solves"] > 1  # at least one CG iteration
         direct = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
         assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
         assert np.linalg.norm(matrix @ x - load) <= 1e-12 * (1.0 + np.linalg.norm(load))
 
-    def test_cap_triggers_refactorization(self):
+    def test_cap_triggers_refactorization(self, monkeypatch):
         # a mass-matrix factor preconditions the stiffness-dominated electric
         # matrix too poorly for CG to converge within the cap
         models = default_models(16)
-        solver = LaggedFactor("electric")
-        solver.solve(assemble_scalar_mass(models.mesh, models.dofs),
-                     np.ones(models.dofs.scalar_free_nodes.size), 0.1)
+        layout = models.dofs.scalar.layout
+        mass_factor, _ = scheme._direct_solve("electric", assemble_scalar_mass(models.mesh, models.dofs),
+                                              np.ones(models.dofs.scalar_free_nodes.size), 0.1, layout)
+        counts = {"solves": 0}
         matrix, load = self.electric(models, np.zeros(models.mesh.n_nodes))
-        x = solver.solve(matrix, load, 0.1)
-        assert solver.factorizations == 2 and solver.cg_iterations == CG_MAX_ITER
-        direct = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
-        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
+        assert scheme._cg(CountedSolves(mass_factor, counts), matrix, load) is None
+        assert counts["solves"] == 1 + CG_MAX_ITER
 
-    def test_new_grid_time_refactors_without_cg(self):
-        # the held factor is of this very matrix, but of another grid time
-        models = default_models(8)
-        solver = LaggedFactor("electric")
-        matrix, load = self.electric(models, np.zeros(models.mesh.n_nodes))
-        solver.solve(matrix, load, 0.0)
-        held = solver.factor
-        x = solver.solve(matrix, load, 0.1)
-        assert solver.factorizations == 2 and solver.cg_iterations == 0
-        assert solver.factor is not held and solver.factored_at == 0.1
-        assert np.array_equal(x, held.solve(load))
+        # where CG reaches the cap, the stage refactors on the Jacobian CG was given
+        ws, fields = self.first_step()
+        reference = solve_temperature_step(ws, *fields)
+        factor_banded, cg = scheme.factor_banded, scheme._cg
+        factored, capped = [], []
+
+        def counted(matrix, layout=None):
+            factored.append(matrix)
+            return factor_banded(matrix, layout)
+
+        def at_cap(factor, matrix, b):
+            cg(factor, matrix, b)
+            capped.append(matrix)
+            return None
+
+        monkeypatch.setattr(scheme, "factor_banded", counted)
+        monkeypatch.setattr(scheme, "_cg", at_cap)
+        theta = solve_temperature_step(ws, *fields)
+        assert len(capped) > 0 and len(factored) == len(capped) + 1
+        assert all(a is b for a, b in zip(factored[1:], capped))
+        assert np.abs(theta - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_new_grid_time_refactors_without_cg(self, monkeypatch):
+        # each call factors at its first correction, even a call with the
+        # inputs and time of the one before, and runs CG at the later ones
+        ws, fields = self.first_step()
+        factor_banded, cg = scheme.factor_banded, scheme._cg
+        calls = []
+
+        def counted(matrix, layout=None):
+            calls[-1].append("factor")
+            return factor_banded(matrix, layout)
+
+        def counted_cg(factor, matrix, b):
+            calls[-1].append("cg")
+            return cg(factor, matrix, b)
+
+        monkeypatch.setattr(scheme, "factor_banded", counted)
+        monkeypatch.setattr(scheme, "_cg", counted_cg)
+        thetas = []
+        for _ in range(2):
+            calls.append([])
+            thetas.append(solve_temperature_step(ws, *fields))
+        assert calls[0] == calls[1] and calls[0][0] == "factor" and "cg" in calls[0]
+        assert np.array_equal(thetas[0], thetas[1])
 
     def test_singular_matrix_names_stage_and_time(self):
         models = default_models(2)
         matrix = assemble_scalar_mass(models.mesh, models.dofs) * 0.0
         with pytest.raises(SolverError, match=r"temperature solve at t=0\.25: .*singular"):
-            LaggedFactor("temperature").solve(matrix, np.ones(matrix.shape[0]), 0.25)
+            scheme._direct_solve("temperature", matrix, np.ones(matrix.shape[0]), 0.25,
+                                 models.dofs.scalar.layout)
 
     @pytest.mark.parametrize("lagged", [False, True])
     def test_nan_matrix_entry_names_stage_and_time(self, lagged):
-        # with a factor held from the same time, CG cannot meet its bound and the stage refactors
+        # with a factor of an earlier correction, CG cannot meet its bound and the stage refactors
         models = default_models(4)
+        layout = models.dofs.scalar.layout
         mass = assemble_scalar_mass(models.mesh, models.dofs)
-        solver = LaggedFactor("electric")
-        if lagged:
-            solver.solve(mass, np.ones(mass.shape[0]), 0.25)
         matrix = mass.copy()
         matrix[3, 3] = np.nan
+        if lagged:
+            factor, _ = scheme._direct_solve("electric", mass, np.ones(mass.shape[0]), 0.25, layout)
+            assert scheme._cg(factor, matrix, np.ones(mass.shape[0])) is None
         with pytest.raises(SolverError, match=r"electric solve at t=0\.25: singular"):
-            solver.solve(matrix, np.ones(mass.shape[0]), 0.25)
+            scheme._direct_solve("electric", matrix, np.ones(mass.shape[0]), 0.25, layout)
 
     def test_nan_load_names_stage_and_time(self):
         models = default_models(4)
@@ -412,7 +532,26 @@ class TestLaggedFactor:
         load = np.ones(matrix.shape[0])
         load[3] = np.nan
         with pytest.raises(SolverError, match=r"temperature solve at t=0\.25: non-finite solution"):
-            LaggedFactor("temperature").solve(matrix, load, 0.25)
+            scheme._direct_solve("temperature", matrix, load, 0.25, models.dofs.scalar.layout)
+
+    def test_no_factor_outlives_its_stage_call(self, monkeypatch):
+        # the states are all that a step leaves for the next
+        factors = []
+        factor_banded = scheme.factor_banded
+
+        def kept(matrix, layout=None):
+            factor = factor_banded(matrix, layout)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(scheme, "factor_banded", kept)
+        models, cfg, theta0 = contact_run_inputs()
+        ws = initialize(models, cfg, theta0=theta0)
+        for _ in range(3):
+            advance_one(ws)
+        gc.collect()
+        assert len(factors) >= 7  # the potential at t=0, then at least two per step
+        assert [ref() for ref in factors] == [None] * len(factors)
 
     def test_run_matches_direct_oracle(self, monkeypatch):
         # the momentum stage may run in a worker process, so its Newton
@@ -425,21 +564,30 @@ class TestLaggedFactor:
             counts.append(out[2]["iterations"])
             return out
 
+        stand_ins = []
+
+        def direct(matrix, layout=None):
+            stand_ins.append(DirectSolve(matrix, layout))
+            return stand_ins[-1]
+
         monkeypatch.setattr(scheme, "damped_newton", counted)
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         models = default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
         runs = []
-        for direct in (False, True):
+        for oracle_run in (False, True):
+            if oracle_run:  # every scalar solve, from initialize on, is a fresh direct solve
+                monkeypatch.setattr(scheme, "factor_banded", direct)
+                monkeypatch.setattr(scheme, "_cg", lambda factor, matrix, b: None)
             counts.clear()
             ws = initialize(models, cfg)
-            if direct:  # the solve in initialize factors its own matrix, so it is direct
-                ws.temperature_solver = ws.electric_solver = DirectSolve()
             states = advance(ws)
             runs.append((states, list(counts), [info["iterations"] for info in ws.momentum_info]))
         (lagged, lagged_t, lagged_m), (oracle, oracle_t, oracle_m) = runs
         assert lagged_t == oracle_t and lagged_m == oracle_m
         assert len(lagged_t) == len(lagged_m) == cfg.n_steps and len(lagged) == cfg.n_steps + 1
         assert sum(lagged_m) > 0
+        # one stand-in per temperature Newton correction and per potential, each solved once
+        assert [f.solves for f in stand_ins] == [1] * (sum(oracle_t) + cfg.n_steps + 1)
         for a, b in zip(lagged, oracle):
             for name in ("theta", "phi", "u", "v", "xi"):
                 fa, fb = getattr(a, name), getattr(b, name)
@@ -456,16 +604,17 @@ class TestLaggedFactor:
             return band_layout(*args)
 
         monkeypatch.setattr(mesh_module, "band_layout", counted)
+        work = ScalarWork(monkeypatch)
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         ws = initialize(models, cfg)
         advance(ws)
-        assert ws.temperature_solver.factorizations > 0
-        assert ws.electric_solver.factorizations == cfg.n_steps + 1
+        assert work.factorizations("temperature") > 0
+        assert work.factorizations("electric") == cfg.n_steps + 1
         assert built == []
         factor_banded(ws.momentum.base)  # a matrix given without its layout gets one built
         assert len(built) == 1
 
-    def test_fine_mesh_run_keeps_its_factors(self):
+    def test_fine_mesh_run_keeps_its_factors(self, monkeypatch):
         # at n = 48 a direct solve leaves |b - A x| above 1e-14 |b|, so a stop
         # on that bound never met it and refactored at nearly every solve: the
         # temperature stage factors once per step, and at most three times more
@@ -476,14 +625,15 @@ class TestLaggedFactor:
         theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.02 * np.cos(np.pi * x1))
         theta0[models.dofs.dirichlet_nodes] = 0.0
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        work = ScalarWork(monkeypatch)
         ws = initialize(models, cfg, theta0=theta0)
         advance(ws)
-        assert ws.electric_solver.factorizations == cfg.n_steps + 1
-        assert ws.electric_solver.cg_iterations == 0
-        assert cfg.n_steps <= ws.temperature_solver.factorizations <= cfg.n_steps + 3
-        assert ws.temperature_solver.cg_iterations > 0
+        assert work.factorizations("electric") == cfg.n_steps + 1
+        assert work.counts["electric"]["cg_calls"] == 0
+        assert cfg.n_steps <= work.factorizations("temperature") <= cfg.n_steps + 3
+        assert work.cg_iterations("temperature") > 0
 
-    def test_nonsymmetric_conductivity_run_keeps_its_factors(self):
+    def test_nonsymmetric_conductivity_run_keeps_its_factors(self, monkeypatch):
         # k != k^T makes the temperature Jacobian nonsymmetric; a Cholesky
         # factor of its lower triangle alone refactored 200 times in this run,
         # where banded LU factors once per step and at most five times more
@@ -495,11 +645,12 @@ class TestLaggedFactor:
         theta0 = 0.75 * np.sin(np.pi * x0) * (1.0 + 0.3 * x1)
         theta0[models.dofs.dirichlet_nodes] = 0.0
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
+        work = ScalarWork(monkeypatch)
         ws = initialize(models, cfg, theta0=theta0)
         advance(ws)
-        assert isinstance(ws.temperature_solver.factor, BandLU)
-        assert ws.temperature_solver.factorizations <= cfg.n_steps + 5
-        assert ws.temperature_solver.cg_iterations > 0
+        assert set(work.counts["temperature"]["factors"]) == {BandLU}
+        assert work.factorizations("temperature") <= cfg.n_steps + 5
+        assert work.cg_iterations("temperature") > 0
 
 
 class TestAdvance:
@@ -681,7 +832,7 @@ class TestMomentumStage:
         for n in range(1, cfg.n_steps + 1):
             t = n * cfg.dt
             old, delayed = ws.states[-1], ws.states[max(n - cfg.delay_steps, 0)]
-            theta = solve_temperature_step(ws, old, delayed, t)
+            theta = solve_temperature_step(ws, old.theta, delayed.theta, delayed.phi, delayed.v, t)
             phi = solve_electric(ws, theta, t)
             v, u, xi, _ = friction.solve_momentum_step(ws, old.u, old.v, delayed.theta, t)
             ws.states.append(SystemState(t=t, u=u, v=v, theta=theta, phi=phi, xi=xi))
@@ -810,11 +961,11 @@ class TestMomentumWorker:
         ws = initialize(models, cfg, theta0=theta0)
         solve, failed = scheme.solve_temperature_step, []
 
-        def fail_once_at_step_2(ws, old, delayed, t_new):
+        def fail_once_at_step_2(ws, *fields):
             if len(ws.states) == 2 and not failed:
-                failed.append(t_new)
+                failed.append(fields[-1])
                 raise SolverError("injected")
-            return solve(ws, old, delayed, t_new)
+            return solve(ws, *fields)
 
         monkeypatch.setattr(scheme, "solve_temperature_step", fail_once_at_step_2)
         with pytest.raises(SolverError, match="injected"):
