@@ -16,14 +16,18 @@ must vanish as the delay is refined, which the cascade report measures.
 The states are all that carries from one step to the next: each scalar
 stage call factors its own matrices and drops the factors when it returns.
 
-The delay also makes the momentum stage independent of the other two
-within a step: it reads the old displacement and velocity and the delayed
-temperature, and the temperature stage reads the velocity only at the
-delayed state. So where ``os.fork`` exists, ``advance`` forks one worker
-process for its loop, which solves the momentum stage of each step while
-the parent solves temperature and potential. The states are the same, bit
-for bit, as when the three run one after the other, which is how
-``advance_one`` runs them when it is given no worker.
+The delay also decouples the stages across steps. With d = delay_steps,
+temperature step n reads the temperature of step n - 1 and the state of
+step n - d; the potential of step n reads only the temperature of step n;
+and momentum step n reads the displacement and velocity of step n - 1 and
+the temperature of step n - d. So nothing reads the potential or velocity
+of step n before temperature step n + d. Where ``os.fork`` exists,
+``advance`` forks one worker process for its loop: the parent solves every
+temperature step and sends each temperature to the worker, which solves
+the potential of that step and the momentum step it unlocks, and the
+parent waits only for the delayed state. The states and the error raised
+are the same, bit for bit, as when the three stages run one after the
+other, which is how ``advance_one`` runs them when it is given no worker.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import dataclasses
 import os
 import pickle
 import signal
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,6 +86,9 @@ CG_RTOL = 1e-14
 # does not bound memory: a run keeps every state, 7.7 kB a step at n=8 and
 # 97.7 kB at n=32, which check_history_fits weighs against physical memory.
 MAX_STEPS = 10**6
+
+# Bytes the worker's reply pipe asks to hold (see _StageWorker)
+REPLY_PIPE_BYTES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -358,35 +366,93 @@ def solve_temperature_step(ws: Workspace, theta_old: np.ndarray, theta_del: np.n
 
 
 def _serve(ws: Workspace, inbox, outbox) -> None:
-    """Body of a momentum worker: one stage per request, until it is killed.
+    """Body of a stage worker: the potential and momentum stages of the steps left in ws.
 
-    A request is (u, v, theta, t_new); the reply is the stage's result or
-    the exception it raised. If the parent exits without killing it,
-    ``pickle.load`` raises EOFError, which ends the worker.
+    It solves at once the momentum steps whose delayed temperature is in
+    ``ws.states``; then, for each temperature the parent sends, the potential
+    of its step and the momentum step that the temperature unlocks, d steps
+    on. Each reply is ("electric" or "momentum", step, result or the
+    exception the stage raised), sent as soon as it is solved. After a
+    momentum error the chain stops, since no later step has its old
+    velocity. A thread moves the requests into a queue, so the parent's
+    writes never wait for a stage here, whatever this process's own writes
+    wait for. If the parent exits without killing the worker, the thread
+    meets the end of the request pipe, which ends the worker.
     """
-    while True:
-        job = pickle.load(inbox)
+    import queue  # here, not at the top: the parent would pay 0.1 MB of peak RSS for it
+
+    requests = queue.SimpleQueue()
+
+    def read():
         try:
-            reply = solve_momentum_step(ws, *job)
-        except Exception as exc:  # sent back and raised by the parent
-            reply = exc
-        pickle.dump(reply, outbox, pickle.HIGHEST_PROTOCOL)
+            while True:
+                requests.put(pickle.load(inbox))
+        except (EOFError, OSError, pickle.UnpicklingError):
+            requests.put(None)
+
+    threading.Thread(target=read, daemon=True).start()
+    dt, d = ws.config.dt, ws.config.delay_steps
+    first, last = len(ws.states), ws.config.n_steps
+    old = ws.states[-1]
+    u, v, chain_broken = old.u, old.v, False
+
+    def reply(kind, step, result):
+        pickle.dump((kind, step, result), outbox, pickle.HIGHEST_PROTOCOL)
         outbox.flush()
 
+    def momentum(step, theta_del):
+        nonlocal u, v, chain_broken
+        if chain_broken or step > last:
+            return
+        try:
+            result = solve_momentum_step(ws, u, v, theta_del, step * dt)
+            v, u = result[0], result[1]
+        except Exception as exc:  # sent back and raised by the parent
+            result, chain_broken = exc, True
+        reply("momentum", step, result)
 
-class _MomentumWorker:
-    """A forked copy of this process that runs the momentum stage of one Workspace.
+    for step in range(first, first + d):
+        momentum(step, ws.states[max(step - d, 0)].theta)
+    for step in range(first, last + 1):
+        theta = requests.get()
+        if theta is None:
+            return
+        try:
+            phi = solve_electric(ws, theta, step * dt)
+        except Exception as exc:
+            phi = exc
+        reply("electric", step, phi)
+        momentum(step + d, theta)
+
+
+class _StageWorker:
+    """A forked copy of this process that runs the potential and momentum stages of one Workspace.
 
     The child inherits the Workspace as it was at the fork, with its
     models, callables, config and :class:`MomentumStep`, factor included,
-    so only the arrays the stage reads and its results cross the two
-    pipes. ``advance`` forks one for its loop and stops it when the loop
-    returns or raises.
+    so only the temperatures and the stages' results cross the two pipes.
+    ``advance`` forks one for its loop and stops it when the loop returns or
+    raises. This side keeps what is solved of the steps past
+    ``ws.states[-1]``, keyed by step, and moves a step into ``ws.states``
+    once its temperature, potential and momentum are all in.
     """
 
     def __init__(self, ws: Workspace):
+        self.theta: dict[int, np.ndarray] = {}
+        self.phi: dict[int, object] = {}
+        self.momentum: dict[int, object] = {}
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
+        # A pipe holds 64 kB by default, and one momentum reply at n=64 is
+        # 203 kB, so the worker would wait at each one until the parent's
+        # next call. Where Linux lets a pipe grow (to 1 MB for any user by
+        # default), the replies of several steps fit. Every system with
+        # os.fork has fcntl.
+        import fcntl
+        try:
+            fcntl.fcntl(rep_w, fcntl.F_SETPIPE_SZ, REPLY_PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass
         # From Python 3.12 fork warns when the process has other threads, as
         # OpenBLAS's pool threads are. That fork is safe here: OpenBLAS stops
         # its pool before a fork (pthread_atfork) and starts a new one at its
@@ -416,21 +482,43 @@ class _MomentumWorker:
         self.requests = os.fdopen(req_w, "wb")
         self.replies = os.fdopen(rep_r, "rb")
 
-    def send(self, u, v, theta, t_new: float) -> None:
+    def send(self, step: int, theta: np.ndarray) -> None:
+        self.theta[step] = theta
         try:
-            pickle.dump((u, v, theta, t_new), self.requests, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(theta, self.requests, pickle.HIGHEST_PROTOCOL)
             self.requests.flush()
-        except BrokenPipeError:  # the worker has exited; receive reports it
+        except BrokenPipeError:  # the worker has exited; complete reports it
             pass
 
-    def receive(self, t_new: float):
-        try:
-            reply = pickle.load(self.replies)
-        except (EOFError, pickle.UnpicklingError):
-            raise SolverError(f"momentum step at t={t_new:.6g}: the worker process exited") from None
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+    def complete(self, ws: Workspace, step: int) -> SystemState:
+        """Receive replies until ``ws.states`` holds state step, and return it.
+
+        The states complete in order, so the first error met is the error of
+        the earliest step, and within a step a potential error comes before
+        a momentum one; a momentum error waits for the potential of its step.
+        """
+        dt = ws.config.dt
+        while len(ws.states) <= step:
+            n = len(ws.states)
+            phi = self.phi.get(n)
+            if isinstance(phi, Exception):
+                raise phi
+            if phi is not None and n in self.momentum:
+                result = self.momentum.pop(n)
+                if isinstance(result, Exception):
+                    raise result
+                v, u, xi, info = result
+                ws.momentum_info.append(info)
+                ws.states.append(SystemState(t=n * dt, u=u, v=v, theta=self.theta.pop(n),
+                                             phi=self.phi.pop(n), xi=xi))
+                continue
+            try:
+                kind, k, result = pickle.load(self.replies)
+            except (EOFError, pickle.UnpicklingError):
+                stage = "electric" if phi is None else "momentum"
+                raise SolverError(f"{stage} step at t={n * dt:.6g}: the worker process exited") from None
+            (self.phi if kind == "electric" else self.momentum)[k] = result
+        return ws.states[step]
 
     def stop(self) -> None:
         """Kill the worker, wait for it and close both pipes.
@@ -451,29 +539,40 @@ class _MomentumWorker:
                 pass
 
 
-def advance_one(ws: Workspace, worker: _MomentumWorker | None = None) -> SystemState:
-    """One grid step: temperature, then potential, with the velocity solved alongside.
+def advance_one(ws: Workspace, worker: _StageWorker | None = None) -> SystemState:
+    """One grid step; returns the newest complete state.
 
-    With a worker the momentum stage runs there while this process solves
-    the other two; without one the three run in turn. Errors keep the
-    order of the stages: a temperature or electric error is raised before
-    a momentum one.
+    Without a worker the step solves temperature, then potential, then
+    momentum, and appends its state. With one it waits only for the delayed
+    state, solves the temperature and sends it to the worker, which solves
+    the potential and momentum; the state completes when their results come
+    back, at the latest in the call of the last step, which waits for all of
+    them. Either way the error raised is the one the serial order meets
+    first, and ``ws.states`` keeps the states completed before it.
     """
-    n_new = len(ws.states)
-    t_new = n_new * ws.config.dt
-    old = ws.states[-1]
-    delayed = ws.states[max(n_new - ws.config.delay_steps, 0)]
-    job = (old.u, old.v, delayed.theta, t_new)
-
+    dt, d = ws.config.dt, ws.config.delay_steps
     if worker is not None:
-        worker.send(*job)
+        n_new = len(ws.states) + len(worker.theta)
+        delayed = worker.complete(ws, max(n_new - d, 0))
+        theta_old = worker.theta.get(n_new - 1, ws.states[-1].theta)
+        try:
+            theta_new = solve_temperature_step(ws, theta_old, delayed.theta, delayed.phi, delayed.v,
+                                               n_new * dt)
+        except Exception:
+            worker.complete(ws, n_new - 1)  # an error of an earlier step comes first
+            raise
+        worker.send(n_new, theta_new)
+        if n_new == ws.config.n_steps:
+            worker.complete(ws, n_new)
+        return ws.states[-1]
+
+    n_new = len(ws.states)
+    t_new = n_new * dt
+    old = ws.states[-1]
+    delayed = ws.states[max(n_new - d, 0)]
     theta_new = solve_temperature_step(ws, old.theta, delayed.theta, delayed.phi, delayed.v, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
-    if worker is not None:
-        v_new, u_new, xi_new, info = worker.receive(t_new)
-    else:
-        v_new, u_new, xi_new, info = solve_momentum_step(ws, *job)
-
+    v_new, u_new, xi_new, info = solve_momentum_step(ws, old.u, old.v, delayed.theta, t_new)
     ws.momentum_info.append(info)
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
     ws.states.append(state)
@@ -483,14 +582,14 @@ def advance_one(ws: Workspace, worker: _MomentumWorker | None = None) -> SystemS
 def advance(ws: Workspace) -> list[SystemState]:
     """Run the staggered loop to the horizon; returns the full trajectory.
 
-    Where ``os.fork`` exists and steps remain, the loop forks one momentum
-    worker and stops it when it returns or raises.
+    It makes one ``advance_one`` call per step left. Where ``os.fork``
+    exists and steps remain, it forks one stage worker before the first
+    call and stops it when the loop returns or raises.
     """
-    worker = None
-    if hasattr(os, "fork") and len(ws.states) - 1 < ws.config.n_steps:
-        worker = _MomentumWorker(ws)
+    remaining = ws.config.n_steps - (len(ws.states) - 1)
+    worker = _StageWorker(ws) if hasattr(os, "fork") and remaining > 0 else None
     try:
-        while len(ws.states) - 1 < ws.config.n_steps:
+        for _ in range(remaining):
             advance_one(ws, worker)
     finally:
         if worker is not None:

@@ -554,8 +554,10 @@ class TestLaggedFactor:
         assert [ref() for ref in factors] == [None] * len(factors)
 
     def test_run_matches_direct_oracle(self, monkeypatch):
-        # the momentum stage may run in a worker process, so its Newton
-        # counts are read from the Workspace, not from a patched damped_newton
+        # the momentum Newton counts are read from the Workspace, not from a
+        # patched damped_newton; the stage work is counted on the serial loop,
+        # since advance solves the potential and momentum in a worker process,
+        # and advance is held to the serial loop's states
         newton = scheme.damped_newton
         counts = []
 
@@ -573,6 +575,7 @@ class TestLaggedFactor:
         monkeypatch.setattr(scheme, "damped_newton", counted)
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         models = default_models(8, overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        advanced = advance(initialize(models, cfg))
         runs = []
         for oracle_run in (False, True):
             if oracle_run:  # every scalar solve, from initialize on, is a fresh direct solve
@@ -580,7 +583,7 @@ class TestLaggedFactor:
                 monkeypatch.setattr(scheme, "_cg", lambda factor, matrix, b: None)
             counts.clear()
             ws = initialize(models, cfg)
-            states = advance(ws)
+            states = step_serially(ws)
             runs.append((states, list(counts), [info["iterations"] for info in ws.momentum_info]))
         (lagged, lagged_t, lagged_m), (oracle, oracle_t, oracle_m) = runs
         assert lagged_t == oracle_t and lagged_m == oracle_m
@@ -592,6 +595,7 @@ class TestLaggedFactor:
             for name in ("theta", "phi", "u", "v", "xi"):
                 fa, fb = getattr(a, name), getattr(b, name)
                 assert np.abs(fa - fb).max() <= 1e-12 * (1.0 + np.abs(fb).max()), name
+        assert_same_states(advanced, lagged)
 
     def test_run_builds_no_layout_per_factorization(self, monkeypatch):
         # every factor of a run reads the band layout its pattern built with the dof maps
@@ -607,9 +611,11 @@ class TestLaggedFactor:
         work = ScalarWork(monkeypatch)
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         ws = initialize(models, cfg)
-        advance(ws)
+        step_serially(ws)
         assert work.factorizations("temperature") > 0
         assert work.factorizations("electric") == cfg.n_steps + 1
+        # advance factors the potential in a worker, whose layouts this process cannot see
+        assert_same_states(advance(initialize(models, cfg)), ws.states)
         assert built == []
         factor_banded(ws.momentum.base)  # a matrix given without its layout gets one built
         assert len(built) == 1
@@ -618,7 +624,8 @@ class TestLaggedFactor:
         # at n = 48 a direct solve leaves |b - A x| above 1e-14 |b|, so a stop
         # on that bound never met it and refactored at nearly every solve: the
         # temperature stage factors once per step, and at most three times more
-        # where CG reaches its cap, the potential once per grid time
+        # where CG reaches its cap, the potential once per grid time; counted
+        # on the serial loop, whose states advance must give too
         models = default_models(48, tags={"left": "D", "right": "D", "bottom": "C", "top": "C"},
                                 overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
         x0, x1 = models.mesh.nodes.T
@@ -627,11 +634,12 @@ class TestLaggedFactor:
         cfg = SolverConfig(T=0.5, h=0.05, dt=0.0125)
         work = ScalarWork(monkeypatch)
         ws = initialize(models, cfg, theta0=theta0)
-        advance(ws)
+        step_serially(ws)
         assert work.factorizations("electric") == cfg.n_steps + 1
         assert work.counts["electric"]["cg_calls"] == 0
         assert cfg.n_steps <= work.factorizations("temperature") <= cfg.n_steps + 3
         assert work.cg_iterations("temperature") > 0
+        assert_same_states(advance(initialize(models, cfg, theta0=theta0)), ws.states)
 
     def test_nonsymmetric_conductivity_run_keeps_its_factors(self, monkeypatch):
         # k != k^T makes the temperature Jacobian nonsymmetric; a Cholesky
@@ -795,15 +803,15 @@ STALLING_MOMENTUM = SolverConfig(T=0.1, h=0.05, dt=0.025, tol_momentum=1e-300, m
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The momentum workers forked from here on, in order."""
+    """The stage workers forked from here on, in order."""
     forked = []
 
-    class Recorded(scheme._MomentumWorker):
+    class Recorded(scheme._StageWorker):
         def __init__(self, ws):
             super().__init__(ws)
             forked.append(self)
 
-    monkeypatch.setattr(scheme, "_MomentumWorker", Recorded)
+    monkeypatch.setattr(scheme, "_StageWorker", Recorded)
     return forked
 
 
@@ -819,6 +827,13 @@ def assert_same_states(a, b):
     for sa, sb in zip(a, b, strict=True):
         for name in ("t", "theta", "phi", "u", "v", "xi"):
             assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+
+
+def step_serially(ws):
+    """Step ws to its horizon with advance_one alone: every stage in this process, in the serial order."""
+    while len(ws.states) - 1 < ws.config.n_steps:
+        advance_one(ws)
+    return ws.states
 
 
 class TestMomentumStage:
@@ -887,7 +902,7 @@ class TestMomentumStage:
         assert np.array_equal(ws.states[7].v, ws.states[5].v)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the momentum stage runs in-process without os.fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the stages run in-process without os.fork")
 class TestMomentumWorker:
     """One worker per advance loop, reaped however the loop ends; no worker outside one."""
 
@@ -917,25 +932,48 @@ class TestMomentumWorker:
         assert len(ws.states) == 2
 
     def test_dead_worker_names_stage_and_time(self, workers, monkeypatch):
+        # the error names the earliest step whose potential or momentum result
+        # is missing; the worker solves momentum step n before potential n, so
+        # that is the potential of the first step it did not send
         models, cfg, theta0 = contact_run_inputs(4)
         ws = initialize(models, cfg, theta0=theta0)
         step = scheme.advance_one
 
-        def kill_after_first_step(ws, worker=None):
-            state = step(ws, worker)
-            os.kill(worker.pid, signal.SIGKILL)
-            return state
+        def kill_at_first_step(ws, worker=None):
+            if not worker.theta and len(ws.states) == 1:  # nothing sent yet
+                os.kill(worker.pid, signal.SIGKILL)
+            return step(ws, worker)
 
-        monkeypatch.setattr(scheme, "advance_one", kill_after_first_step)
-        with pytest.raises(SolverError, match=r"^momentum step at t=0\.025: the worker process exited"):
+        monkeypatch.setattr(scheme, "advance_one", kill_at_first_step)
+        with pytest.raises(SolverError, match=r"^electric step at t=0\.0125: the worker process exited"):
             advance(ws)
-        assert len(ws.states) == 2 and reaped(workers[0].pid)
+        assert len(ws.states) == 1 and reaped(workers[0].pid)
+
+    def test_worker_exit_keeps_the_states_it_sent(self, workers, monkeypatch):
+        # the worker leaves after the potential of step 1 and momentum step 5
+        models, cfg, theta0 = contact_run_inputs(4)
+        solve, parent = scheme.solve_electric, os.getpid()
+
+        def exit_at_step_2(ws, theta, t):
+            if t == 2 * cfg.dt and os.getpid() != parent:
+                os._exit(0)
+            return solve(ws, theta, t)
+
+        monkeypatch.setattr(scheme, "solve_electric", exit_at_step_2)
+        ws = initialize(models, cfg, theta0=theta0)
+        with pytest.raises(SolverError, match=r"^electric step at t=0\.025: the worker process exited"):
+            advance(ws)
+        assert len(ws.states) == 2 and len(ws.momentum_info) == 1 and reaped(workers[0].pid)
+        monkeypatch.undo()
+        reference = initialize(models, cfg, theta0=theta0)
+        advance_one(reference)
+        assert_same_states(reference.states, ws.states)
 
     def test_fork_does_not_hold_the_worker(self):
         # a process forked while a worker is alive, as a multiprocessing pool
         # may be, holds copies of its pipes; stopping the worker must not wait for it
         models, cfg, theta0 = contact_run_inputs(4)
-        worker = scheme._MomentumWorker(initialize(models, cfg, theta0=theta0))
+        worker = scheme._StageWorker(initialize(models, cfg, theta0=theta0))
         release_r, release_w = os.pipe()
         fork = os.fork()
         if fork == 0:
@@ -962,7 +1000,7 @@ class TestMomentumWorker:
         solve, failed = scheme.solve_temperature_step, []
 
         def fail_once_at_step_2(ws, *fields):
-            if len(ws.states) == 2 and not failed:
+            if fields[-1] == 2 * cfg.dt and not failed:
                 failed.append(fields[-1])
                 raise SolverError("injected")
             return solve(ws, *fields)
@@ -997,6 +1035,87 @@ class TestMomentumWorker:
         assert len(states) == 6 and reaped(workers[0].pid)
 
 
+STAGES = {"temperature": "solve_temperature_step", "electric": "solve_electric",
+          "momentum": "solve_momentum_step"}
+
+# (failures injected as (stage, step), the one the serial loop raises); the
+# run has a delay of 4 steps
+FAILURES = {
+    "temperature": ([("temperature", 6)], ("temperature", 6)),
+    "potential": ([("electric", 3)], ("electric", 3)),
+    "momentum": ([("momentum", 6)], ("momentum", 6)),
+    # the parent solves temperature 1 to 5 before it needs state 1
+    "momentum_passed": ([("momentum", 2)], ("momentum", 2)),
+    "temperature_and_momentum": ([("temperature", 6), ("momentum", 6)], ("temperature", 6)),
+    "potential_and_momentum": ([("electric", 5), ("momentum", 5)], ("electric", 5)),
+    "momentum_then_temperature": ([("momentum", 3), ("temperature", 5)], ("momentum", 3)),
+}
+
+
+def inject_failures(monkeypatch, failures, dt):
+    """Make each stage raise SolverError at the steps failures lists for it.
+
+    Patched in this process before advance forks, so the worker inherits
+    the patched stages.
+    """
+    for stage, name in STAGES.items():
+        times = [step * dt for s, step in failures if s == stage]
+
+        def failing(ws, *args, solve=getattr(scheme, name), stage=stage, times=times):
+            if args[-1] in times:
+                raise SolverError(f"{stage} step at t={args[-1]:.6g}: injected")
+            return solve(ws, *args)
+
+        monkeypatch.setattr(scheme, name, failing)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the stages run in-process without os.fork")
+class TestStageSchedule:
+    """The worker solves potential and momentum behind the parent's temperature, with the serial loop's results."""
+
+    @pytest.mark.parametrize("failures,first", FAILURES.values(), ids=FAILURES.keys())
+    def test_error_and_states_match_serial_loop(self, workers, monkeypatch, failures, first):
+        models, cfg, theta0 = contact_run_inputs(4)
+        serial, piped = (initialize(models, cfg, theta0=theta0) for _ in range(2))
+        inject_failures(monkeypatch, failures, cfg.dt)
+        with pytest.raises(SolverError) as expected:
+            step_serially(serial)
+        stage, step = first
+        assert str(expected.value) == f"{stage} step at t={step * cfg.dt:.6g}: injected"
+        with pytest.raises(SolverError) as got:
+            advance(piped)
+        assert str(got.value) == str(expected.value)
+        assert len(piped.states) == step
+        assert_same_states(piped.states, serial.states)
+        assert piped.momentum_info == serial.momentum_info
+        assert len(workers) == 1 and reaped(workers[0].pid)
+
+    @pytest.mark.parametrize("delay_steps,pipe_bytes", [(1, 1 << 16), (2, 1 << 16),
+                                                        (8, scheme.REPLY_PIPE_BYTES)])
+    def test_large_messages_do_not_deadlock(self, monkeypatch, delay_steps, pipe_bytes):
+        # at n=64 one momentum reply is 203 kB, past a 64 kB pipe; with a
+        # delay of 8 steps the worker's first 8 replies fill even the larger
+        # pipe, and the temperatures the parent sends meanwhile fill its
+        # request pipe. A delay of one step leaves the parent no slack.
+        monkeypatch.setattr(scheme, "REPLY_PIPE_BYTES", pipe_bytes)
+        models, cfg, theta0 = contact_run_inputs(64)
+        cfg = dataclasses.replace(cfg, h=delay_steps * cfg.dt, T=(delay_steps + 4) * cfg.dt)
+        assert cfg.delay_steps == delay_steps
+
+        def deadline(signum, frame):
+            raise TimeoutError("advance did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        signal.alarm(60)
+        try:
+            piped = advance(initialize(models, cfg, theta0=theta0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_same_states(piped, step_serially(initialize(models, cfg, theta0=theta0)))
+        assert len(piped) == cfg.n_steps + 1
+
+
 def test_runs_in_process_without_fork(monkeypatch):
     models, cfg, theta0 = contact_run_inputs(4)
     cfg = dataclasses.replace(cfg, T=0.1)
@@ -1009,21 +1128,32 @@ def test_runs_in_process_without_fork(monkeypatch):
 
 def test_one_step_mark_per_step(monkeypatch):
     # the benchmark marks each step by wrapping scheme.advance_one and
-    # requires one mark per integrated step
-    step, calls = scheme.advance_one, []
+    # requires one mark per integrated step: each call solves the temperature
+    # of the next step, and the last call returns with every state complete
+    step, solve, calls = scheme.advance_one, scheme.solve_temperature_step, []
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0].states))
-        return step(*args, **kwargs)
+    def counted(ws, *args, **kwargs):
+        calls.append([])
+        state = step(ws, *args, **kwargs)
+        calls[-1].append(len(ws.states))
+        return state
+
+    def temperature(ws, *fields):
+        calls[-1].append(fields[-1])
+        return solve(ws, *fields)
 
     monkeypatch.setattr(scheme, "advance_one", counted)
+    monkeypatch.setattr(scheme, "solve_temperature_step", temperature)
     models, cfg, theta0 = contact_run_inputs(4)
     cfg = dataclasses.replace(cfg, T=0.1, cascade_levels=(0.05, 0.025))
     advance(initialize(models, cfg, theta0=theta0))
-    assert calls == list(range(1, cfg.n_steps + 1))
+    assert [c[0] for c in calls] == [n * cfg.dt for n in range(1, cfg.n_steps + 1)]
+    assert [len(c) for c in calls] == [2] * cfg.n_steps and calls[-1][1] == cfg.n_steps + 1
     calls.clear()
     run_cascade(models, cfg)
-    assert calls == list(range(1, cfg.n_steps + 1)) * 2
+    assert [c[0] for c in calls] == [n * cfg.dt for n in range(1, cfg.n_steps + 1)] * 2
+    assert [len(c) for c in calls] == [2] * 2 * cfg.n_steps
+    assert calls[cfg.n_steps - 1][1] == calls[-1][1] == cfg.n_steps + 1
 
 
 class TestCascade:
