@@ -187,9 +187,10 @@ def parse_config(path: str) -> RunConfig:
 def build_models(rc: RunConfig) -> Models:
     """The mesh, dof maps and models of a config whose run fits in memory.
 
-    The memory check comes before any command validates: A5 holds a value
-    per contact point and grid time, a share of what the run would keep. A
-    mesh or dof map too large to allocate is a MeshError naming the mesh.
+    The memory check comes before any command validates: ``check`` would
+    otherwise make one ``F_field`` call per grid time (A5) for a run that
+    could never be kept. A mesh or dof map too large to allocate is a
+    MeshError naming the mesh.
     """
     try:
         if rc.mesh_file is not None:

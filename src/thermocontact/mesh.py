@@ -70,8 +70,8 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
-    edge_normals: np.ndarray = field(default=None)  # type: ignore[assignment]
-    edge_owner: np.ndarray = field(default=None)  # type: ignore[assignment]
+    edge_normals: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
+    edge_owner: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     areas: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     grads: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     grad_products: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
@@ -659,13 +659,11 @@ def _check_pivots(routine: str, info: int, pivots: np.ndarray, what: str) -> Non
 class BandLayout:
     """Where the data array of a CSR structure goes in LAPACK band storage.
 
-    ``kd`` is the half bandwidth. One item per position (i, j), i >= j, of
-    the lower band that holds an entry of the matrix or of its transpose:
-    ``lower`` is the data position of entry (i, j), ``mirror`` that of
-    (j, i), and ``band`` the flat position j (kd + 1) + i - j of [i - j, j]
-    in the (kd + 1, n) lower band storage, in Fortran order, as LAPACK reads
-    it. The data position ``nnz`` stands for an entry that the structure
-    lacks, which is zero.
+    ``kd`` is the half bandwidth. One item per entry (i, j), i >= j, of the
+    lower triangle: ``lower`` is the data position of entry (i, j),
+    ``mirror`` that of (j, i), and ``band`` the flat position
+    j (kd + 1) + i - j of [i - j, j] in the (kd + 1, n) lower band storage,
+    in Fortran order, as LAPACK reads it.
     """
 
     n: int
@@ -677,24 +675,21 @@ class BandLayout:
 
 
 def band_layout(indptr: np.ndarray, indices: np.ndarray, n: int) -> BandLayout:
-    """Band layout of an (n, n) CSR structure with sorted column indices and no duplicates."""
-    nnz = int(indptr[-1])
+    """Band layout of an (n, n) CSR structure with sorted column indices and no duplicates.
+
+    The structure must hold the transpose of each of its entries, as every
+    free-dof pattern does.
+    """
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    cols = np.asarray(indices[:nnz], dtype=np.int64)
-    keys = rows * n + cols  # ascending, as the structure is sorted
-    t_keys = cols * n + rows
-    pos = np.searchsorted(keys, t_keys)
-    mirror = np.where(keys[np.minimum(pos, nnz - 1)] == t_keys, pos, nnz) if nnz else pos
+    cols = np.asarray(indices, dtype=np.int64)
     own = rows >= cols
-    lonely = ~own & (mirror == nnz)  # an upper entry whose transpose the structure lacks
-    i = np.concatenate([rows[own], cols[lonely]])
-    j = np.concatenate([cols[own], rows[lonely]])
+    i, j = rows[own], cols[own]
     kd = int((i - j).max(initial=0))
     # int32 while every flat position of the (3 kd + 1, n) LU band storage fits
     dtype = np.int32 if (3 * kd + 1) * n < 2**31 else np.int64
-    return BandLayout(n, nnz, kd,
-                      np.concatenate([np.flatnonzero(own), np.full(np.count_nonzero(lonely), nnz)]).astype(dtype),
-                      np.concatenate([mirror[own], np.flatnonzero(lonely)]).astype(dtype),
+    # the keys row * n + col ascend, as the structure is sorted
+    mirror = np.searchsorted(rows * n + cols, j * n + i)
+    return BandLayout(n, cols.size, kd, np.flatnonzero(own).astype(dtype), mirror.astype(dtype),
                       (j * (kd + 1) + i - j).astype(dtype))
 
 
@@ -703,12 +698,11 @@ def band_layout(indptr: np.ndarray, indices: np.ndarray, n: int) -> BandLayout:
 SYMMETRY_RTOL = 1e-14
 
 
-def factor_banded(matrix: sp.csr_matrix, layout: BandLayout | None = None) -> BandCholesky | BandLU:
+def factor_banded(matrix: sp.csr_matrix, layout: BandLayout) -> BandCholesky | BandLU:
     """Banded factor of a positive definite matrix, symmetric or not.
 
-    ``layout`` is the :class:`BandLayout` of the matrix's structure, as
-    ``FreePattern.layout`` for a matrix on a free-dof pattern; without one
-    it is computed from the matrix. The band is read in the numbering of the
+    ``layout`` is the :class:`BandLayout` of the matrix's free-dof pattern,
+    ``FreePattern.layout``. The band is read in the numbering of the
     matrix, which :func:`build_dof_maps` makes banded. A matrix that equals
     its transpose within SYMMETRY_RTOL gets the Cholesky factor of its lower
     triangle (LAPACK ``dpbtrf``); any other, such as the temperature
@@ -718,17 +712,11 @@ def factor_banded(matrix: sp.csr_matrix, layout: BandLayout | None = None) -> Ba
     LinAlgError.
     """
     n = matrix.shape[0]
-    if layout is None:
-        if not matrix.has_canonical_format:
-            matrix = matrix.copy()
-            matrix.sum_duplicates()
-        layout = band_layout(matrix.indptr, matrix.indices, n)
-    elif matrix.shape != (layout.n, layout.n) or matrix.nnz != layout.nnz:
+    if matrix.shape != (layout.n, layout.n) or matrix.nnz != layout.nnz:
         raise ValueError(f"a {matrix.shape} matrix with {matrix.nnz} entries is not on a layout "
                          f"of {layout.n} rows and {layout.nnz} entries")
     kd = layout.kd
-    data = np.append(matrix.data[:layout.nnz], 0.0)  # data[nnz] is an entry the structure lacks
-    lower, mirror = data[layout.lower], data[layout.mirror]
+    lower, mirror = matrix.data[layout.lower], matrix.data[layout.mirror]
     if np.abs(lower - mirror).max(initial=0.0) <= SYMMETRY_RTOL * np.abs(lower).max(initial=0.0):
         band = np.zeros((kd + 1) * n)
         band[layout.band] = lower

@@ -295,7 +295,7 @@ def solve_electric(ws: Workspace, theta_full: np.ndarray, t: float) -> np.ndarra
     matrix, load = assemble_electric_system(mesh, dofs, models.mat, models.bd, theta_full, models.fric, t)
     _, phi_free = _direct_solve("electric", matrix, load, t, dofs.scalar.layout)
     res = float(np.linalg.norm(matrix @ phi_free - load))
-    if not np.all(np.isfinite(phi_free)) or res > 1e-12 * (1.0 + float(np.linalg.norm(load))):
+    if res > 1e-12 * (1.0 + float(np.linalg.norm(load))):
         raise SolverError(f"electric solve at t={t:.6g}: residual {res:.3e} (matrix near-singular?)")
     out = np.zeros(mesh.n_nodes)
     out[dofs.scalar_free_nodes] = phi_free
@@ -371,13 +371,16 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
     It solves at once the momentum steps whose delayed temperature is in
     ``ws.states``; then, for each temperature the parent sends, the potential
     of its step and the momentum step that the temperature unlocks, d steps
-    on. Each reply is ("electric" or "momentum", step, result or the
-    exception the stage raised), sent as soon as it is solved. After a
+    on. So momentum step n is always solved before potential n, and its
+    result, or the exception it raised, waits in a dict until then. Each
+    reply is the (potential, momentum) pair of one step, either of them an
+    exception, sent in step order once the potential is solved. After a
     momentum error the chain stops, since no later step has its old
-    velocity. A thread moves the requests into a queue, so the parent's
-    writes never wait for a stage here, whatever this process's own writes
-    wait for. If the parent exits without killing the worker, the thread
-    meets the end of the request pipe, which ends the worker.
+    velocity, and the later replies carry no momentum. A thread moves the
+    requests into a queue, so the parent's writes never wait for a stage
+    here, whatever this process's own writes wait for. If the parent exits
+    without killing the worker, the thread meets the end of the request
+    pipe, which ends the worker.
     """
     import queue  # here, not at the top: the parent would pay 0.1 MB of peak RSS for it
 
@@ -395,10 +398,7 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
     first, last = len(ws.states), ws.config.n_steps
     old = ws.states[-1]
     u, v, chain_broken = old.u, old.v, False
-
-    def reply(kind, step, result):
-        pickle.dump((kind, step, result), outbox, pickle.HIGHEST_PROTOCOL)
-        outbox.flush()
+    solved = {}  # momentum results by step, until the potential of their step is solved
 
     def momentum(step, theta_del):
         nonlocal u, v, chain_broken
@@ -409,7 +409,7 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
             v, u = result[0], result[1]
         except Exception as exc:  # sent back and raised by the parent
             result, chain_broken = exc, True
-        reply("momentum", step, result)
+        solved[step] = result
 
     for step in range(first, first + d):
         momentum(step, ws.states[max(step - d, 0)].theta)
@@ -421,7 +421,8 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
             phi = solve_electric(ws, theta, step * dt)
         except Exception as exc:
             phi = exc
-        reply("electric", step, phi)
+        pickle.dump((phi, solved.pop(step, None)), outbox, pickle.HIGHEST_PROTOCOL)
+        outbox.flush()
         momentum(step + d, theta)
 
 
@@ -432,15 +433,13 @@ class _StageWorker:
     models, callables, config and :class:`MomentumStep`, factor included,
     so only the temperatures and the stages' results cross the two pipes.
     ``advance`` forks one for its loop and stops it when the loop returns or
-    raises. This side keeps what is solved of the steps past
+    raises. This side keeps the temperatures of the steps past
     ``ws.states[-1]``, keyed by step, and moves a step into ``ws.states``
-    once its temperature, potential and momentum are all in.
+    with the worker's reply for it.
     """
 
     def __init__(self, ws: Workspace):
         self.theta: dict[int, np.ndarray] = {}
-        self.phi: dict[int, object] = {}
-        self.momentum: dict[int, object] = {}
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
         # A pipe holds 64 kB by default, and one momentum reply at n=64 is
@@ -493,31 +492,23 @@ class _StageWorker:
     def complete(self, ws: Workspace, step: int) -> SystemState:
         """Receive replies until ``ws.states`` holds state step, and return it.
 
-        The states complete in order, so the first error met is the error of
-        the earliest step, and within a step a potential error comes before
-        a momentum one; a momentum error waits for the potential of its step.
+        The worker replies once per step, in step order, so the first error
+        met is the error of the earliest step, and within a step a potential
+        error comes before a momentum one.
         """
         dt = ws.config.dt
         while len(ws.states) <= step:
             n = len(ws.states)
-            phi = self.phi.get(n)
-            if isinstance(phi, Exception):
-                raise phi
-            if phi is not None and n in self.momentum:
-                result = self.momentum.pop(n)
-                if isinstance(result, Exception):
-                    raise result
-                v, u, xi, info = result
-                ws.momentum_info.append(info)
-                ws.states.append(SystemState(t=n * dt, u=u, v=v, theta=self.theta.pop(n),
-                                             phi=self.phi.pop(n), xi=xi))
-                continue
             try:
-                kind, k, result = pickle.load(self.replies)
+                phi, result = pickle.load(self.replies)
             except (EOFError, pickle.UnpicklingError):
-                stage = "electric" if phi is None else "momentum"
-                raise SolverError(f"{stage} step at t={n * dt:.6g}: the worker process exited") from None
-            (self.phi if kind == "electric" else self.momentum)[k] = result
+                raise SolverError(f"electric step at t={n * dt:.6g}: the worker process exited") from None
+            for outcome in (phi, result):
+                if isinstance(outcome, Exception):
+                    raise outcome
+            v, u, xi, info = result
+            ws.momentum_info.append(info)
+            ws.states.append(SystemState(t=n * dt, u=u, v=v, theta=self.theta.pop(n), phi=phi, xi=xi))
         return ws.states[step]
 
     def stop(self) -> None:

@@ -321,7 +321,7 @@ class DirectSolve:
     builds one and solves once, as the scheme did before it reused factors.
     """
 
-    def __init__(self, matrix, layout=None):
+    def __init__(self, matrix, layout):
         self.matrix = matrix.tocsc()
         self.solves = 0
 

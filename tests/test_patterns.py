@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import oracles
@@ -292,20 +291,27 @@ class TestCachedMeshData:
 
 
 def spd_matrices(mesh, dofs):
-    """An SPD matrix on each free-dof pattern: scalar mass plus stiffness, and a momentum step matrix."""
+    """An SPD matrix on each free-dof pattern, keyed by the pattern's name in dofs: scalar mass
+    plus stiffness, and a momentum step matrix.
+
+    Each is summed as data arrays on its pattern, as the solver sums them: a
+    sum of scipy matrices drops the entries that cancel, and the matrix
+    would no longer be on the pattern's layout.
+    """
     mat, _, _ = default_ptc_model({})
     visc, elast = assemble_elastic_operators(mesh, dofs, mat)
     dt = 0.0125
-    return {"scalar": assemble_scalar_mass(mesh, dofs) + assemble_scalar_stiffness_unit(mesh, dofs),
-            "vector": mat.mass_mech() / dt * assemble_vector_mass(mesh, dofs) + visc + dt * elast}
+    return {"scalar": dofs.scalar.csr(assemble_scalar_mass(mesh, dofs).data
+                                      + assemble_scalar_stiffness_unit(mesh, dofs).data),
+            "vector": dofs.vector.csr(mat.mass_mech() / dt * assemble_vector_mass(mesh, dofs).data
+                                      + visc.data + dt * elast.data)}
 
 
 class TestFactorSpd:
     """factor_banded on the SPD matrices of both free-dof patterns."""
 
     @staticmethod
-    def assert_solves_like_spsolve(matrix, factor=None):
-        factor = factor_banded(matrix) if factor is None else factor
+    def assert_solves_like_spsolve(matrix, factor):
         rng = np.random.default_rng(0)
         for b in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
             x = factor.solve(b)
@@ -317,8 +323,9 @@ class TestFactorSpd:
     @pytest.mark.parametrize("n", [1, 2, 8, 16])
     def test_unit_square(self, n):
         mesh = build_unit_square_mesh(n)
-        for matrix in spd_matrices(mesh, build_dof_maps(mesh)).values():
-            self.assert_solves_like_spsolve(matrix)
+        dofs = build_dof_maps(mesh)
+        for name, matrix in spd_matrices(mesh, dofs).items():
+            self.assert_solves_like_spsolve(matrix, factor_banded(matrix, getattr(dofs, name).layout))
 
     def test_any_node_numbering(self, tmp_path):
         # the band of a shuffled mesh file is checked where the free dofs are
@@ -326,8 +333,10 @@ class TestFactorSpd:
         path = tmp_path / "shuffled.mesh"
         path.write_text(perturbed_mesh_text(8, seed=3))
         mesh = load_mesh(str(path))
-        for matrix in spd_matrices(mesh, build_dof_maps(mesh)).values():
-            assert isinstance(self.assert_solves_like_spsolve(matrix), BandCholesky)
+        dofs = build_dof_maps(mesh)
+        for name, matrix in spd_matrices(mesh, dofs).items():
+            factor = factor_banded(matrix, getattr(dofs, name).layout)
+            assert isinstance(self.assert_solves_like_spsolve(matrix, factor), BandCholesky)
 
     @pytest.mark.parametrize("how", ["zero", "indefinite", "nan"])
     def test_rejects_a_matrix_that_is_not_spd(self, how):
@@ -335,22 +344,23 @@ class TestFactorSpd:
         dofs = build_dof_maps(mesh)
         mass, stiffness = assemble_scalar_mass(mesh, dofs), assemble_scalar_stiffness_unit(mesh, dofs)
         if how == "zero":
-            matrix = 0.0 * mass
+            matrix = dofs.scalar.csr(0.0 * mass.data)
         elif how == "indefinite":  # 100 lies inside the spectrum of the pencil (K, M)
-            matrix = stiffness - 100.0 * mass
+            matrix = dofs.scalar.csr(stiffness.data - 100.0 * mass.data)
         else:
             matrix = stiffness.copy()
             matrix[30, 30] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            factor_banded(matrix)
+            factor_banded(matrix, dofs.scalar.layout)
 
 
 def thermal_jacobian(mesh, dofs, k):
-    """Scalar mass plus the conductivity form of k at a fixed temperature: symmetric iff k is."""
+    """Scalar mass plus the conductivity form of k at a fixed temperature, summed on the scalar
+    pattern: symmetric iff k is."""
     mat, _, _ = default_ptc_model({})
     theta = np.random.default_rng(5).normal(size=mesh.n_nodes)
-    return assemble_scalar_mass(mesh, dofs) + assemble_thermal_stiffness(
-        mesh, dofs, dataclasses.replace(mat, k=k), theta)
+    return dofs.scalar.csr(assemble_scalar_mass(mesh, dofs).data + assemble_thermal_stiffness(
+        mesh, dofs, dataclasses.replace(mat, k=k), theta).data)
 
 
 def symmetrized_k(s):
@@ -362,9 +372,10 @@ class TestFactorBanded:
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_nonsymmetric_matrix_gets_lu(self, n):
         mesh = build_unit_square_mesh(n)
-        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), anisotropic_k)
+        dofs = build_dof_maps(mesh)
+        matrix = thermal_jacobian(mesh, dofs, anisotropic_k)
         assert np.abs((matrix - matrix.T).toarray()).max() > 1e-3
-        factor = factor_banded(matrix)
+        factor = factor_banded(matrix, dofs.scalar.layout)
         assert isinstance(factor, BandLU)
         TestFactorSpd.assert_solves_like_spsolve(matrix, factor)
 
@@ -373,7 +384,7 @@ class TestFactorBanded:
         path.write_text(perturbed_mesh_text(8, seed=3))
         mesh = load_mesh(str(path))
         dofs = build_dof_maps(mesh)
-        factor = factor_banded(thermal_jacobian(mesh, dofs, anisotropic_k))
+        factor = factor_banded(thermal_jacobian(mesh, dofs, anisotropic_k), dofs.scalar.layout)
         assert isinstance(factor, BandLU) and factor.kd <= 8 + 3
         TestFactorSpd.assert_solves_like_spsolve(thermal_jacobian(mesh, dofs, anisotropic_k), factor)
 
@@ -381,8 +392,8 @@ class TestFactorBanded:
     def test_symmetric_matrix_gets_cholesky(self, n):
         mesh = build_unit_square_mesh(n)
         dofs = build_dof_maps(mesh)
-        for matrix in spd_matrices(mesh, dofs).values():
-            factor = factor_banded(matrix)
+        for name, matrix in spd_matrices(mesh, dofs).items():
+            factor = factor_banded(matrix, getattr(dofs, name).layout)
             assert isinstance(factor, BandCholesky)
             kd, size = factor.band.shape[0] - 1, matrix.shape[0]
             lower = np.linalg.cholesky(matrix.toarray())
@@ -398,10 +409,12 @@ class TestFactorBanded:
         path = tmp_path / "shuffled.mesh"
         path.write_text(perturbed_mesh_text(8, seed=3))
         mesh = load_mesh(str(path))
-        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), symmetrized_k)
+        dofs = build_dof_maps(mesh)
+        matrix = thermal_jacobian(mesh, dofs, symmetrized_k)
         assert 0.0 < np.abs((matrix - matrix.T).toarray()).max() <= SYMMETRY_RTOL * np.abs(matrix.data).max()
-        assert isinstance(factor_banded(matrix), BandCholesky)
-        TestFactorSpd.assert_solves_like_spsolve(matrix)
+        factor = factor_banded(matrix, dofs.scalar.layout)
+        assert isinstance(factor, BandCholesky)
+        TestFactorSpd.assert_solves_like_spsolve(matrix, factor)
 
     @pytest.mark.parametrize("kind", [BandCholesky, BandLU])
     @pytest.mark.parametrize("shape", ["n", "nm_c", "nm_fortran"])
@@ -411,7 +424,7 @@ class TestFactorBanded:
         dofs = build_dof_maps(mesh)
         matrix = spd_matrices(mesh, dofs)["scalar"] if kind is BandCholesky else \
             thermal_jacobian(mesh, dofs, anisotropic_k)
-        factor = factor_banded(matrix)
+        factor = factor_banded(matrix, dofs.scalar.layout)
         assert isinstance(factor, kind)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(matrix.shape[0] if shape == "n" else (matrix.shape[0], 3))
@@ -426,21 +439,38 @@ class TestFactorBanded:
     @pytest.mark.parametrize("how", ["zero", "nan"])
     def test_rejects_a_singular_matrix(self, how):
         mesh = build_unit_square_mesh(8)
-        matrix = thermal_jacobian(mesh, build_dof_maps(mesh), anisotropic_k)
+        dofs = build_dof_maps(mesh)
+        matrix = thermal_jacobian(mesh, dofs, anisotropic_k)
         if how == "zero":
-            matrix = 0.0 * matrix
+            matrix = dofs.scalar.csr(0.0 * matrix.data)
         else:
             matrix[30, 30] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            factor_banded(matrix)
-
-
-def factor_arrays(factor):
-    return [factor.band] if isinstance(factor, BandCholesky) else [factor.lu, factor.piv]
+            factor_banded(matrix, dofs.scalar.layout)
 
 
 class TestBandLayout:
-    """A free-dof pattern's band layout against the layout factor_banded computes for a bare CSR."""
+    """The band layout of each free-dof pattern, which factor_banded requires."""
+
+    @pytest.mark.parametrize("source", ["square", "shuffled", "contact_free"])
+    def test_pattern_holds_the_transpose_of_every_entry(self, source, tmp_path):
+        # band_layout finds the mirror of each lower entry among the entries
+        if source == "shuffled":
+            path = tmp_path / "shuffled.mesh"
+            path.write_text(perturbed_mesh_text(8, seed=3))
+            mesh = load_mesh(str(path))
+        else:
+            mesh = build_unit_square_mesh(8, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"}
+                                          if source == "contact_free" else None)
+        assert ("C" in mesh.edge_tags) == (source != "contact_free")
+        dofs = build_dof_maps(mesh)
+        for pattern in (dofs.scalar, dofs.vector):
+            structure = pattern.csr(np.ones(pattern.indices.size))
+            assert (structure != structure.T).nnz == 0
+            rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+            layout = pattern.layout
+            np.testing.assert_array_equal(pattern.indices[layout.mirror], rows[layout.lower])
+            np.testing.assert_array_equal(rows[layout.mirror], pattern.indices[layout.lower])
 
     @pytest.mark.parametrize("n", [1, 2, 8, 16])
     def test_pattern_layout_factors_as_the_rebuilt_matrix(self, n):
@@ -459,37 +489,12 @@ class TestBandLayout:
                 (dofs.vector, 80.0 * assemble_vector_mass(mesh, dofs).data + visc.data + 0.0125 * elast.data,
                  BandCholesky)):
             matrix = pattern.csr(data)
-            on = factor_banded(matrix, pattern.layout)
-            off = factor_banded(sp.csr_matrix(matrix.toarray()))
-            assert type(on) is type(off) is kind
-            for a, b in zip(factor_arrays(on), factor_arrays(off), strict=True):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            factor = factor_banded(matrix, pattern.layout)
+            assert type(factor) is kind
+            TestFactorSpd.assert_solves_like_spsolve(matrix, factor)
 
     def test_matrix_off_the_layout_rejected(self):
         mesh = build_unit_square_mesh(4)
         dofs = build_dof_maps(mesh)
         with pytest.raises(ValueError, match="not on a layout"):
             factor_banded(spd_matrices(mesh, dofs)["vector"], dofs.scalar.layout)
-
-    @pytest.mark.parametrize("edit", ["upper", "lower", "duplicate"])
-    def test_any_csr_structure(self, edit):
-        # an entry without its transpose, outside the band of the rest, and a
-        # duplicated entry, which counts as the sum of its copies
-        mesh = build_unit_square_mesh(4)
-        dofs = build_dof_maps(mesh)
-        base = spd_matrices(mesh, dofs)["scalar"].tocoo()
-        rows, cols, data = list(base.row), list(base.col), list(base.data)
-        size = base.shape[0]
-        extra = {"upper": (0, size - 1, 0.1), "lower": (size - 1, 0, 0.1), "duplicate": (3, 3, 0.5)}[edit]
-        matrix = sp.csr_matrix((data + [extra[2]], (rows + [extra[0]], cols + [extra[1]])), shape=base.shape)
-        if edit == "duplicate":  # the COO constructor sums duplicates; rebuild the CSR with both copies
-            order = np.lexsort((cols + [3], rows + [3]))
-            matrix = sp.csr_matrix((np.r_[data, 0.5][order], np.r_[cols, 3][order],
-                                    np.searchsorted(np.r_[rows, 3][order], np.arange(size + 1))), shape=base.shape)
-            assert not matrix.has_canonical_format
-        dense = matrix.toarray()
-        factor = factor_banded(matrix)
-        assert isinstance(factor, BandCholesky if edit == "duplicate" else BandLU)
-        b = np.random.default_rng(2).standard_normal(size)
-        np.testing.assert_allclose(factor.solve(b), np.linalg.solve(dense, b), rtol=1e-12)
