@@ -176,6 +176,9 @@ def _validate(mesh: Mesh) -> Mesh:
     """Check all Mesh invariants; fill normals and owners. Raises MeshError."""
     nodes, tri = mesh.nodes, mesh.triangles
     n = nodes.shape[0]
+    non_finite = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if non_finite.size:
+        raise MeshError(f"node {non_finite[0]}: non-finite coordinate")
     if tri.size and (tri.min() < 0 or tri.max() >= n):
         bad = int(np.flatnonzero((tri < 0) | (tri >= n)).flat[0] // 3)
         raise MeshError(f"triangle {bad}: node index out of range")

@@ -24,10 +24,11 @@ the temperature of step n - d. So nothing reads the potential or velocity
 of step n before temperature step n + d. Where ``os.fork`` exists,
 ``advance`` forks one worker process for its loop: the parent solves every
 temperature step and sends each temperature to the worker, which solves
-the potential of that step and the momentum step it unlocks, and the
-parent waits only for the delayed state. The states and the error raised
-are the same, bit for bit, as when the three stages run one after the
-other, which is how ``advance_one`` runs them when it is given no worker.
+momentum step n while the parent solves temperature n, and the potential
+of step n once that temperature arrives; the parent waits only for the
+delayed state. The states and the error raised are the same, bit for bit,
+as when the three stages run one after the other, which is how
+``advance_one`` runs them when it is given no worker.
 """
 
 from __future__ import annotations
@@ -345,17 +346,16 @@ def solve_temperature_step(ws: Workspace, theta_old: np.ndarray, theta_del: np.n
         pl_res, g = assemble_p_laplacian(mesh, dofs, full)
         return base @ theta_free + c_reg * pl_res - rhs, g
 
-    factor = None
+    held = [None]  # the factor of the last direct solve
 
     def correction(res, g):
-        nonlocal factor
         jac = pattern.csr(base.data + c_reg * assemble_p_laplacian_jacobian(dofs, g).data)
-        if factor is not None:
-            x = _cg(factor, jac, -res)
+        if held[0] is not None:
+            x = _cg(held[0], jac, -res)
             if x is not None:
                 return x
-            factor = None  # release the old factor before the new one is built
-        factor, x = _direct_solve("temperature", jac, -res, t_new, pattern.layout)
+            held[0] = None  # release the old factor before the new one is built
+        held[0], x = _direct_solve("temperature", jac, -res, t_new, pattern.layout)
         return x
 
     theta, _, _ = damped_newton(residual, correction, theta_old[free], target,
@@ -365,22 +365,27 @@ def solve_temperature_step(ws: Workspace, theta_old: np.ndarray, theta_del: np.n
     return out
 
 
+def _momentum_step(ws: Workspace, n: int):
+    """Momentum step n, from the u and v of state n - 1 and the temperature of state n - d."""
+    old = ws.states[n - 1]
+    delayed = ws.states[max(n - ws.config.delay_steps, 0)]
+    return solve_momentum_step(ws, old.u, old.v, delayed.theta, n * ws.config.dt)
+
+
 def _serve(ws: Workspace, inbox, outbox) -> None:
     """Body of a stage worker: the potential and momentum stages of the steps left in ws.
 
-    It solves at once the momentum steps whose delayed temperature is in
-    ``ws.states``; then, for each temperature the parent sends, the potential
-    of its step and the momentum step that the temperature unlocks, d steps
-    on. So momentum step n is always solved before potential n, and its
-    result, or the exception it raised, waits in a dict until then. Each
-    reply is the (potential, momentum) pair of one step, either of them an
-    exception, sent in step order once the potential is solved. After a
-    momentum error the chain stops, since no later step has its old
-    velocity, and the later replies carry no momentum. A thread moves the
-    requests into a queue, so the parent's writes never wait for a stage
-    here, whatever this process's own writes wait for. If the parent exits
-    without killing the worker, the thread meets the end of the request
-    pipe, which ends the worker.
+    The worker steps its own copy of ``ws.states``. For each step n it
+    solves momentum step n, which reads only states n - 1 and n - d, while
+    the parent solves temperature n; then it waits for that temperature,
+    solves the potential and sends the (potential, momentum) pair of the
+    step, either of them an exception. After an error it returns, since no
+    later step has its state. Otherwise it appends state n and drops state
+    n - d, which no later step reads, so it holds d states, not a second
+    history. A thread moves the requests into a queue, so the parent's
+    writes never wait for a stage here, whatever this process's own writes
+    wait for. If the parent exits without killing the worker, the thread
+    meets the end of the request pipe, which ends the worker.
     """
     import queue  # here, not at the top: the parent would pay 0.1 MB of peak RSS for it
 
@@ -395,35 +400,26 @@ def _serve(ws: Workspace, inbox, outbox) -> None:
 
     threading.Thread(target=read, daemon=True).start()
     dt, d = ws.config.dt, ws.config.delay_steps
-    first, last = len(ws.states), ws.config.n_steps
-    old = ws.states[-1]
-    u, v, chain_broken = old.u, old.v, False
-    solved = {}  # momentum results by step, until the potential of their step is solved
-
-    def momentum(step, theta_del):
-        nonlocal u, v, chain_broken
-        if chain_broken or step > last:
-            return
+    for n in range(len(ws.states), ws.config.n_steps + 1):
         try:
-            result = solve_momentum_step(ws, u, v, theta_del, step * dt)
-            v, u = result[0], result[1]
+            momentum = _momentum_step(ws, n)
         except Exception as exc:  # sent back and raised by the parent
-            result, chain_broken = exc, True
-        solved[step] = result
-
-    for step in range(first, first + d):
-        momentum(step, ws.states[max(step - d, 0)].theta)
-    for step in range(first, last + 1):
+            momentum = exc
         theta = requests.get()
         if theta is None:
             return
         try:
-            phi = solve_electric(ws, theta, step * dt)
+            phi = solve_electric(ws, theta, n * dt)
         except Exception as exc:
             phi = exc
-        pickle.dump((phi, solved.pop(step, None)), outbox, pickle.HIGHEST_PROTOCOL)
+        pickle.dump((phi, momentum), outbox, pickle.HIGHEST_PROTOCOL)
         outbox.flush()
-        momentum(step + d, theta)
+        if isinstance(phi, Exception) or isinstance(momentum, Exception):
+            return
+        v, u, xi, _ = momentum
+        ws.states.append(SystemState(t=n * dt, u=u, v=v, theta=theta, phi=phi, xi=xi))
+        if n >= d:
+            ws.states[n - d] = None
 
 
 class _StageWorker:
@@ -431,7 +427,8 @@ class _StageWorker:
 
     The child inherits the Workspace as it was at the fork, with its
     models, callables, config and :class:`MomentumStep`, factor included,
-    so only the temperatures and the stages' results cross the two pipes.
+    so only the temperatures and the stages' results cross the two pipes;
+    the child steps its own copy of the states (see :func:`_serve`).
     ``advance`` forks one for its loop and stops it when the loop returns or
     raises. This side keeps the temperatures of the steps past
     ``ws.states[-1]``, keyed by step, and moves a step into ``ws.states``
@@ -559,11 +556,10 @@ def advance_one(ws: Workspace, worker: _StageWorker | None = None) -> SystemStat
 
     n_new = len(ws.states)
     t_new = n_new * dt
-    old = ws.states[-1]
     delayed = ws.states[max(n_new - d, 0)]
-    theta_new = solve_temperature_step(ws, old.theta, delayed.theta, delayed.phi, delayed.v, t_new)
+    theta_new = solve_temperature_step(ws, ws.states[-1].theta, delayed.theta, delayed.phi, delayed.v, t_new)
     phi_new = solve_electric(ws, theta_new, t_new)
-    v_new, u_new, xi_new, info = solve_momentum_step(ws, old.u, old.v, delayed.theta, t_new)
+    v_new, u_new, xi_new, info = _momentum_step(ws, n_new)
     ws.momentum_info.append(info)
     state = SystemState(t=t_new, u=u_new, v=v_new, theta=theta_new, phi=phi_new, xi=xi_new)
     ws.states.append(state)

@@ -15,6 +15,8 @@ from thermocontact.materials import default_ptc_model
 from thermocontact.mesh import build_dof_maps, build_unit_square_mesh, load_mesh
 from thermocontact.scheme import ConfigError, Models, SolverConfig
 
+from test_mesh import SQUARE_FILE
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 BASE = """\
@@ -350,6 +352,17 @@ class TestRejectedBeforeRun:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: the piece of the mesh holding node 3 touches no D edge\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_mesh_with_non_finite_coordinate(self, tmp_path, capsys, command):
+        (tmp_path / "nan.mesh").write_text(SQUARE_FILE.replace("\n1 1\n", "\n1 nan\n"))
+        out = tmp_path / "out"
+        cfg = cfg_file(tmp_path, f"mesh.file = {tmp_path / 'nan.mesh'}\n",
+                       base=BASE.replace("mesh.n = 2\n", ""))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: node 2: non-finite coordinate\n"
         assert not out.exists()
 
 

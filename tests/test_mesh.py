@@ -95,6 +95,13 @@ class TestLoadMesh:
         with pytest.raises(MeshError, match=f"malformed header counts: {negative} is negative"):
             load_mesh(write(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        # a NaN area would pass the orientation test
+        text = SQUARE_FILE.replace("\n1 1\n", f"\n1 {value}\n")
+        with pytest.raises(MeshError, match=r"^node 2: non-finite coordinate$"):
+            load_mesh(write(tmp_path, text))
+
     def test_truncated_file(self, tmp_path):
         text = "nodes 4 triangles 2 edges 4\n0 0\n1 0\n"
         with pytest.raises(MeshError, match="end of file"):

@@ -837,8 +837,8 @@ def step_serially(ws):
 class TestMomentumStage:
     """The momentum stage runs alongside the other two, with the states and errors of the serial loop."""
 
-    # with a delay of n_steps - 1 = 39 the worker holds every momentum result
-    # but the last before it sends its first reply
+    # with a delay of n_steps - 1 = 39 every momentum step but the last reads
+    # the initial temperature, which the worker drops only after step 39
     @pytest.mark.parametrize("delay_steps", [1, 4, 39])
     def test_run_equals_serial_loop(self, delay_steps):
         models, cfg, theta0 = contact_run_inputs()
@@ -953,7 +953,7 @@ class TestMomentumWorker:
         assert len(ws.states) == 1 and reaped(workers[0].pid)
 
     def test_worker_exit_keeps_the_states_it_sent(self, workers, monkeypatch):
-        # the worker leaves after the potential of step 1 and momentum step 5
+        # the worker leaves after the potential of step 1 and momentum step 2
         models, cfg, theta0 = contact_run_inputs(4)
         solve, parent = scheme.solve_electric, os.getpid()
 
@@ -971,6 +971,24 @@ class TestMomentumWorker:
         reference = initialize(models, cfg, theta0=theta0)
         advance_one(reference)
         assert_same_states(reference.states, ws.states)
+
+    def test_worker_holds_the_delayed_states_only(self, tmp_path, monkeypatch):
+        # the worker steps its own copy of the states; each step drops the one
+        # no later step reads, so it never holds a second history
+        models, cfg, theta0 = contact_run_inputs(4)
+        log, solve, parent = tmp_path / "held.txt", scheme.solve_electric, os.getpid()
+
+        def counted(ws, theta, t):
+            if os.getpid() != parent:
+                with open(log, "a") as f:
+                    f.write(f"{sum(s is not None for s in ws.states)}\n")
+            return solve(ws, theta, t)
+
+        monkeypatch.setattr(scheme, "solve_electric", counted)
+        advance(initialize(models, cfg, theta0=theta0))
+        held = [int(line) for line in log.read_text().split()]
+        assert len(held) == cfg.n_steps
+        assert max(held) <= cfg.delay_steps
 
     def test_fork_does_not_hold_the_worker(self):
         # a process forked while a worker is alive, as a multiprocessing pool
@@ -1052,6 +1070,10 @@ FAILURES = {
     "temperature_and_momentum": ([("temperature", 6), ("momentum", 6)], ("temperature", 6)),
     "potential_and_momentum": ([("electric", 5), ("momentum", 5)], ("electric", 5)),
     "momentum_then_temperature": ([("momentum", 3), ("temperature", 5)], ("momentum", 3)),
+    # the last step, whose call waits for every result
+    "temperature_at_horizon": ([("temperature", 40)], ("temperature", 40)),
+    "potential_at_horizon": ([("electric", 40)], ("electric", 40)),
+    "momentum_at_horizon": ([("momentum", 40)], ("momentum", 40)),
 }
 
 
