@@ -13,6 +13,12 @@ the same one-sided monotonicity estimate as the exact law,
 so every stability argument that consumes those two properties applies
 unchanged. Nodal tractions are paired with test functions through the
 contact boundary mass of the P1 interpolant.
+
+The momentum step matrix B is the same at every step of a run, and
+friction acts only at the q free contact nodes. So the Newton iteration of
+a step runs in 1 + 2q numbers, on the band factor of B that the run keeps:
+one band solve before the iteration, one after it, and none in between
+(:func:`solve_momentum_step`).
 """
 
 from __future__ import annotations
@@ -90,7 +96,8 @@ class RegularizedFriction:
 
     def smoothed_rate(self, vt: np.ndarray) -> np.ndarray:
         vt = np.asarray(vt, dtype=float)
-        return np.sqrt(np.einsum("...i,...i", vt, vt) + self.eps**2)
+        x, y = vt[..., 0], vt[..., 1]
+        return np.sqrt(x * x + y * y + self.eps**2)
 
     def traction(self, vt: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Tangential traction for slip velocities vt (m, 2) and tractions F (m,)."""
@@ -111,7 +118,7 @@ class RegularizedFriction:
             h = 1e-7
             dmu = (np.asarray(self.fric.mu(r + h), dtype=float)
                    - np.asarray(self.fric.mu(np.maximum(r - h, 0.0)), dtype=float)) / (2 * h)
-        outer = np.einsum("mi,mj->mij", vt, vt)
+        outer = vt[:, :, None] * vt[:, None, :]
         eye = np.eye(2)[None]
         core = (dmu / r**2 - mu / r**3)[:, None, None] * outer + (mu / r)[:, None, None] * eye
         return F[:, None, None] * core
@@ -127,19 +134,16 @@ class MomentumStep:
     the step is built steps on the same factor. A singular B raises
     SolverError here, before any step.
 
-    Friction adds R D(v) E^T to B: R holds the contact pairing columns of
-    the q free contact nodes' dofs, E^T picks those dofs out of a free
-    vector and D is the block-diagonal derivative of the nodal traction.
-    The traction reads the tangential velocity (I - nu_k nu_k^T) v_k =
-    tau_k tau_k^T v_k only, so its block at free contact node k is
-    D_k = a_k tau_k^T with a_k = J_k tau_k and J_k the traction Jacobian,
-    and D = A T^T with T the block column of the tangents. With Z = B^-1 R
-    and S = E^T Z, the Sherman-Morrison-Woodbury identity
-
-        (B + R A T^T E^T)^-1 x = y - Z A (I + T^T S A)^-1 T^T E^T y,  y = B^-1 x,
-
-    turns each Newton correction into one solve on the factor and a dense
-    system with one unknown per free contact node.
+    Friction adds R xi(E^T v) to the residual B v - rhs: E^T picks the dofs
+    of the q free contact nodes out of a free vector, xi is the nodal
+    traction there, and R holds the contact pairing columns of those dofs.
+    The traction reads the tangential velocity tau_k tau_k^T v_k only, so
+    the friction block of the Jacobian at free contact node k is
+    a_k tau_k^T, with a_k = J_k tau_k and J_k the traction Jacobian; that
+    is, D = A T^T with T the block column of the tangents. Of B^-1 R the
+    step needs only S = E^T B^-1 R and T^T S (see
+    :func:`solve_momentum_step`). S is formed two columns of R (one contact
+    node) at a time, so no n_free x 2q array is ever held.
     """
 
     mesh: Mesh
@@ -151,21 +155,20 @@ class MomentumStep:
     mass: sp.csr_matrix = field(init=False, repr=False)
     visc: sp.csr_matrix = field(init=False, repr=False)
     elast: sp.csr_matrix = field(init=False, repr=False)
-    contact: sp.csr_matrix = field(init=False, repr=False)  # zero nodal traction on D nodes
     base: sp.csr_matrix = field(init=False, repr=False)  # B
     nodes: np.ndarray = field(init=False, repr=False)  # the q free contact nodes, mesh indices
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
     nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
+    r: sp.csc_matrix = field(init=False, repr=False)  # R, (n_free, 2q)
     factor: BandCholesky | BandLU = field(init=False, repr=False)  # of B
-    z: np.ndarray = field(init=False, repr=False)  # Z = B^-1 R, (n_free, 2q)
-    ts: np.ndarray = field(init=False, repr=False)  # T^T S, (q, q, 2)
+    s: np.ndarray = field(init=False, repr=False)  # S = E^T B^-1 R, (2q, 2q)
+    ts: np.ndarray = field(init=False, repr=False)  # T^T S, (q, 2q)
 
     def __post_init__(self):
         mesh, dofs = self.mesh, self.dofs
         self.visc, self.elast = assemble_elastic_operators(mesh, dofs, self.mat)
         self.mass = assemble_vector_mass(mesh, dofs)
-        self.contact = assemble_contact_mass(mesh, dofs)
         self.base = dofs.vector.csr(self.mat.mass_mech() / self.dt * self.mass.data
                                     + self.visc.data + self.dt * self.elast.data)
         # a contact node on the D part never moves, so friction acts on the free ones only
@@ -175,28 +178,22 @@ class MomentumStep:
         self.pos = xy_dofs(free[sel])
         self.nu = dofs.contact_normal[sel]
         self.tau = dofs.contact_tangent[sel]
+        self.r = assemble_contact_mass(mesh, dofs).tocsc()[:, self.pos]
+        self.r.eliminate_zeros()  # the contact mass is stored on the full vector pattern
         try:
             self.factor = factor_banded(self.base, dofs.vector.layout)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"momentum solve at t=0: {exc}") from None
-        q = self.tau.shape[0]
-        self.z = self.factor.solve(self.contact[:, self.pos].toarray())
-        self.ts = np.einsum("kj,kjl->kl", self.tau, self.z[self.pos].reshape(q, 2, 2 * q)).reshape(q, q, 2)
+        self.s = np.empty((self.pos.size, self.pos.size))
+        for k in range(0, self.pos.size, 2):
+            self.s[:, k:k + 2] = self.factor.solve(self.r[:, k:k + 2].toarray())[self.pos]
+        self.ts = self.tau[:, :1] * self.s[0::2] + self.tau[:, 1:] * self.s[1::2]
 
-    def tangential(self, v_free: np.ndarray) -> np.ndarray:
-        """(q, 2) tangential parts of a free velocity at the free contact nodes."""
-        vp = v_free[self.pos].reshape(-1, 2)
-        return vp - np.einsum("mi,mi->m", vp, self.nu)[:, None] * self.nu
-
-    def solve(self, rhs: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """(B + R D E^T)^-1 rhs, D = block_diag(a_k tau_k^T) for the (q, 2) array a."""
-        q = self.tau.shape[0]
-        y = self.factor.solve(rhs)
-        if q == 0:
-            return y
-        lhs = np.eye(q) + np.einsum("klj,lj->kl", self.ts, a)
-        w = np.linalg.solve(lhs, np.einsum("kj,kj->k", self.tau, y[self.pos].reshape(q, 2)))
-        return y - self.z @ (a * w[:, None]).ravel()
+    def tangential(self, w: np.ndarray) -> np.ndarray:
+        """(q, 2) tangential parts of the velocity w (2q,) at the free contact nodes."""
+        w = w.reshape(-1, 2)
+        nu = self.nu
+        return w - (w[:, 0] * nu[:, 0] + w[:, 1] * nu[:, 1])[:, None] * nu
 
 
 def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -206,9 +203,9 @@ def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray)
     ``step.nodes``. The traction is zero everywhere else, D nodes included,
     since they never move.
     """
-    out = np.zeros(2 * step.mesh.n_nodes)
-    out[xy_dofs(step.nodes)] = step.rfric.traction(step.tangential(v_free), F).ravel()
-    return out
+    out = np.zeros((step.mesh.n_nodes, 2))
+    out[step.nodes] = step.rfric.traction(step.tangential(v_free[step.pos]), F)
+    return out.ravel()
 
 
 def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_new: float):
@@ -217,41 +214,84 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     ``ws`` is the run's :class:`~thermocontact.scheme.Workspace`; the step
     reads the full old displacement ``u`` and velocity ``v`` and the full
     delayed temperature ``theta``. Returns the full fields (v_new, u_new,
-    xi_new) and the Newton info; the terminal residual satisfies
-    |res| <= tol_momentum (1 + |load|), or SolverError is raised.
+    xi_new) and the Newton info, or raises SolverError. The stop test
+    |res| <= tol_momentum (1 + |load|) and ``info["residual"]`` read the
+    condensed residual below; it equals the true residual B v + R xi - rhs
+    of v_new only up to the error of the band solves.
 
-    The velocity update is :func:`damped_newton` with the exact Jacobian:
-    the run's step matrix, through its factor, plus the friction term on the
-    contact dofs, which each correction condenses to a dense system there.
-    The normal traction F is read once, at t_new and the free contact nodes;
-    each trial evaluates the friction law once, in :func:`contact_traction_full`.
+    The velocity update is :func:`damped_newton` with the exact Jacobian,
+    run on the 1 + 2q numbers x = (beta, c). With v0 the old velocity,
+    w0 = E^T v0, r0 = B v0 + R xi(w0) - rhs and p = B^-1 r0 (the first band
+    solve), x stands for the velocity v0 + beta p + B^-1 R c, whose residual
+    is
+
+        (1 + beta) r0 + R rho,   rho = c + xi(w) - xi(w0),   w = w0 + beta E^T p + S c.
+
+    So a trial evaluates the friction law once, at w, and the line search
+    and the stop test read the norm of that n_free residual. By the
+    Sherman-Morrison-Woodbury identity the Newton step from x is
+
+        beta <- beta - (1 + beta),   c <- c + A y - rho,
+        (I + T^T S A) y = (1 + beta) T^T E^T p + T^T S rho,
+
+    a dense system with one unknown per free contact node. The step ends
+    with the second band solve, v = v0 + B^-1 (beta r0 + R c), and takes xi
+    from the last accepted trial. Without free contact nodes (q = 0) the
+    velocity is v0 + beta p, one band solve in all. The normal traction F
+    is read once, at t_new and the free contact nodes.
     """
     step, cfg = ws.momentum, ws.config
-    mesh, dofs, mat = step.mesh, step.dofs, step.mat
+    mesh, dofs, mat, rfric, tau = step.mesh, step.dofs, step.mat, step.rfric, step.tau
+    q = tau.shape[0]
     vfree = dofs.vector_free_dofs()
     u_old = u[vfree]
     v_old = v[vfree]
-    load = assemble_mech_load(mesh, dofs, step.bd, step.rfric.fric, t_new)
+    load = assemble_mech_load(mesh, dofs, step.bd, rfric.fric, t_new)
     coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
     rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
-    F = step.rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
+    F = rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
+    w0 = v_old[step.pos]
+    xi0 = rfric.traction(step.tangential(w0), F).ravel()
+    r0 = step.base @ v_old + step.r @ xi0 - rhs
+    p = step.factor.solve(r0)
+    ep = p[step.pos]
+    tp = tau[:, 0] * ep[0::2] + tau[:, 1] * ep[1::2]  # T^T E^T p
 
-    def residual(v_free):
-        xi = contact_traction_full(step, v_free, F)
-        return step.base @ v_free + step.contact @ xi[vfree] - rhs, (xi, v_free)
+    def residual(x):
+        beta, c = x[0], x[1:]
+        vt = step.tangential(w0 + beta * ep + step.s @ c)
+        xi = rfric.traction(vt, F)
+        rho = c + xi.ravel() - xi0
+        return (1.0 + beta) * r0 + step.r @ rho, (x, vt, xi, rho)
 
     def correction(res, aux):
-        jac = step.rfric.traction_jacobian(step.tangential(aux[1]), F)
-        try:
-            return step.solve(-res, np.einsum("kij,kj->ki", jac, step.tau))
-        except np.linalg.LinAlgError as exc:  # the Woodbury system is singular
-            raise SolverError(f"momentum solve at t={t_new:.6g}: {exc}") from None
+        x, vt, _, rho = aux
+        delta = np.empty_like(x)
+        delta[0] = -(1.0 + x[0])
+        if q:
+            jac = rfric.traction_jacobian(vt, F)
+            a = jac[:, :, 0] * tau[:, :1] + jac[:, :, 1] * tau[:, 1:]  # a_k = J_k tau_k
+            lhs = step.ts[:, 0::2] * a[:, 0] + step.ts[:, 1::2] * a[:, 1]  # T^T S A
+            lhs.flat[::q + 1] += 1.0
+            try:
+                y = np.linalg.solve(lhs, (1.0 + x[0]) * tp + step.ts @ rho)
+            except np.linalg.LinAlgError as exc:  # the Woodbury system is singular
+                raise SolverError(f"momentum solve at t={t_new:.6g}: {exc}") from None
+            np.multiply(a, y[:, None], out=delta[1:].reshape(q, 2))
+            delta[1:] -= rho
+        return delta
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
-    v_new, (xi, _), info = damped_newton(residual, correction, v_old.copy(), target,
-                                         cfg.max_iter_momentum, "momentum", t_new)
+    x, (_, _, xi, _), info = damped_newton(residual, correction, np.zeros(1 + 2 * q), target,
+                                           cfg.max_iter_momentum, "momentum", t_new)
+    if q:
+        v_new = v_old + step.factor.solve(x[0] * r0 + step.r @ x[1:])
+    else:
+        v_new = v_old + x[0] * p
     v_full = np.zeros(2 * mesh.n_nodes)
     v_full[vfree] = v_new
     u_full = np.zeros_like(v_full)
     u_full[vfree] = u_old + step.dt * v_new
-    return v_full, u_full, xi, info
+    xi_full = np.zeros((mesh.n_nodes, 2))
+    xi_full[step.nodes] = xi
+    return v_full, u_full, xi_full.ravel(), info

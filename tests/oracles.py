@@ -26,6 +26,7 @@ from thermocontact import diagnostics
 from thermocontact.assembly import (
     _mass_local,
     _tensor_stiffness_local,
+    assemble_contact_mass,
     assemble_joule_load_direct,
     assemble_mech_load,
     assemble_p_laplacian,
@@ -551,9 +552,10 @@ def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
     """Residual and exact Jacobian of the implicit step at a trial velocity.
 
     All vectors but theta_del live on free vector dofs. The residual
-    B v + R xi(v) - rhs is formed here from the step's matrices, the load
-    assemblers and the pointwise law ``rfric.traction``, apart from the
-    solver's own closure and its nodal traction: the tangential velocity is
+    B v + R xi(v) - rhs is formed here from the step matrix B, the contact
+    mass, the load assemblers and the pointwise law ``rfric.traction``,
+    apart from the solver's own closure and its nodal traction: R is the
+    contact mass on the free contact dofs, the tangential velocity is
     P_k v_k with P_k = I - nu_k nu_k^T at each free contact node, and the
     friction block of the Jacobian is J_k P_k with J_k = ``traction_jacobian``.
     """
@@ -567,13 +569,30 @@ def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
     rhs = (assemble_mech_load(mesh, dofs, step.bd, rfric.fric, t_new)
            - assemble_thermal_coupling(mesh, dofs, mat, theta_del)
            + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old)
-    res = step.base @ v_free + step.contact[:, pos] @ rfric.traction(vt, F).ravel() - rhs
+    r = assemble_contact_mass(mesh, dofs)[:, pos]
+    res = step.base @ v_free + r @ rfric.traction(vt, F).ravel() - rhs
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()
     cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
     blocks = np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
     d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
-    return res, (step.base + step.contact[:, pos] @ d_et).tocsr()
+    return res, (step.base + r @ d_et).tocsr()
+
+
+def direct_momentum_step(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
+                         theta_del: np.ndarray, tol: float, max_iter: int):
+    """The momentum step by damped Newton on the full Jacobian, from v_old.
+
+    Each correction is a sparse direct solve with the Jacobian of
+    :func:`momentum_residual`; the target is the solver's,
+    tol (1 + |load|). Returns the free velocity and the Newton info.
+    """
+    load = assemble_mech_load(step.mesh, step.dofs, step.bd, step.rfric.fric, t_new)
+    v, _, info = damped_newton(
+        lambda v: momentum_residual(step, t_new, u_old, v_old, theta_del, v),
+        lambda res, jac: spsolve(jac.tocsc(), -res),
+        v_old.copy(), tol * (1.0 + float(np.linalg.norm(load))), max_iter, "momentum", t_new)
+    return v, info
 
 
 def potential_bound(models, state) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from conftest import const_bd, const_friction
 from oracles import (
     DirectSolve,
     delay_inequality_gap,
+    momentum_residual,
     restrict_scalar,
     scalar_mass_full,
     scalar_stiffness_unit_full,
@@ -743,8 +744,8 @@ class TestAdvance:
     def test_run_does_not_depend_on_node_numbering(self, tmp_path):
         # build_dof_maps numbers the free dofs from the mesh graph, so a file
         # that numbers its nodes at random gives the same states up to roundoff;
-        # the friction law amplifies that in xi to 1.7e-12 of its largest entry,
-        # so each field is compared in the 2-norm
+        # the friction law amplifies that in xi to 1.7e-12 of its largest entry
+        # (9.5e-13 in the 2-norm), so each field is compared in the 2-norm
         runs = []
         for seed in (None, 3):
             path = tmp_path / f"seed_{seed}.mesh"
@@ -861,6 +862,63 @@ class TestMomentumStage:
             for name in ("theta", "phi", "u", "v", "xi"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.abs(states[-1].xi).max() > 0.0
+
+    # worst true residual over its target: 0.994 (contact), 0.503 (contact,
+    # dt / 10, where rho / dt dominates B) and 3e-6 (no contact, where the
+    # condensed residual is 0 after one correction), as before the condensed form
+    @pytest.mark.parametrize("contact, dt_ratio", [(True, 1), (True, 0.1), (False, 1)])
+    def test_true_residual_within_target_on_every_step(self, contact, dt_ratio):
+        # the stop test reads the residual in the condensed form; the residual
+        # of the returned velocity, formed by the oracle, meets the target too.
+        # xi comes from the last accepted trial: it is the friction law at the
+        # returned velocity up to roundoff (2.3e-13 of its largest entry here)
+        models, cfg, theta0 = contact_run_inputs()
+        if not contact:
+            models = default_models(8, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"},
+                                    overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        cfg = dataclasses.replace(cfg, T=dt_ratio * cfg.T, h=dt_ratio * cfg.h, dt=dt_ratio * cfg.dt)
+        ws = initialize(models, cfg, theta0=theta0)
+        states = advance(ws)
+        step, vfree = ws.momentum, models.dofs.vector_free_dofs()
+        assert len(ws.momentum_info) == cfg.n_steps
+        for n, info in enumerate(ws.momentum_info, start=1):
+            old, delayed, new = states[n - 1], states[max(n - cfg.delay_steps, 0)], states[n]
+            res, _ = momentum_residual(step, n * cfg.dt, old.u[vfree], old.v[vfree],
+                                       delayed.theta, new.v[vfree])
+            assert np.linalg.norm(res) <= info["target"], n
+            F = models.fric.F_field(models.mesh.nodes[step.nodes], n * cfg.dt)
+            law = friction.contact_traction_full(step, new.v[vfree], F)
+            assert np.abs(new.xi - law).max() <= 1e-10 * np.abs(law).max(), n
+        assert (np.abs(states[-1].xi).max() > 0.0) == contact
+
+    # the Newton corrections of each momentum step, as the full-space Newton
+    # with one Woodbury solve per correction made them
+    @pytest.mark.parametrize("n, corrections", [
+        (8, [11, 4] + [2] * 18 + [1] * 6 + [2] * 14),
+        (16, [11, 7, 6, 6] + [2] * 17 + [1] * 7 + [2] * 12),
+    ])
+    def test_correction_counts_per_step(self, n, corrections):
+        models, cfg, theta0 = contact_run_inputs(n)
+        ws = initialize(models, cfg, theta0=theta0)
+        advance(ws)
+        assert [info["iterations"] for info in ws.momentum_info] == corrections
+
+    @pytest.mark.parametrize("contact, solves", [(True, 2), (False, 1)])
+    def test_band_solves_per_step(self, contact, solves):
+        # p = B^-1 r0, and with free contact nodes a second solve rebuilds v;
+        # the Newton corrections in between make none
+        models, cfg, theta0 = contact_run_inputs()
+        if not contact:
+            models = default_models(8, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"},
+                                    overrides={"f0": (0.5, 0.0), "phi_b": "x1"})
+        ws = initialize(models, cfg, theta0=theta0)
+        assert (ws.momentum.pos.size > 0) == contact
+        counts = {"solves": 0}
+        ws.momentum.factor = CountedSolves(ws.momentum.factor, counts)
+        step_serially(ws)
+        corrections = sum(info["iterations"] for info in ws.momentum_info)
+        assert corrections >= cfg.n_steps
+        assert counts["solves"] == solves * cfg.n_steps
 
     def test_momentum_error_message_unchanged(self):
         ws = initialize(default_models(4, overrides={"f0": (0.5, 0.0)}), STALLING_MOMENTUM)
