@@ -15,10 +15,10 @@ unchanged. Nodal tractions are paired with test functions through the
 contact boundary mass of the P1 interpolant.
 
 The momentum step matrix B is the same at every step of a run, and
-friction acts only at the q free contact nodes. So the Newton iteration of
-a step runs in 1 + 2q numbers, on the band factor of B that the run keeps:
-one band solve before the iteration, one after it, and none in between
-(:func:`solve_momentum_step`).
+friction acts only along the tangents of the q free contact nodes. So the
+Newton iteration of a step runs in 1 + q numbers, on the band factor of B
+that the run keeps: one band solve before the iteration, one after it, and
+none in between (:func:`solve_momentum_step`).
 """
 
 from __future__ import annotations
@@ -134,16 +134,15 @@ class MomentumStep:
     the step is built steps on the same factor. A singular B raises
     SolverError here, before any step.
 
-    Friction adds R xi(E^T v) to the residual B v - rhs: E^T picks the dofs
-    of the q free contact nodes out of a free vector, xi is the nodal
-    traction there, and R holds the contact pairing columns of those dofs.
-    The traction reads the tangential velocity tau_k tau_k^T v_k only, so
-    the friction block of the Jacobian at free contact node k is
-    a_k tau_k^T, with a_k = J_k tau_k and J_k the traction Jacobian; that
-    is, D = A T^T with T the block column of the tangents. Of B^-1 R the
-    step needs only S = E^T B^-1 R and T^T S (see
-    :func:`solve_momentum_step`). S is formed two columns of R (one contact
-    node) at a time, so no n_free x 2q array is ever held.
+    Friction adds R xi to the residual B v - rhs, with R the contact
+    pairing columns of the free contact dofs and xi the nodal traction
+    there. At free contact node k the traction lies along the unit tangent
+    tau_k and reads only the slip rate s_k = tau_k . v_k (:meth:`slip`), so
+    R xi = R_tau g with R_tau = R T, T the block column of the tangents and
+    g_k = xi_k . tau_k. Of B^-1 R_tau the step needs only the q x q
+    S = T^T E^T B^-1 R_tau, where E^T picks the free contact dofs (see
+    :func:`solve_momentum_step`). S is formed one column of R_tau at a
+    time, so no n_free x q array is ever held.
     """
 
     mesh: Mesh
@@ -158,12 +157,10 @@ class MomentumStep:
     base: sp.csr_matrix = field(init=False, repr=False)  # B
     nodes: np.ndarray = field(init=False, repr=False)  # the q free contact nodes, mesh indices
     pos: np.ndarray = field(init=False, repr=False)  # their (x, y) dofs in the free vector
-    nu: np.ndarray = field(init=False, repr=False)  # their unit normals, (q, 2)
     tau: np.ndarray = field(init=False, repr=False)  # their unit tangents, (q, 2)
-    r: sp.csc_matrix = field(init=False, repr=False)  # R, (n_free, 2q)
+    r: sp.csc_matrix = field(init=False, repr=False)  # R_tau = R T, (n_free, q)
     factor: BandCholesky | BandLU = field(init=False, repr=False)  # of B
-    s: np.ndarray = field(init=False, repr=False)  # S = E^T B^-1 R, (2q, 2q)
-    ts: np.ndarray = field(init=False, repr=False)  # T^T S, (q, 2q)
+    s: np.ndarray = field(init=False, repr=False)  # S = T^T E^T B^-1 R_tau, (q, q)
 
     def __post_init__(self):
         mesh, dofs = self.mesh, self.dofs
@@ -176,24 +173,22 @@ class MomentumStep:
         sel = free >= 0
         self.nodes = dofs.contact_nodes[sel]
         self.pos = xy_dofs(free[sel])
-        self.nu = dofs.contact_normal[sel]
         self.tau = dofs.contact_tangent[sel]
-        self.r = assemble_contact_mass(mesh, dofs).tocsc()[:, self.pos]
+        r = assemble_contact_mass(mesh, dofs).tocsc()[:, self.pos]
+        self.r = (r[:, 0::2] @ sp.diags(self.tau[:, 0]) + r[:, 1::2] @ sp.diags(self.tau[:, 1])).tocsc()
         self.r.eliminate_zeros()  # the contact mass is stored on the full vector pattern
         try:
             self.factor = factor_banded(self.base, dofs.vector.layout)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"momentum solve at t=0: {exc}") from None
-        self.s = np.empty((self.pos.size, self.pos.size))
-        for k in range(0, self.pos.size, 2):
-            self.s[:, k:k + 2] = self.factor.solve(self.r[:, k:k + 2].toarray())[self.pos]
-        self.ts = self.tau[:, :1] * self.s[0::2] + self.tau[:, 1:] * self.s[1::2]
+        self.s = np.empty((self.nodes.size, self.nodes.size))
+        for k in range(self.nodes.size):
+            self.s[:, k] = self.slip(self.factor.solve(self.r[:, k].toarray().ravel())[self.pos])
 
-    def tangential(self, w: np.ndarray) -> np.ndarray:
-        """(q, 2) tangential parts of the velocity w (2q,) at the free contact nodes."""
+    def slip(self, w: np.ndarray) -> np.ndarray:
+        """(q,) tangential parts tau_k . w_k of a vector w, (2q,) or (q, 2), at the free contact nodes."""
         w = w.reshape(-1, 2)
-        nu = self.nu
-        return w - (w[:, 0] * nu[:, 0] + w[:, 1] * nu[:, 1])[:, None] * nu
+        return w[:, 0] * self.tau[:, 0] + w[:, 1] * self.tau[:, 1]
 
 
 def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray)
     since they never move.
     """
     out = np.zeros((step.mesh.n_nodes, 2))
-    out[step.nodes] = step.rfric.traction(step.tangential(v_free[step.pos]), F)
+    out[step.nodes] = step.rfric.traction(step.slip(v_free[step.pos])[:, None] * step.tau, F)
     return out.ravel()
 
 
@@ -220,25 +215,26 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     of v_new only up to the error of the band solves.
 
     The velocity update is :func:`damped_newton` with the exact Jacobian,
-    run on the 1 + 2q numbers x = (beta, c). With v0 the old velocity,
-    w0 = E^T v0, r0 = B v0 + R xi(w0) - rhs and p = B^-1 r0 (the first band
-    solve), x stands for the velocity v0 + beta p + B^-1 R c, whose residual
-    is
+    run on the 1 + q numbers x = (beta, c). With v0 the old velocity,
+    s0 its slip rates, r0 = B v0 + R_tau g(s0) - rhs and p = B^-1 r0 (the
+    first band solve), x stands for the velocity v0 + beta p + B^-1 R_tau c,
+    whose residual is
 
-        (1 + beta) r0 + R rho,   rho = c + xi(w) - xi(w0),   w = w0 + beta E^T p + S c.
+        (1 + beta) r0 + R_tau rho,   rho = c + g(s) - g(s0),   s = s0 + beta T^T E^T p + S c.
 
-    So a trial evaluates the friction law once, at w, and the line search
-    and the stop test read the norm of that n_free residual. By the
-    Sherman-Morrison-Woodbury identity the Newton step from x is
+    So a trial evaluates the friction law once, at the slips s, and the
+    line search and the stop test read the norm of that n_free residual.
+    By the Sherman-Morrison-Woodbury identity the Newton step from x is
 
-        beta <- beta - (1 + beta),   c <- c + A y - rho,
-        (I + T^T S A) y = (1 + beta) T^T E^T p + T^T S rho,
+        beta <- beta - (1 + beta),   c <- c + g' y - rho,
+        (I + S diag(g')) y = (1 + beta) T^T E^T p + S rho,
 
-    a dense system with one unknown per free contact node. The step ends
-    with the second band solve, v = v0 + B^-1 (beta r0 + R c), and takes xi
-    from the last accepted trial. Without free contact nodes (q = 0) the
-    velocity is v0 + beta p, one band solve in all. The normal traction F
-    is read once, at t_new and the free contact nodes.
+    a dense q x q system, with g'_k = tau_k^T J_k tau_k from the traction
+    Jacobian J_k. The step ends with the second band solve,
+    v = v0 + B^-1 (beta r0 + R_tau c), and takes xi from the last accepted
+    trial. Without free contact nodes (q = 0) the velocity is v0 + beta p,
+    one band solve in all. The normal traction F is read once, at t_new and
+    the free contact nodes.
     """
     step, cfg = ws.momentum, ws.config
     mesh, dofs, mat, rfric, tau = step.mesh, step.dofs, step.mat, step.rfric, step.tau
@@ -250,39 +246,37 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     coup = assemble_thermal_coupling(mesh, dofs, mat, theta)
     rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
     F = rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
-    w0 = v_old[step.pos]
-    xi0 = rfric.traction(step.tangential(w0), F).ravel()
-    r0 = step.base @ v_old + step.r @ xi0 - rhs
+    s0 = step.slip(v_old[step.pos])
+    g0 = step.slip(rfric.traction(s0[:, None] * tau, F))
+    r0 = step.base @ v_old + step.r @ g0 - rhs
     p = step.factor.solve(r0)
-    ep = p[step.pos]
-    tp = tau[:, 0] * ep[0::2] + tau[:, 1] * ep[1::2]  # T^T E^T p
+    tp = step.slip(p[step.pos])  # T^T E^T p
 
     def residual(x):
         beta, c = x[0], x[1:]
-        vt = step.tangential(w0 + beta * ep + step.s @ c)
-        xi = rfric.traction(vt, F)
-        rho = c + xi.ravel() - xi0
-        return (1.0 + beta) * r0 + step.r @ rho, (x, vt, xi, rho)
+        s = s0 + beta * tp + step.s @ c
+        xi = rfric.traction(s[:, None] * tau, F)
+        rho = c + step.slip(xi) - g0
+        return (1.0 + beta) * r0 + step.r @ rho, (x, s, xi, rho)
 
     def correction(res, aux):
-        x, vt, _, rho = aux
+        x, s, _, rho = aux
         delta = np.empty_like(x)
         delta[0] = -(1.0 + x[0])
         if q:
-            jac = rfric.traction_jacobian(vt, F)
-            a = jac[:, :, 0] * tau[:, :1] + jac[:, :, 1] * tau[:, 1:]  # a_k = J_k tau_k
-            lhs = step.ts[:, 0::2] * a[:, 0] + step.ts[:, 1::2] * a[:, 1]  # T^T S A
+            jac = rfric.traction_jacobian(s[:, None] * tau, F)
+            dg = np.einsum("ki,kij,kj->k", tau, jac, tau)  # g'_k = tau_k^T J_k tau_k
+            lhs = step.s * dg  # S diag(g')
             lhs.flat[::q + 1] += 1.0
             try:
-                y = np.linalg.solve(lhs, (1.0 + x[0]) * tp + step.ts @ rho)
+                y = np.linalg.solve(lhs, (1.0 + x[0]) * tp + step.s @ rho)
             except np.linalg.LinAlgError as exc:  # the Woodbury system is singular
                 raise SolverError(f"momentum solve at t={t_new:.6g}: {exc}") from None
-            np.multiply(a, y[:, None], out=delta[1:].reshape(q, 2))
-            delta[1:] -= rho
+            delta[1:] = dg * y - rho
         return delta
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
-    x, (_, _, xi, _), info = damped_newton(residual, correction, np.zeros(1 + 2 * q), target,
+    x, (_, _, xi, _), info = damped_newton(residual, correction, np.zeros(1 + q), target,
                                            cfg.max_iter_momentum, "momentum", t_new)
     if q:
         v_new = v_old + step.factor.solve(x[0] * r0 + step.r @ x[1:])

@@ -438,7 +438,12 @@ class _StageWorker:
     def __init__(self, ws: Workspace):
         self.theta: dict[int, np.ndarray] = {}
         req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
+        try:
+            rep_r, rep_w = os.pipe()
+        except OSError:  # out of descriptors (EMFILE)
+            os.close(req_r)
+            os.close(req_w)
+            raise
         # A pipe holds 64 kB by default, and one momentum reply at n=64 is
         # 203 kB, so the worker would wait at each one until the parent's
         # next call. Where Linux lets a pipe grow (to 1 MB for any user by

@@ -16,6 +16,7 @@ from oracles import (
     momentum_residual,
     slip_potential,
 )
+from thermocontact import friction
 from thermocontact.friction import (
     MomentumStep,
     RegularizedFriction,
@@ -144,8 +145,16 @@ class TestNodalTraction:
         step = MomentumStep(mesh, dofs, mat, default_rfric, const_bd(), 0.02)
         rng = np.random.default_rng(6)
         v = rng.normal(size=dofs.vector_free_dofs().size)
-        vt = step.tangential(v[step.pos])
-        assert np.abs(np.einsum("mi,mi->m", vt, step.nu)).max() < 1e-15
+        slip = step.slip(v[step.pos])
+        at = {node: k for k, node in enumerate(dofs.contact_nodes)}
+        assert step.nodes.size > 0 and slip.shape == step.nodes.shape
+        for node, s in zip(step.nodes, slip):
+            f = dofs.node_to_free[node]
+            assert abs(s - dofs.contact_tangent[at[node]] @ v[2 * f:2 * f + 2]) < 1e-15 * np.abs(v).max()
+        xi = contact_traction_full(step, v, default_rfric.fric.F_field(mesh.nodes[step.nodes], 0.0))
+        xi = xi.reshape(-1, 2)[step.nodes]
+        normal = np.einsum("mi,mi->m", xi, dofs.contact_normal[[at[node] for node in step.nodes]])
+        assert np.abs(normal).max() < 1e-15 * np.abs(xi).max()
 
 
 class TestFrictionFunctional:
@@ -321,6 +330,27 @@ class TestMomentumStep:
         out1 = solve_momentum_step(ws, s0.u, s0.v, theta, 0.02)
         out2 = solve_momentum_step(ws, s0.u, s0.v, theta, 0.02)
         assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[2], out2[2])
+
+    def test_build_solves_one_column_per_free_contact_node(self, square4, monkeypatch):
+        # S = T^T E^T B^-1 R_tau takes one band solve column per free contact
+        # node, on the tangent only
+        mesh, dofs, mat, fric, bd = self.setup_case(square4)
+        columns = []
+        factor_banded = friction.factor_banded
+
+        class Counted:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, b):
+                columns.append(b.reshape(b.shape[0], -1).shape[1])
+                return self.factor.solve(b)
+
+        monkeypatch.setattr(friction, "factor_banded", lambda matrix, layout: Counted(factor_banded(matrix, layout)))
+        step = MomentumStep(mesh, dofs, mat, RegularizedFriction(fric, eps=1e-8), bd, 0.02)
+        q = step.nodes.size
+        assert q > 0 and sum(columns) == q
+        assert step.s.shape == (q, q) and step.r.shape == (dofs.vector_free_dofs().size, q)
 
     def test_iteration_budget_enforced(self, square4):
         mesh, dofs, mat, fric, bd = self.setup_case(square4)
