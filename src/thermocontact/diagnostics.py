@@ -115,9 +115,9 @@ def energy_report(ws) -> DiagnosticsReport:
     """Scalar diagnostics for every state of a run's :class:`~thermocontact.scheme.Workspace`.
 
     The mass, viscosity and elasticity forms are the run's own, read from
-    the workspace. Checks the potential bound, the nodal traction bound,
-    and the sign of the heat sources at each step; failures become
-    violation entries.
+    the workspace. Checks the potential bound, the traction bound
+    |xi| <= mu_bar F at each contact node, and the sign of the heat sources
+    at each step; failures become violation entries.
     """
     models, config = ws.models, ws.config
     mesh, dofs, mat, fric = models.mesh, models.dofs, models.mat, models.fric
@@ -127,7 +127,7 @@ def energy_report(ws) -> DiagnosticsReport:
     stiff_s = assemble_scalar_stiffness_unit(mesh, dofs)
     mass_v, visc_op, elast_op = ws.momentum.mass, ws.momentum.visc, ws.momentum.elast
     bound_c = potential_bound_constant(models)
-    traction_cap = fric.mu_bar * fric.F_bar * (1.0 + 1e-10)
+    contact = mesh.nodes[dofs.contact_nodes]
 
     dt, h = config.dt, config.h
     data = np.zeros((len(ws.states), len(REPORT_COLUMNS)))
@@ -163,12 +163,13 @@ def energy_report(ws) -> DiagnosticsReport:
         if phi_v > bound_c * (1.0 + 1e-8):
             violations.append(
                 f"potential bound exceeded at t={state.t:.6g}: {phi_v} > {bound_c}")
-        xi_c = state.xi.reshape(-1, 2)[dofs.contact_nodes]
-        if xi_c.size:
-            worst = float(np.linalg.norm(xi_c, axis=1).max())
-            if worst > traction_cap:
-                violations.append(
-                    f"traction bound exceeded at t={state.t:.6g}: {worst} > {traction_cap}")
+        if contact.size:
+            size = np.linalg.norm(state.xi.reshape(-1, 2)[dofs.contact_nodes], axis=1)
+            cap = fric.mu_bar * np.asarray(fric.F_field(contact, state.t), dtype=float) * (1.0 + 1e-10)
+            k = int((size - cap).argmax())
+            if size[k] > cap[k]:
+                violations.append(f"traction bound exceeded at t={state.t:.6g}, "
+                                  f"x={contact[k].tolist()}: {size[k]} > {cap[k]}")
         fheat = assemble_frictional_heat(mesh, dofs, fric, state.v, state.t)
         for name, load in (("joule", joule), ("frictional heat", fheat)):
             if load.size and load.min() < -1e-14:

@@ -1,14 +1,16 @@
 """Regularized slip-rate friction law and the implicit momentum step.
 
-The tangential traction at a contact node is
+On the boundary of a 2D body the tangential velocity at a contact node is
+one number, the slip rate s = tau . v along the unit tangent tau. The
+tangential traction there is g(s) tau, with
 
-    xi(v) = mu(r_eps) F v_tau / r_eps,   r_eps = sqrt(|v_tau|^2 + eps^2),
+    g(s) = mu(r) F s / r,   r = sqrt(s^2 + eps^2),
 
-a smoothing of the set-valued law xi in mu(|v_tau|) F unit(v_tau). The
-smoothed map keeps the traction bound |xi| <= mu_bar F exactly and satisfies
-the same one-sided monotonicity estimate as the exact law,
+a smoothing of the set-valued law g in mu(|s|) F sign(s). The smoothed
+law keeps the traction bound |g| <= mu_bar F exactly and satisfies the
+same one-sided monotonicity estimate as the exact law,
 
-    (xi(v1) - xi(v2)) . (v1 - v2) >= -F d_mu |v1 - v2|^2,
+    (g(s1) - g(s2)) (s1 - s2) >= -F d_mu (s1 - s2)^2,
 
 so every stability argument that consumes those two properties applies
 unchanged. Nodal tractions are paired with test functions through the
@@ -85,7 +87,7 @@ def damped_newton(residual, correction, x0: np.ndarray, target: float, max_iter:
 
 @dataclass
 class RegularizedFriction:
-    """Friction law with an eps-smoothed slip-rate magnitude."""
+    """Friction law g(s) on slip rates s, with the eps-smoothed magnitude r = sqrt(s^2 + eps^2)."""
 
     fric: FrictionModel
     eps: float
@@ -94,34 +96,28 @@ class RegularizedFriction:
         if not self.eps > 0.0:
             raise ValueError("regularization parameter must be positive")
 
-    def smoothed_rate(self, vt: np.ndarray) -> np.ndarray:
-        vt = np.asarray(vt, dtype=float)
-        x, y = vt[..., 0], vt[..., 1]
-        return np.sqrt(x * x + y * y + self.eps**2)
+    def traction(self, s: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Tangential traction g(s) = mu(r) F s / r for slip rates s (m,) and normal tractions F (m,)."""
+        s = np.asarray(s, dtype=float)
+        r = np.sqrt(s * s + self.eps**2)
+        return np.asarray(self.fric.mu(r), dtype=float) * np.asarray(F, dtype=float) / r * s
 
-    def traction(self, vt: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Tangential traction for slip velocities vt (m, 2) and tractions F (m,)."""
-        vt = np.atleast_2d(np.asarray(vt, dtype=float))
-        r = self.smoothed_rate(vt)
-        c = np.asarray(self.fric.mu(r), dtype=float) * np.asarray(F, dtype=float) / r
-        return c[:, None] * vt
+    def slope(self, s: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Slope g'(s) = F (mu'(r) s^2 / r^2 + mu(r) eps^2 / r^3) of the traction.
 
-    def traction_jacobian(self, vt: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """(m, 2, 2) derivative of the traction with respect to vt."""
-        vt = np.atleast_2d(np.asarray(vt, dtype=float))
-        F = np.asarray(F, dtype=float)
-        r = self.smoothed_rate(vt)
+        mu' is taken by central differences where the model gives none.
+        """
+        s = np.asarray(s, dtype=float)
+        r2 = s * s + self.eps**2
+        r = np.sqrt(r2)
         mu = np.asarray(self.fric.mu(r), dtype=float)
         if self.fric.mu_prime is not None:
             dmu = np.asarray(self.fric.mu_prime(r), dtype=float)
-        else:
-            h = 1e-7
-            dmu = (np.asarray(self.fric.mu(r + h), dtype=float)
-                   - np.asarray(self.fric.mu(np.maximum(r - h, 0.0)), dtype=float)) / (2 * h)
-        outer = vt[:, :, None] * vt[:, None, :]
-        eye = np.eye(2)[None]
-        core = (dmu / r**2 - mu / r**3)[:, None, None] * outer + (mu / r)[:, None, None] * eye
-        return F[:, None, None] * core
+        else:  # over [r - 1e-7, r + 1e-7], cut at 0, so divide by the span taken
+            hi, lo = r + 1e-7, np.maximum(r - 1e-7, 0.0)
+            dmu = (np.asarray(self.fric.mu(hi), dtype=float)
+                   - np.asarray(self.fric.mu(lo), dtype=float)) / (hi - lo)
+        return np.asarray(F, dtype=float) * (dmu * (s * s / r2) + mu * (self.eps**2 / (r2 * r)))
 
 
 @dataclass(eq=False)
@@ -136,10 +132,10 @@ class MomentumStep:
 
     Friction adds R xi to the residual B v - rhs, with R the contact
     pairing columns of the free contact dofs and xi the nodal traction
-    there. At free contact node k the traction lies along the unit tangent
-    tau_k and reads only the slip rate s_k = tau_k . v_k (:meth:`slip`), so
-    R xi = R_tau g with R_tau = R T, T the block column of the tangents and
-    g_k = xi_k . tau_k. Of B^-1 R_tau the step needs only the q x q
+    there. At free contact node k the traction is g(s_k) tau_k, along the
+    unit tangent tau_k, at the slip rate s_k = tau_k . v_k (:meth:`slip`),
+    so R xi = R_tau g with R_tau = R T and T the block column of the
+    tangents. Of B^-1 R_tau the step needs only the q x q
     S = T^T E^T B^-1 R_tau, where E^T picks the free contact dofs (see
     :func:`solve_momentum_step`). S is formed one column of R_tau at a
     time, so no n_free x q array is ever held.
@@ -199,7 +195,7 @@ def contact_traction_full(step: MomentumStep, v_free: np.ndarray, F: np.ndarray)
     since they never move.
     """
     out = np.zeros((step.mesh.n_nodes, 2))
-    out[step.nodes] = step.rfric.traction(step.slip(v_free[step.pos])[:, None] * step.tau, F)
+    out[step.nodes] = step.rfric.traction(step.slip(v_free[step.pos]), F)[:, None] * step.tau
     return out.ravel()
 
 
@@ -229,16 +225,15 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
         beta <- beta - (1 + beta),   c <- c + g' y - rho,
         (I + S diag(g')) y = (1 + beta) T^T E^T p + S rho,
 
-    a dense q x q system, with g'_k = tau_k^T J_k tau_k from the traction
-    Jacobian J_k. The step ends with the second band solve,
-    v = v0 + B^-1 (beta r0 + R_tau c), and takes xi from the last accepted
-    trial. Without free contact nodes (q = 0) the velocity is v0 + beta p,
-    one band solve in all. The normal traction F is read once, at t_new and
+    a dense q x q system, with g' = ``rfric.slope(s, F)``. The step ends
+    with the second band solve, v = v0 + B^-1 (beta r0 + R_tau c), and
+    takes xi = g tau from the last accepted trial. Without free contact
+    nodes (q = 0) the velocity is v0 + beta p, one band solve in all. The normal traction F is read once, at t_new and
     the free contact nodes.
     """
     step, cfg = ws.momentum, ws.config
-    mesh, dofs, mat, rfric, tau = step.mesh, step.dofs, step.mat, step.rfric, step.tau
-    q = tau.shape[0]
+    mesh, dofs, mat, rfric = step.mesh, step.dofs, step.mat, step.rfric
+    q = step.nodes.size
     vfree = dofs.vector_free_dofs()
     u_old = u[vfree]
     v_old = v[vfree]
@@ -247,7 +242,7 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     rhs = load - coup + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old
     F = rfric.fric.F_field(mesh.nodes[step.nodes], t_new)
     s0 = step.slip(v_old[step.pos])
-    g0 = step.slip(rfric.traction(s0[:, None] * tau, F))
+    g0 = rfric.traction(s0, F)
     r0 = step.base @ v_old + step.r @ g0 - rhs
     p = step.factor.solve(r0)
     tp = step.slip(p[step.pos])  # T^T E^T p
@@ -255,17 +250,16 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     def residual(x):
         beta, c = x[0], x[1:]
         s = s0 + beta * tp + step.s @ c
-        xi = rfric.traction(s[:, None] * tau, F)
-        rho = c + step.slip(xi) - g0
-        return (1.0 + beta) * r0 + step.r @ rho, (x, s, xi, rho)
+        g = rfric.traction(s, F)
+        rho = c + g - g0
+        return (1.0 + beta) * r0 + step.r @ rho, (x, s, g, rho)
 
     def correction(res, aux):
         x, s, _, rho = aux
         delta = np.empty_like(x)
         delta[0] = -(1.0 + x[0])
         if q:
-            jac = rfric.traction_jacobian(s[:, None] * tau, F)
-            dg = np.einsum("ki,kij,kj->k", tau, jac, tau)  # g'_k = tau_k^T J_k tau_k
+            dg = rfric.slope(s, F)
             lhs = step.s * dg  # S diag(g')
             lhs.flat[::q + 1] += 1.0
             try:
@@ -276,8 +270,8 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
         return delta
 
     target = cfg.tol_momentum * (1.0 + float(np.linalg.norm(load)))
-    x, (_, _, xi, _), info = damped_newton(residual, correction, np.zeros(1 + q), target,
-                                           cfg.max_iter_momentum, "momentum", t_new)
+    x, (_, _, g, _), info = damped_newton(residual, correction, np.zeros(1 + q), target,
+                                          cfg.max_iter_momentum, "momentum", t_new)
     if q:
         v_new = v_old + step.factor.solve(x[0] * r0 + step.r @ x[1:])
     else:
@@ -287,5 +281,5 @@ def solve_momentum_step(ws, u: np.ndarray, v: np.ndarray, theta: np.ndarray, t_n
     u_full = np.zeros_like(v_full)
     u_full[vfree] = u_old + step.dt * v_new
     xi_full = np.zeros((mesh.n_nodes, 2))
-    xi_full[step.nodes] = xi
+    xi_full[step.nodes] = g[:, None] * step.tau
     return v_full, u_full, xi_full.ravel(), info

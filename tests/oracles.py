@@ -486,33 +486,27 @@ def friction_functional(mesh, dofs, rfric, v_full: np.ndarray, t: float = 0.0) -
 def check_subgradient_properties(rfric, n_pairs: int = 10_000, seed: int = 0) -> dict:
     """Sampled worst cases of the traction bound and the monotonicity estimate.
 
-    Draws slip-velocity pairs across magnitudes from well below the smoothing
-    scale to order ten; half the pairs are collinear or nearly collinear,
-    where a slip-weakening coefficient stresses the monotonicity constant
-    hardest. Returns the largest observed violations (negative or tiny
-    positive values mean the property holds).
+    Draws signed slip-rate pairs across magnitudes from well below the
+    smoothing scale to order ten; half the pairs share their sign, where a
+    slip-weakening coefficient stresses the monotonicity constant hardest.
+    Returns the largest observed violations (negative or tiny positive
+    values mean the property holds).
     """
     rng = np.random.default_rng(seed)
     eps = rfric.eps
     scales = 10.0 ** rng.uniform(np.log10(eps) - 1.0, 1.0, size=(n_pairs, 2))
-    dirs = rng.normal(size=(n_pairs, 2, 2))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    quarter = n_pairs // 4
-    dirs[:quarter, 1] = dirs[:quarter, 0]
-    near = dirs[quarter:2 * quarter, 0] + 0.05 * rng.normal(size=(quarter, 2))
-    dirs[quarter:2 * quarter, 1] = near / np.linalg.norm(near, axis=1, keepdims=True)
-    v1 = scales[:, 0, None] * dirs[:, 0]
-    v2 = scales[:, 1, None] * dirs[:, 1]
+    signs = rng.choice([-1.0, 1.0], size=(n_pairs, 2))
+    half = n_pairs // 2
+    signs[:half, 1] = signs[:half, 0]
+    s1, s2 = (scales * signs).T
     F = rng.uniform(0.0, 1.0, size=n_pairs) * rfric.fric.F_bar * 2.0
 
-    xi1 = rfric.traction(v1, F)
-    xi2 = rfric.traction(v2, F)
-    norm1 = np.linalg.norm(xi1, axis=1)
-    bound_violation = float((norm1 - rfric.fric.mu_bar * F).max())
+    g1 = rfric.traction(s1, F)
+    g2 = rfric.traction(s2, F)
+    bound_violation = float((np.abs(g1) - rfric.fric.mu_bar * F).max())
 
-    dv = v1 - v2
-    pair = np.einsum("mi,mi->m", xi1 - xi2, dv)
-    slack = pair + F * rfric.fric.d_mu * np.einsum("mi,mi->m", dv, dv)
+    ds = s1 - s2
+    slack = (g1 - g2) * ds + F * rfric.fric.d_mu * ds * ds
     return {
         "bound_violation": bound_violation,
         "monotonicity_violation": float((-slack).max()),
@@ -525,7 +519,7 @@ def check_subgradient_pairing(mesh, dofs, rfric, lumped_weights: np.ndarray, n_p
     """Monotonicity estimate in the lumped contact inner product.
 
     The nodal property transfers to any positively weighted sum, so the
-    worst violation over random velocity pairs should sit at roundoff.
+    worst violation over random slip-rate pairs should sit at roundoff.
     """
     rng = np.random.default_rng(seed)
     m = dofs.contact_nodes.size
@@ -534,15 +528,12 @@ def check_subgradient_pairing(mesh, dofs, rfric, lumped_weights: np.ndarray, n_p
     F = np.asarray(rfric.fric.F_field(mesh.nodes[dofs.contact_nodes], t), dtype=float)
     worst = -np.inf
     for _ in range(n_pairs):
-        v1 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
-        v2 = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-6, 1)
-        nu = dofs.contact_normal
-        vt1 = v1 - np.einsum("mi,mi->m", v1, nu)[:, None] * nu
-        vt2 = v2 - np.einsum("mi,mi->m", v2, nu)[:, None] * nu
-        dxi = rfric.traction(vt1, F) - rfric.traction(vt2, F)
-        dv = vt1 - vt2
-        lhs = float(np.sum(lumped_weights * np.einsum("mi,mi->m", dxi, dv)))
-        rhs = -rfric.fric.d_mu * float(np.sum(lumped_weights * F * np.einsum("mi,mi->m", dv, dv)))
+        s1 = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 1)
+        s2 = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 1)
+        dg = rfric.traction(s1, F) - rfric.traction(s2, F)
+        ds = s1 - s2
+        lhs = float(np.sum(lumped_weights * dg * ds))
+        rhs = -rfric.fric.d_mu * float(np.sum(lumped_weights * F * ds * ds))
         worst = max(worst, rhs - lhs)
     return worst
 
@@ -555,26 +546,25 @@ def momentum_residual(step, t_new: float, u_old: np.ndarray, v_old: np.ndarray,
     B v + R xi(v) - rhs is formed here from the step matrix B, the contact
     mass, the load assemblers and the pointwise law ``rfric.traction``,
     apart from the solver's own closure and its nodal traction: R is the
-    contact mass on the free contact dofs, the tangential velocity is
-    P_k v_k with P_k = I - nu_k nu_k^T at each free contact node, and the
-    friction block of the Jacobian is J_k P_k with J_k = ``traction_jacobian``.
+    contact mass on the free contact dofs, xi_k = g(s_k) tau_k with the
+    slip rate s_k = tau_k . v_k at each free contact node, and the friction
+    block of the Jacobian is g'(s_k) tau_k tau_k^T with g' = ``rfric.slope``.
     """
     mesh, dofs, mat, rfric = step.mesh, step.dofs, step.mat, step.rfric
     free = dofs.node_to_free[dofs.contact_nodes]
     on = free >= 0
-    nodes, nu, pos = dofs.contact_nodes[on], dofs.contact_normal[on], xy_dofs(free[on])
-    proj = np.eye(2)[None] - nu[:, :, None] * nu[:, None, :]
-    vt = np.einsum("mij,mj->mi", proj, v_free[pos].reshape(-1, 2))
+    nodes, tau, pos = dofs.contact_nodes[on], dofs.contact_tangent[on], xy_dofs(free[on])
+    s = np.einsum("mi,mi->m", tau, v_free[pos].reshape(-1, 2))
     F = rfric.fric.F_field(mesh.nodes[nodes], t_new)
     rhs = (assemble_mech_load(mesh, dofs, step.bd, rfric.fric, t_new)
            - assemble_thermal_coupling(mesh, dofs, mat, theta_del)
            + mat.mass_mech() / step.dt * (step.mass @ v_old) - step.elast @ u_old)
     r = assemble_contact_mass(mesh, dofs)[:, pos]
-    res = step.base @ v_free + r @ rfric.traction(vt, F).ravel() - rhs
+    res = step.base @ v_free + r @ (rfric.traction(s, F)[:, None] * tau).ravel() - rhs
     pairs = np.arange(pos.size).reshape(-1, 2)
     rows = np.repeat(pairs, 2, axis=1).ravel()
     cols = np.tile(pos.reshape(-1, 2), (1, 2)).ravel()
-    blocks = np.einsum("mij,mjk->mik", rfric.traction_jacobian(vt, F), proj)
+    blocks = rfric.slope(s, F)[:, None, None] * tau[:, :, None] * tau[:, None, :]
     d_et = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(pos.size, v_free.size))
     return res, (step.base + r @ d_et).tocsr()
 

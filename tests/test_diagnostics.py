@@ -188,6 +188,25 @@ class TestEnergyReport:
         report = energy_report(ws)
         assert any("traction bound" in v for v in report.violations)
 
+    def test_flags_traction_above_local_cap(self):
+        # F grows along the C side, so mu_bar F(x) lies below mu_bar F_bar at
+        # all but one contact node: a traction between the two caps is a violation
+        models = default_models(2)
+        fric = models.fric
+        models.fric = dataclasses.replace(
+            fric, F_field=lambda x, t: fric.F_bar * (0.5 + 0.5 * np.asarray(x)[..., 0]))
+        ws = initialize(models, SolverConfig(T=0.1, h=0.05, dt=0.05))
+        advance(ws)
+        assert energy_report(ws).ok()
+        node = models.dofs.contact_nodes[1]
+        assert np.array_equal(models.mesh.nodes[node], [0.5, 0.0])
+        bad_xi = ws.states[-1].xi.copy()
+        bad_xi[2 * node:2 * node + 2] = [0.9 * fric.mu_bar * fric.F_bar, 0.0]
+        ws.states[-1] = dataclasses.replace(ws.states[-1], xi=bad_xi)
+        violations = energy_report(ws).violations
+        assert len(violations) == 1
+        assert violations[0].startswith("traction bound exceeded at t=0.1, x=[0.5, 0.0]: ")
+
     def test_flags_potential_bound_breach(self):
         models = default_models(2)
         cfg = SolverConfig(T=0.1, h=0.05, dt=0.05)

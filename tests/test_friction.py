@@ -37,49 +37,53 @@ def default_rfric():
 
 class TestTractionLaw:
     def test_zero_slip_zero_traction(self, default_rfric):
-        xi = default_rfric.traction(np.zeros((4, 2)), np.full(4, 0.3))
-        assert np.abs(xi).max() == 0.0
+        g = default_rfric.traction(np.zeros(4), np.full(4, 0.3))
+        assert np.abs(g).max() == 0.0
 
     def test_bound(self, default_rfric):
         rng = np.random.default_rng(1)
-        vt = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-9, 2, size=(2000, 1))
+        s = rng.normal(size=2000) * 10.0 ** rng.uniform(-9, 2, size=2000)
         F = rng.uniform(0.0, 1.0, size=2000)
-        xi = default_rfric.traction(vt, F)
+        g = default_rfric.traction(s, F)
         bound = default_rfric.fric.mu_bar * F
-        assert (np.linalg.norm(xi, axis=1) - bound).max() <= 1e-12
+        assert (np.abs(g) - bound).max() <= 1e-12
 
     def test_aligned_with_slip(self, default_rfric):
+        # g is odd, and points along the slip
         rng = np.random.default_rng(2)
-        vt = rng.normal(size=(100, 2))
-        xi = default_rfric.traction(vt, np.full(100, 0.5))
-        cross = xi[:, 0] * vt[:, 1] - xi[:, 1] * vt[:, 0]
-        assert np.abs(cross).max() < 1e-14
-        assert np.einsum("mi,mi->m", xi, vt).min() >= 0.0
+        s = rng.normal(size=100)
+        F = np.full(100, 0.5)
+        g = default_rfric.traction(s, F)
+        assert np.array_equal(default_rfric.traction(-s, F), -g)
+        assert (g * s).min() > 0.0
 
     def test_large_slip_limit(self, default_rfric):
-        v = np.array([[0.6, 0.8]])
-        F = np.array([0.4])
-        xi = default_rfric.traction(v, F)
+        s = np.array([1.0, -1.0])
+        F = np.array([0.4, 0.4])
+        g = default_rfric.traction(s, F)
         mu1 = float(default_rfric.fric.mu(1.0))
-        np.testing.assert_allclose(xi, mu1 * 0.4 * v, rtol=1e-10)
+        np.testing.assert_allclose(g, mu1 * 0.4 * s, rtol=1e-10)
 
     def test_jacobian_matches_fd(self, default_rfric):
         rng = np.random.default_rng(3)
-        vt = rng.normal(size=(50, 2)) * 10.0 ** rng.uniform(-3, 1, size=(50, 1))
+        s = rng.normal(size=50) * 10.0 ** rng.uniform(-3, 1, size=50)
         F = rng.uniform(0.1, 1.0, size=50)
-        jac = default_rfric.traction_jacobian(vt, F)
         eps = 1e-7
-        for k in range(2):
-            bump = np.zeros((1, 2))
-            bump[0, k] = eps
-            fd = (default_rfric.traction(vt + bump, F) - default_rfric.traction(vt - bump, F)) / (2 * eps)
-            np.testing.assert_allclose(fd, jac[:, :, k], rtol=1e-5, atol=1e-6)
+        fd = (default_rfric.traction(s + eps, F) - default_rfric.traction(s - eps, F)) / (2 * eps)
+        np.testing.assert_allclose(fd, default_rfric.slope(s, F), rtol=1e-5, atol=1e-6)
 
     def test_jacobian_at_rest(self):
         fric = const_friction(mu0=0.3, F0=1.0)
         rf = RegularizedFriction(fric, eps=1e-4)
-        jac = rf.traction_jacobian(np.zeros((1, 2)), np.array([2.0]))
-        np.testing.assert_allclose(jac[0], 2.0 * 0.3 / 1e-4 * np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(rf.slope(np.zeros(1), np.array([2.0])), [2.0 * 0.3 / 1e-4], rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [5e-8, 1e-6, 0.1])
+    def test_slope_without_mu_prime(self, default_rfric, s):
+        # mu' by differences of mu, also where r is below the difference step 1e-7
+        exact = RegularizedFriction(default_rfric.fric, eps=1e-12)
+        numeric = RegularizedFriction(dataclasses.replace(default_rfric.fric, mu_prime=None), eps=1e-12)
+        s, F = np.array([s, -s]), np.array([0.3, 0.3])
+        np.testing.assert_allclose(numeric.slope(s, F), exact.slope(s, F), rtol=1e-6, atol=0.0)
 
     def test_potential_closed_form_vs_quadrature(self, default_rfric):
         numeric = RegularizedFriction(
@@ -423,6 +427,25 @@ class TestCondensedSolve:
             assert step.dt == dt
             assert info["iterations"] == ref_info["iterations"] > 0
             assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref - v0)
+
+    def test_contact_corner_matches_direct_solve(self):
+        # bottom and right both C: the free corner node (1, 0) carries the
+        # averaged tangent (1, 1)/sqrt(2), and it sticks at the solution
+        mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "C", "bottom": "C", "top": "N"})
+        dofs = build_dof_maps(mesh)
+        dt = 0.02
+        nf = dofs.vector_free_dofs().size
+        rng = np.random.default_rng(30)
+        u0 = rng.normal(size=nf) * 0.01
+        v0 = rng.normal(size=nf) * 0.1
+        theta = rng.normal(size=mesh.n_nodes) * 0.1
+        step, v, info, ref, ref_info = self.step_and_direct(mesh, dofs, dt, u0, v0, theta)
+        corner = np.flatnonzero(np.all(mesh.nodes[step.nodes] == [1.0, 0.0], axis=1))
+        assert corner.size == 1
+        np.testing.assert_allclose(step.tau[corner[0]], [0.5 ** 0.5, 0.5 ** 0.5], rtol=1e-15)
+        assert abs(step.slip(v[step.pos])[corner[0]]) < step.rfric.eps
+        assert info["iterations"] == ref_info["iterations"] > 0
+        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref - v0)
 
     def test_contact_free_matches_direct_solve(self):
         mesh = build_unit_square_mesh(4, tags={"left": "D", "right": "D", "bottom": "N", "top": "N"})
